@@ -1,0 +1,68 @@
+"""Golden record bytes for fixed master seeds.
+
+The digests pin the exact RNG stream and the on-disk encoding of
+records.jsonl and trajectory.json. A change that alters either on purpose
+re-captures them and says so in CHANGES.md; any other change must leave
+them untouched.
+"""
+
+import hashlib
+import json
+
+from hmajority.cli import main
+from hmajority.montecarlo import SweepSpec, run_sweep, write_records_jsonl
+
+GOLDEN = {
+    "sweep_categorical":
+        "4461cf5978fc5b9ee121258dd2c3157abee704ef2764e2ae8aaba61566901b9e",
+    "simulate_chain_two_chunks":
+        "da9f1f23710faa61d5b5cc38245aa7fdc73fa2bbb81a4f9ff758bfd4296f4d72",
+    "simulate_oracle_level":
+        "67f85864282bcb293c70f4762d3419cc0f99e018e12357da2aa348c0502f3075",
+    "simulate_top_counts":
+        "5dc1362b078d2fa6c86f9efa4a45800e86ac0068bb43a86e21cfde78f1860064",
+}
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _simulate(tmp_path, name, config) -> str:
+    config_path = tmp_path / f"{name}.json"
+    config_path.write_text(json.dumps({"schema_version": 1, **config}))
+    out = tmp_path / name
+    assert main(["simulate", "--config", str(config_path), "--out", str(out)]) == 0
+    return _sha256(out / "trajectory.json")
+
+
+def test_sweep_records_bytes(tmp_path):
+    # h = 3 < k: every round takes the categorical (alias-table) path
+    spec = SweepSpec(
+        ns=(2000,), ks=(8, 64), hs=(3,), bias_multiplier=2.0,
+        trials=2, master_seed=20260417, max_rounds=300,
+    )
+    path = tmp_path / "records.jsonl"
+    assert write_records_jsonl(run_sweep(spec), str(path)) == 4
+    assert _sha256(path) == GOLDEN["sweep_categorical"]
+
+
+def test_trajectory_bytes(tmp_path, capsys):
+    digests = {
+        # k = 4 <= h = 5: the chain path, n = 70 000 rows in two chunks
+        "simulate_chain_two_chunks": _simulate(tmp_path, "chain", {
+            "counts": [20000, 18000, 17000, 15000], "h": 5, "max_rounds": 6,
+            "seed": 41,
+        }),
+        "simulate_oracle_level": _simulate(tmp_path, "oracle", {
+            "counts": [150, 130, 120, 100], "h": 3, "max_rounds": 40,
+            "step_mode": "oracle_level", "seed": 43,
+        }),
+        # k = 80 > 64: rounds keep only the top counts plus an "other" bucket
+        "simulate_top_counts": _simulate(tmp_path, "top", {
+            "counts": [60] + [30] * 79, "h": 3, "max_rounds": 5, "seed": 47,
+        }),
+    }
+    capsys.readouterr()
+    for name, digest in digests.items():
+        assert digest == GOLDEN[name], name

@@ -40,10 +40,7 @@ from .oracle import (
 from .sampler import (
     RngHandle,
     SampleVector,
-    draw_binomial,
-    draw_categorical_counts,
     draw_multinomial,
-    mode_with_tiebreak,
 )
 from .theory import (
     BOUND_CATALOG,
@@ -76,15 +73,12 @@ __all__ = [
     "bias_stats",
     "binomial_pair_report",
     "check_w1_lower_bound",
-    "draw_binomial",
-    "draw_categorical_counts",
     "draw_multinomial",
     "enumerate_outcomes",
     "estimate_win_probs",
     "event_report",
     "g_function",
     "is_consensus",
-    "mode_with_tiebreak",
     "multinomial_pmf",
     "normalize",
     "oracle_step",

@@ -13,6 +13,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 
 from .core import Configuration, HMajorityError
 from .dynamics import RunParams, run
@@ -99,12 +100,12 @@ def _cmd_simulate(args) -> int:
         )
     except (ValueError, HMajorityError) as exc:
         raise ConfigError(str(exc))
-
-    traj = run(config, params)
-    os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, "trajectory.json")
     if os.path.exists(out_path) and not args.force:
         raise ConfigError(f"{out_path} exists; pass --force to overwrite")
+
+    traj = run(config, params)
+    os.makedirs(args.out, exist_ok=True)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "master_seed": int(seed),
@@ -116,7 +117,7 @@ def _cmd_simulate(args) -> int:
             "step_mode": params.step_mode,
         },
         "initial_counts": list(config.counts),
-        "trajectory": traj.to_json_dict(),
+        "trajectory": asdict(traj),
     }
     with open(out_path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, separators=(",", ":"))
@@ -162,14 +163,15 @@ def _cmd_oracle(args) -> int:
         raise ConfigError(f"cannot parse probability vector {args.p!r}")
     try:
         if args.report == "win":
-            doc = win_distribution(args.h, probs).to_json_dict()
+            report = win_distribution(args.h, probs)
         elif args.report == "event":
-            doc = event_report(args.h, probs, rare_x=args.rare_x).to_json_dict()
+            report = event_report(args.h, probs, rare_x=args.rare_x)
         else:
-            doc = tie_map_audit(args.h, probs).to_json_dict()
+            report = tie_map_audit(args.h, probs)
     except HMajorityError as exc:
         raise ConfigError(str(exc))
-    doc["schema_version"] = SCHEMA_VERSION
+    doc = {**asdict(report), "k": report.k, "schema_version": SCHEMA_VERSION}
+    doc.pop("outcomes", None)  # per-outcome tie-map detail stays in the API
     text = json.dumps(doc, indent=2)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -202,7 +204,7 @@ def _cmd_verify(args) -> int:
             json.dump(
                 {
                     "schema_version": SCHEMA_VERSION,
-                    "results": [r.to_json_dict() for r in results],
+                    "results": [asdict(r) for r in results],
                 },
                 fh,
                 indent=2,

@@ -7,6 +7,7 @@ values and safe to share across concurrent workers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -20,6 +21,10 @@ class SumMismatchError(HMajorityError, ValueError):
 
 class EmptySystemError(HMajorityError, ValueError):
     """Zero agents or zero opinions."""
+
+
+class NotSortedError(HMajorityError, ValueError):
+    """The probability vector must be sorted in non-increasing order."""
 
 
 PROB_SUM_TOL = 1e-12
@@ -66,10 +71,26 @@ class NormalizedConfig:
             raise EmptySystemError("no opinions")
         if any(v < 0.0 for v in p):
             raise SumMismatchError(f"negative probability in {p}")
-        total = sum(p)
+        # fsum: counts/n vectors sum to 1 within one rounding at any k
+        total = math.fsum(p)
         if abs(total - 1.0) > PROB_SUM_TOL:
             raise SumMismatchError(f"probabilities sum to {total!r}, not 1")
         return cls(probs=p, n=int(n))
+
+
+def coerce_probs(p) -> tuple[float, ...]:
+    """The probabilities of a NormalizedConfig, or of a sequence validated by
+    NormalizedConfig.from_probs (non-empty, non-negative, summing to 1)."""
+    if isinstance(p, NormalizedConfig):
+        return p.probs
+    return NormalizedConfig.from_probs(p).probs
+
+
+def require_sorted(probs) -> None:
+    """Raise NotSortedError unless probs is non-increasing (1e-15 slack)."""
+    for a, b in zip(probs, probs[1:]):
+        if b > a + 1e-15:
+            raise NotSortedError(f"probabilities must be non-increasing, got {probs}")
 
 
 @dataclass(frozen=True)

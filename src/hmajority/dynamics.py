@@ -4,8 +4,8 @@ Each round, every one of the n agents independently samples h neighbors
 uniformly at random with repetition (self-loops included: the sampling law
 is exactly counts/n) and adopts the most frequent sampled opinion, breaking
 ties uniformly at random. Agents are anonymous; a round only needs the
-aggregated outcome counts, so memory per round is O(k) plus a bounded
-row batch.
+aggregated outcome counts, so it samples the n agents in blocks whose size
+sampler.sample_counts_chunks bounds.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .sampler import (
     RngHandle,
     argmax_rows_with_tiebreak,
     draw_multinomial,
-    sample_counts_matrix,
+    sample_counts_chunks,
 )
 
 
@@ -51,8 +51,6 @@ STATUS_ROUND_CAP = "round_cap"
 # top TOP_KEEP counts plus an "other" bucket are stored.
 FULL_COUNTS_MAX_K = 64
 TOP_KEEP = 16
-
-_CHUNK_ROWS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -89,19 +87,6 @@ class RoundSummary:
     normalized_bias: float
     plurality: int | None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "t": self.t,
-            "counts": list(self.counts) if self.counts is not None else None,
-            "top_counts": [list(tc) for tc in self.top_counts]
-            if self.top_counts is not None
-            else None,
-            "other_count": self.other_count,
-            "additive_bias": self.additive_bias,
-            "normalized_bias": self.normalized_bias,
-            "plurality": self.plurality,
-        }
-
 
 @dataclass
 class Trajectory:
@@ -110,7 +95,8 @@ class Trajectory:
     plurality_lost_round records the first round whose plurality differs
     from the initial one; it is an observation, not a stopping condition,
     because rare runs that lose the plurality are themselves measurement
-    targets.
+    targets. trajectory.json stores dataclasses.asdict of a trajectory, so
+    the field order here and in RoundSummary is its key order.
     """
 
     rounds: list[RoundSummary] = field(default_factory=list)
@@ -119,16 +105,6 @@ class Trajectory:
     consensus_round: int | None = None
     initial_plurality: int | None = None
     plurality_lost_round: int | None = None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "rounds": [r.to_json_dict() for r in self.rounds],
-            "terminal_status": self.terminal_status,
-            "winner": self.winner,
-            "consensus_round": self.consensus_round,
-            "initial_plurality": self.initial_plurality,
-            "plurality_lost_round": self.plurality_lost_round,
-        }
 
 
 def summarize_round(t: int, config: Configuration) -> RoundSummary:
@@ -171,13 +147,9 @@ def step(config: Configuration, h: int, rng: RngHandle) -> Configuration:
     probs = np.asarray(config.counts, dtype=np.float64) / config.n
     k = config.k
     new_counts = np.zeros(k, dtype=np.int64)
-    done = 0
-    while done < config.n:
-        rows = min(_CHUNK_ROWS, config.n - done)
-        matrix = sample_counts_matrix(h, probs, rng, rows)
+    for matrix in sample_counts_chunks(h, probs, rng, config.n):
         winners = argmax_rows_with_tiebreak(matrix, rng)
         new_counts += np.bincount(winners, minlength=k)
-        done += rows
     return Configuration(counts=tuple(int(c) for c in new_counts), n=config.n)
 
 

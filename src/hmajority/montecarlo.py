@@ -19,19 +19,19 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from statistics import NormalDist
 from time import perf_counter
 
 import numpy as np
-from scipy.stats import norm
 
-from .core import Configuration, HMajorityError, NormalizedConfig
+from .core import Configuration, HMajorityError, coerce_probs, require_sorted
 from .dynamics import (
     STOP_CONSENSUS,
     STOP_RULES,
     RunParams,
     run,
 )
-from .sampler import RngHandle, argmax_rows_with_tiebreak, sample_counts_matrix
+from .sampler import RngHandle, argmax_rows_with_tiebreak, sample_counts_chunks
 from .theory import (
     DEFAULT_C3,
     DEFAULT_C4,
@@ -42,12 +42,12 @@ from .theory import (
     large_bias_boundary,
     small_bias_boundary,
     strict_pair_lower,
+    verdict_vs_value,
     w1_lower,
 )
 
 SCHEMA_VERSION = 1
 DEFAULT_CONFIDENCE = 0.999
-_CHUNK_ROWS = 1 << 16
 
 
 class SweepSpecError(HMajorityError, ValueError):
@@ -60,7 +60,7 @@ def wilson_interval(
     """Wilson score interval for a binomial proportion."""
     if trials < 1:
         raise SweepSpecError(f"trials must be >= 1, got {trials}")
-    z = float(norm.ppf(1.0 - (1.0 - confidence) / 2.0))
+    z = NormalDist().inv_cdf(1.0 - (1.0 - confidence) / 2.0)
     phat = successes / trials
     denom = 1.0 + z * z / trials
     center = (phat + z * z / (2 * trials)) / denom
@@ -93,15 +93,6 @@ class Estimate:
             confidence=confidence,
         )
 
-    def to_json_dict(self) -> dict:
-        return {
-            "point": self.point,
-            "trials": self.trials,
-            "wilson_low": self.wilson_low,
-            "wilson_high": self.wilson_high,
-            "confidence": self.confidence,
-        }
-
 
 @dataclass(frozen=True)
 class WinEventCounts:
@@ -114,24 +105,15 @@ class WinEventCounts:
     strict_pair_12: int
 
 
-def _probs_tuple(p) -> tuple[float, ...]:
-    if isinstance(p, NormalizedConfig):
-        return p.probs
-    return NormalizedConfig.from_probs(p).probs
-
-
 def sample_win_events(h: int, p, trials: int, rng: RngHandle) -> WinEventCounts:
     """Count winning events over repeated independent sample vectors."""
-    probs = np.asarray(_probs_tuple(p), dtype=np.float64)
-    k = probs.size
+    probs = coerce_probs(p)
+    k = len(probs)
     win = np.zeros(k, dtype=np.int64)
     strict_1 = 0
     ties_1 = 0
     strict_pair = 0
-    done = 0
-    while done < trials:
-        rows = min(_CHUNK_ROWS, trials - done)
-        matrix = sample_counts_matrix(h, probs, rng, rows)
+    for matrix in sample_counts_chunks(h, probs, rng, trials):
         rowmax = matrix.max(axis=1)
         is_max = matrix == rowmax[:, None]
         mcount = is_max.sum(axis=1)
@@ -144,7 +126,6 @@ def sample_win_events(h: int, p, trials: int, rng: RngHandle) -> WinEventCounts:
             strict_pair += int((mcount == 1).sum())
         winners = argmax_rows_with_tiebreak(matrix, rng)
         win += np.bincount(winners, minlength=k)
-        done += rows
     return WinEventCounts(
         trials=trials,
         win=tuple(int(c) for c in win),
@@ -196,34 +177,6 @@ class W1BoundReport:
     w1_pass_lenient: bool
     strict_pair_pass_lenient: bool
 
-    def to_json_dict(self) -> dict:
-        return {
-            "p": list(self.p),
-            "n": self.n,
-            "c4": self.c4,
-            "h": self.h,
-            "trials": self.trials,
-            "w1": self.w1.to_json_dict(),
-            "strict_1": self.strict_1.to_json_dict(),
-            "ties_1": self.ties_1.to_json_dict(),
-            "strict_pair_12": self.strict_pair_12.to_json_dict(),
-            "w1_bound": self.w1_bound,
-            "strict_pair_bound": self.strict_pair_bound,
-            "w1_verdict": self.w1_verdict,
-            "strict_vs_ties_verdict": self.strict_vs_ties_verdict,
-            "strict_pair_verdict": self.strict_pair_verdict,
-            "w1_pass_lenient": self.w1_pass_lenient,
-            "strict_pair_pass_lenient": self.strict_pair_pass_lenient,
-        }
-
-
-def _interval_verdict(measured: Estimate, bound: float) -> str:
-    if measured.wilson_low >= bound:
-        return VERDICT_PASS
-    if measured.wilson_high < bound:
-        return VERDICT_FAIL
-    return VERDICT_INCONCLUSIVE
-
 
 def check_w1_lower_bound(
     p, n: int, c4: float, trials: int, seed: int
@@ -234,10 +187,8 @@ def check_w1_lower_bound(
     estimated, compared interval-against-interval), and
     Pr(W_{1,2,strict}) >= (p_1 + p_2)/36.
     """
-    probs = _probs_tuple(p)
-    for a, b in zip(probs, probs[1:]):
-        if b > a + 1e-15:
-            raise SweepSpecError("p must be sorted in non-increasing order")
+    probs = coerce_probs(p)
+    require_sorted(probs)
     p1 = probs[0]
     p2 = probs[1] if len(probs) > 1 else 0.0
     h = math.ceil(c4 * math.log(n) / p1)
@@ -250,8 +201,8 @@ def check_w1_lower_bound(
 
     w1_bound = w1_lower(p1)
     pair_bound = strict_pair_lower(p1, p2)
-    w1_verdict = _interval_verdict(w1, w1_bound)
-    pair_verdict = _interval_verdict(pair, pair_bound)
+    w1_verdict = verdict_vs_value(w1_bound, w1)
+    pair_verdict = verdict_vs_value(pair_bound, pair)
     ratio = 1.0 / 6.0
     if strict_1.wilson_low >= ratio * ties_1.wilson_high:
         ratio_verdict = VERDICT_PASS
@@ -425,12 +376,19 @@ class SweepSpec:
         )
 
     def cells(self) -> list[SweepCell]:
-        cells = []
         if self.pattern == PATTERN_CUSTOM:
             counts = tuple(int(c) for c in self.custom_counts)
-            n = sum(counts)
-            k = len(counts)
-            b0 = max(counts) - sorted(counts)[-2] if k >= 2 else n
+            b0 = max(counts) - sorted(counts)[-2] if len(counts) >= 2 else sum(counts)
+            starts = [(counts, b0)]
+        else:
+            starts = [
+                balanced_plus_bias_counts(n, k, self.bias_multiplier)
+                for n in self.ns
+                for k in self.ks
+            ]
+        cells = []
+        for counts, b0 in starts:
+            n, k = sum(counts), len(counts)
             for h in self._hs_for(n, counts):
                 cells.append(
                     SweepCell(
@@ -444,23 +402,6 @@ class SweepSpec:
                         counts=counts,
                     )
                 )
-            return cells
-        for n in self.ns:
-            for k in self.ks:
-                counts, b0 = balanced_plus_bias_counts(n, k, self.bias_multiplier)
-                for h in self._hs_for(n, counts):
-                    cells.append(
-                        SweepCell(
-                            index=len(cells),
-                            cell_id=f"n{n}-k{k}-h{h}-{self.pattern}",
-                            n=n,
-                            k=k,
-                            h=h,
-                            b0=b0,
-                            pattern=self.pattern,
-                            counts=counts,
-                        )
-                    )
         return cells
 
     def _hs_for(self, n: int, counts: tuple[int, ...]) -> list[int]:
@@ -513,7 +454,8 @@ class TrialRecord:
     bias_trace holds (round, normalized bias) pairs; lead_trace holds
     (round, p1, p2) with the two largest opinion fractions, which the growth
     audit needs to evaluate its per-round regime boundaries. wall_time_ms is
-    intentionally not serialized into the record line.
+    intentionally not serialized into the record line. The outcome fields
+    default to those of an error record, which ran no round.
     """
 
     schema_version: int
@@ -528,11 +470,11 @@ class TrialRecord:
     b0: int
     pattern: str
     status: str
-    consensus_round: int | None
-    winner: int | None
-    initial_plurality: int | None
-    plurality_preserved: bool
-    rounds_run: int
+    consensus_round: int | None = None
+    winner: int | None = None
+    initial_plurality: int | None = None
+    plurality_preserved: bool = False
+    rounds_run: int = 0
     bias_trace: list = field(default_factory=list)
     lead_trace: list = field(default_factory=list)
     wall_time_ms: float = 0.0
@@ -574,56 +516,22 @@ def run_trial(
     start = perf_counter()
     traj = run(config, params)
     elapsed_ms = (perf_counter() - start) * 1e3
-    bias_trace = [[r.t, r.normalized_bias] for r in traj.rounds]
-    lead_trace = [[r.t, *_top_two_fracs(r, cell.n)] for r in traj.rounds]
-    preserved = (
-        traj.winner is not None and traj.winner == traj.initial_plurality
-    )
-    return TrialRecord(
-        schema_version=SCHEMA_VERSION,
-        master_seed=spec.master_seed,
-        cell_id=cell.cell_id,
-        cell_index=cell.index,
-        trial=trial_index,
-        seed=seed,
-        n=cell.n,
-        k=cell.k,
-        h=cell.h,
-        b0=cell.b0,
-        pattern=cell.pattern,
-        status=traj.terminal_status,
+    return _cell_record(
+        spec,
+        cell,
+        trial_index,
+        traj.terminal_status,
         consensus_round=traj.consensus_round,
         winner=traj.winner,
         initial_plurality=traj.initial_plurality,
-        plurality_preserved=preserved,
+        plurality_preserved=(
+            traj.winner is not None and traj.winner == traj.initial_plurality
+        ),
         rounds_run=len(traj.rounds) - 1,
-        bias_trace=bias_trace,
-        lead_trace=lead_trace,
+        bias_trace=[[r.t, r.normalized_bias] for r in traj.rounds],
+        lead_trace=[[r.t, *_top_two_fracs(r, cell.n)] for r in traj.rounds],
         wall_time_ms=elapsed_ms,
     )
-
-
-def _trial_worker(args) -> TrialRecord:
-    spec, cell, trial_index = args
-    return run_trial(cell, trial_index, spec)
-
-
-def run_sweep(spec: SweepSpec, workers: int = 1):
-    """Yield TrialRecords cell by cell in deterministic (cell, trial) order.
-
-    Per-trial failures are captured into the record stream as status
-    "error" rather than aborting the sweep. Worker count never changes the
-    emitted sequence.
-    """
-    cells = spec.cells()
-    jobs = [(spec, cell, t) for cell in cells for t in range(spec.trials)]
-    if workers <= 1:
-        for job in jobs:
-            yield _safe_trial(job)
-        return
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for record in pool.map(_trial_worker, jobs, chunksize=4):
-            yield record
 
 
 def _safe_trial(job) -> TrialRecord:
@@ -631,25 +539,42 @@ def _safe_trial(job) -> TrialRecord:
     try:
         return run_trial(cell, trial_index, spec)
     except Exception as exc:  # per-trial errors never abort the sweep
-        return TrialRecord(
-            schema_version=SCHEMA_VERSION,
-            master_seed=spec.master_seed,
-            cell_id=cell.cell_id,
-            cell_index=cell.index,
-            trial=trial_index,
-            seed=derive_trial_seed(spec.master_seed, cell.index, trial_index),
-            n=cell.n,
-            k=cell.k,
-            h=cell.h,
-            b0=cell.b0,
-            pattern=cell.pattern,
-            status=f"error:{type(exc).__name__}",
-            consensus_round=None,
-            winner=None,
-            initial_plurality=None,
-            plurality_preserved=False,
-            rounds_run=0,
-        )
+        return _cell_record(spec, cell, trial_index, f"error:{type(exc).__name__}")
+
+
+def _cell_record(spec, cell, trial_index, status, **outcome) -> TrialRecord:
+    """The record of one (cell, trial); outcome fields left out keep their
+    error-record defaults."""
+    return TrialRecord(
+        schema_version=SCHEMA_VERSION,
+        master_seed=spec.master_seed,
+        cell_id=cell.cell_id,
+        cell_index=cell.index,
+        trial=trial_index,
+        seed=derive_trial_seed(spec.master_seed, cell.index, trial_index),
+        n=cell.n,
+        k=cell.k,
+        h=cell.h,
+        b0=cell.b0,
+        pattern=cell.pattern,
+        status=status,
+        **outcome,
+    )
+
+
+def run_sweep(spec: SweepSpec, workers: int = 1):
+    """Yield TrialRecords cell by cell in deterministic (cell, trial) order.
+
+    Per-trial failures are captured into the record stream as status
+    "error:<Type>" rather than aborting the sweep. Worker count never
+    changes the emitted sequence.
+    """
+    jobs = [(spec, cell, t) for cell in spec.cells() for t in range(spec.trials)]
+    if workers <= 1:
+        yield from map(_safe_trial, jobs)
+        return
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        yield from pool.map(_safe_trial, jobs, chunksize=4)
 
 
 def write_records_jsonl(records, path: str, append: bool = False) -> int:
@@ -695,15 +620,6 @@ class GrowthAuditReport:
     fraction: float
     vacuous: bool
     growth_factors: tuple[float, ...]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "qualifying_pairs": self.qualifying_pairs,
-            "satisfied": self.satisfied,
-            "fraction": self.fraction,
-            "vacuous": self.vacuous,
-            "growth_factors": list(self.growth_factors),
-        }
 
 
 def bias_growth_audit(
@@ -767,18 +683,6 @@ class RareOutsampleReport:
     fraction: float
     bound: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "k": self.k,
-            "h": self.h,
-            "rare_opinion": self.rare_opinion,
-            "rounds": self.rounds,
-            "rounds_all_outsampled": self.rounds_all_outsampled,
-            "fraction": self.fraction,
-            "bound": self.bound,
-        }
-
 
 def rare_outsample_audit(
     config: Configuration,
@@ -807,13 +711,10 @@ def rare_outsample_audit(
     clean = 0
     for _ in range(rounds):
         all_outsampled = True
-        done = 0
-        while done < config.n:
-            nrows = min(_CHUNK_ROWS, config.n - done)
-            matrix = sample_counts_matrix(h, probs, rng, nrows)
+        # every block is drawn, so each round consumes the same stream
+        for matrix in sample_counts_chunks(h, probs, rng, config.n):
             if np.any(matrix[:, lead] <= matrix[:, rare]):
                 all_outsampled = False
-            done += nrows
         if all_outsampled:
             clean += 1
     return RareOutsampleReport(

@@ -10,7 +10,8 @@ multinomial pmf over all C(h+k-1, k-1) unordered outcomes:
 * event_report: the conditional quantities behind the two-opinion
   reduction, all conditioned on the event that opinion 1 or opinion 2 is
   the unique maximum.
-* binomial_pair_report: the exact distribution of a binomial pair
+* binomial_pair_table (vectorised over q) and its scalar view
+  binomial_pair_report: the exact distribution of a binomial pair
   (Y1, Y2 = m - Y1), its unconditional comparison difference, and the same
   difference conditioned on max(Y1, Y2) exceeding a threshold, evaluated
   through the closed form
@@ -32,7 +33,14 @@ from typing import Iterator
 
 import numpy as np
 
-from .core import HMajorityError, NormalizedConfig, SumMismatchError
+from .core import (
+    HMajorityError,
+    NormalizedConfig,
+    NotSortedError,
+    SumMismatchError,
+    coerce_probs,
+    require_sorted,
+)
 
 ENUMERATION_GUARD = 10**8
 ABS_TOL = 1e-12
@@ -40,10 +48,6 @@ ABS_TOL = 1e-12
 
 class TooLargeError(HMajorityError):
     """The outcome space exceeds the enumeration guard."""
-
-
-class NotSortedError(HMajorityError, ValueError):
-    """The probability vector must be sorted in non-increasing order."""
 
 
 class InvalidQError(HMajorityError, ValueError):
@@ -70,12 +74,6 @@ class _NeumaierSum:
     @property
     def value(self) -> float:
         return self.s + self.c
-
-
-def _coerce_probs(p) -> tuple[float, ...]:
-    if isinstance(p, NormalizedConfig):
-        return p.probs
-    return NormalizedConfig.from_probs(p).probs
 
 
 def outcome_count(h: int, k: int) -> int:
@@ -111,7 +109,7 @@ def enumerate_outcomes(h: int, k: int) -> Iterator[tuple[int, ...]]:
 
 def log_multinomial_pmf(x, h: int, p) -> float:
     """log of h!/(prod x_i!) * prod p_i^{x_i}; -inf when impossible."""
-    probs = _coerce_probs(p)
+    probs = coerce_probs(p)
     xs = tuple(int(v) for v in x)
     if len(xs) != len(probs):
         raise SumMismatchError(f"x has length {len(xs)}, p has length {len(probs)}")
@@ -186,16 +184,6 @@ class WinDistribution:
     def k(self) -> int:
         return len(self.q)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "h": self.h,
-            "k": self.k,
-            "q": list(self.q),
-            "q_strict": list(self.q_strict),
-            "q_ties": list(self.q_ties),
-            "q_strict_pair_12": self.q_strict_pair_12,
-        }
-
 
 def win_distribution(h: int, p) -> WinDistribution:
     """Exact adoption law by enumeration over all multinomial outcomes.
@@ -204,7 +192,7 @@ def win_distribution(h: int, p) -> WinDistribution:
     i in M, pmf to q_ties[i] for every i in M, and pmf to q_strict[i] only
     when |M| = 1.
     """
-    probs = _coerce_probs(p)
+    probs = coerce_probs(p)
     k = len(probs)
     _check_guard(h, k)
     q = [_NeumaierSum() for _ in range(k)]
@@ -260,29 +248,6 @@ class EventReport:
     def k(self) -> int:
         return len(self.p)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "h": self.h,
-            "k": self.k,
-            "p": list(self.p),
-            "rare_x": self.rare_x,
-            "cond_diff_majority": self.cond_diff_majority,
-            "cond_diff_comparison": self.cond_diff_comparison,
-            "sum_tail_conditional": self.sum_tail_conditional,
-            "sum_tail_unconditional": self.sum_tail_unconditional,
-            "sum_threshold": self.sum_threshold,
-            "strict_pair_prob": self.strict_pair_prob,
-            "unconditional_diff": self.unconditional_diff,
-            "rare_set": list(self.rare_set),
-            "strong_set": list(self.strong_set),
-        }
-
-
-def _require_sorted(probs: tuple[float, ...]) -> None:
-    for a, b in zip(probs, probs[1:]):
-        if b > a + 1e-15:
-            raise NotSortedError(f"probabilities must be non-increasing, got {probs}")
-
 
 def relabel_descending(p) -> tuple[NormalizedConfig, tuple[int, ...]]:
     """Sort probabilities in non-increasing order.
@@ -292,7 +257,7 @@ def relabel_descending(p) -> tuple[NormalizedConfig, tuple[int, ...]]:
     so report indices can be mapped back to the caller's labels. Inputs are
     never permuted silently anywhere else in the package.
     """
-    probs = _coerce_probs(p)
+    probs = coerce_probs(p)
     n = p.n if isinstance(p, NormalizedConfig) else 0
     order = sorted(range(len(probs)), key=lambda i: (-probs[i], i))
     sorted_probs = tuple(probs[i] for i in order)
@@ -305,11 +270,11 @@ def event_report(h: int, p, rare_x: float = 0.25) -> EventReport:
     rare_set lists 1-based opinions with p_i <= rare_x * p_1; strong_set
     lists those with p_i > p_1 / 2.
     """
-    probs = _coerce_probs(p)
+    probs = coerce_probs(p)
     k = len(probs)
     if k < 2:
         raise NotSortedError("event_report needs at least two opinions")
-    _require_sorted(probs)
+    require_sorted(probs)
     _check_guard(h, k)
     p1 = probs[0]
     threshold = h * (probs[0] + probs[1]) / 2.0
@@ -393,26 +358,42 @@ class BinomialPairReport:
     diff_given_max_ge: tuple[float, ...]
     lemma9_bound: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "q": self.q,
-            "diff_unconditional": self.diff_unconditional,
-            "thresholds": list(self.thresholds),
-            "diff_given_max_ge": list(self.diff_given_max_ge),
-            "lemma9_bound": self.lemma9_bound,
-        }
-
-
 MAX_PAIR_M = 10**4
 
 
-def _binomial_pmf_array(m: int, q: float) -> np.ndarray:
-    j = np.arange(m + 1, dtype=np.float64)
-    from scipy.special import gammaln
+def binomial_pair_table(m: int, qs) -> tuple[np.ndarray, tuple[int, ...], np.ndarray]:
+    """The binomial-pair kernel for Y1 ~ Bin(m, q), Y2 = m - Y1, vectorised
+    over an array qs of q values; the caller checks m and q.
 
-    log_c = gammaln(m + 1) - gammaln(j + 1) - gammaln(m - j + 1)
-    return np.exp(log_c + j * math.log(q) + (m - j) * math.log1p(-q))
+    Returns (diff, thresholds, table): diff[i] = Pr(Y1 > Y2) - Pr(Y2 > Y1)
+    at qs[i] by direct pmf summation, thresholds = ceil(m/2)..m, and
+    table[i, t] the same difference conditioned on M = max(Y1, Y2) >=
+    thresholds[t], through the closed form
+    Pr(Y1 > Y2 | M = j) = 1 / (1 + exp(-(2j - m) logit(q))).
+    """
+    qs = np.asarray(qs, dtype=np.float64)
+    j = np.arange(m + 1)
+    lgam = np.array([math.lgamma(i + 1) for i in range(m + 1)])
+    log_c = lgam[m] - lgam - lgam[::-1]
+    pmf = np.exp(
+        log_c + j * np.log(qs)[:, None] + (m - j) * np.log1p(-qs)[:, None]
+    )
+    upper = j[2 * j > m]
+    diff = (pmf[:, upper] - pmf[:, m - upper]).sum(axis=1)
+
+    # mass and signed comparison mass at each value j of M
+    lo = math.ceil(m / 2)
+    js = np.arange(lo, m + 1)
+    mass = pmf[:, js] + pmf[:, m - js]
+    if 2 * lo == m:  # the tie Y1 = Y2 = m/2 is one outcome, not two
+        mass[:, 0] = pmf[:, lo]
+    logit = np.log(qs) - np.log1p(-qs)
+    f = 1.0 / (1.0 + np.exp(-(2 * js - m) * logit[:, None]))
+    signed = mass * (2.0 * f - 1.0)
+    num = np.cumsum(signed[:, ::-1], axis=1)[:, ::-1]
+    den = np.cumsum(mass[:, ::-1], axis=1)[:, ::-1]
+    table = np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
+    return diff, tuple(range(lo, m + 1)), table
 
 
 def binomial_pair_report(m: int, q: float) -> BinomialPairReport:
@@ -423,67 +404,36 @@ def binomial_pair_report(m: int, q: float) -> BinomialPairReport:
         raise InvalidQError(f"need m >= 1, got m={m}")
     if m > MAX_PAIR_M:
         raise TooLargeError(f"m={m} exceeds the direct-summation cap {MAX_PAIR_M}")
-    pmf = _binomial_pmf_array(m, q)
-    half = m / 2.0
-    upper = [j for j in range(m + 1) if j > half]
-    diff_uncond = math.fsum(pmf[j] - pmf[m - j] for j in upper)
-
-    # mass and signed comparison mass at each value of M = max(Y1, Y2)
-    logit = math.log(q) - math.log1p(-q)
-    lo = math.ceil(half)
-    mass = {}
-    signed = {}
-    for j in range(lo, m + 1):
-        if 2 * j == m:
-            mass[j] = float(pmf[j])
-            signed[j] = 0.0
-        else:
-            mass[j] = float(pmf[j] + pmf[m - j])
-            # Pr(Y1 > Y2 | M = j) = 1 / (1 + exp(-(2j - m) * logit))
-            f = 1.0 / (1.0 + math.exp(-(2 * j - m) * logit))
-            signed[j] = mass[j] * (2.0 * f - 1.0)
-
-    thresholds = tuple(range(lo, m + 1))
-    diffs = []
-    num = 0.0
-    den = 0.0
-    table = {}
-    for i in reversed(thresholds):
-        num += signed[i]
-        den += mass[i]
-        table[i] = num / den if den > 0.0 else 0.0
-    for i in thresholds:
-        diffs.append(table[i])
-
-    delta = 2.0 * q - 1.0
-    bound = math.sqrt(2.0 * m / math.pi) * g_function(delta, m)
+    diff, thresholds, table = binomial_pair_table(m, [q])
     return BinomialPairReport(
         m=int(m),
         q=float(q),
-        diff_unconditional=diff_uncond,
+        diff_unconditional=float(diff[0]),
         thresholds=thresholds,
-        diff_given_max_ge=tuple(diffs),
-        lemma9_bound=bound,
+        diff_given_max_ge=tuple(float(v) for v in table[0]),
+        lemma9_bound=math.sqrt(2.0 * m / math.pi) * g_function(2.0 * q - 1.0, m),
     )
 
 
-def g_function(delta: float, h: int) -> float:
-    """Two-branch expected-bias-growth kernel.
+def g_function(delta, h: int):
+    """Two-branch expected-bias-growth kernel, elementwise over delta.
 
     Returns delta * (1 - delta^2)^((h-1)/2) when delta < 1/sqrt(h), and
     (1/sqrt(h)) * (1 - 1/h)^((h-1)/2) otherwise. The flat branch uses
     (1 - 1/h), the corrected form consistent with the first branch at the
-    crossover point.
+    crossover point. A float delta gives a float, an array an array.
     """
-    if not (0.0 <= delta <= 1.0):
+    d = np.asarray(delta, dtype=np.float64)
+    if not np.all((0.0 <= d) & (d <= 1.0)):
         raise ValueError(f"need 0 <= delta <= 1, got {delta}")
     if h < 1:
         raise ValueError(f"need h >= 1, got {h}")
     root = 1.0 / math.sqrt(h)
     exponent = (h - 1) / 2.0
-    if delta < root:
-        return delta * (1.0 - delta * delta) ** exponent
-    return root * (1.0 - 1.0 / h) ** exponent
+    g = np.where(
+        d < root, d * (1.0 - d * d) ** exponent, root * (1.0 - 1.0 / h) ** exponent
+    )
+    return float(g) if g.ndim == 0 else g
 
 
 @dataclass(frozen=True)
@@ -525,21 +475,9 @@ class TieMapAudit:
     strict_ties_ratio: float
     outcomes: tuple[TieMapOutcome, ...]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "h": self.h,
-            "k": len(self.p),
-            "p": list(self.p),
-            "domain_size": self.domain_size,
-            "applicable": self.applicable,
-            "inapplicable": self.inapplicable,
-            "injective": self.injective,
-            "collisions": [[list(x) for x in group] for group in self.collisions],
-            "max_ratio_error": self.max_ratio_error,
-            "strict_prob": self.strict_prob,
-            "ties_prob": self.ties_prob,
-            "strict_ties_ratio": self.strict_ties_ratio,
-        }
+    @property
+    def k(self) -> int:
+        return len(self.p)
 
 
 def tie_map_audit(h: int, p) -> TieMapAudit:
@@ -550,9 +488,9 @@ def tie_map_audit(h: int, p) -> TieMapAudit:
     j = max{i strong : x_i = min over strong opinions}, with strong meaning
     p_i > p_1 / 2.
     """
-    probs = _coerce_probs(p)
+    probs = coerce_probs(p)
     k = len(probs)
-    _require_sorted(probs)
+    require_sorted(probs)
     _check_guard(h, k)
     p1 = probs[0]
     strong = [i for i, v in enumerate(probs) if v > p1 / 2.0]
@@ -632,7 +570,7 @@ def conditional_sum_binomial_check(h: int, p) -> float:
     independent of the remaining coordinates. Compares that closed form
     against raw enumeration and returns the largest absolute deviation.
     """
-    probs = _coerce_probs(p)
+    probs = coerce_probs(p)
     k = len(probs)
     if k < 2:
         raise NotSortedError("need at least two opinions")

@@ -1,5 +1,6 @@
-"""Bounded-cost random draws: binomials, multinomial count vectors,
-alias-table categorical sampling, and the mode-with-uniform-tie-break rule.
+"""Bounded-cost random draws: multinomial count vectors (conditional-binomial
+chain or alias-table categorical sampling), memory-capped blocks of them,
+and the row-wise mode with uniform tie-break.
 
 All randomness flows through RngHandle, a counter-based Philox stream keyed
 by (master_seed, stream_id): identical keys give byte-identical draw
@@ -13,20 +14,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import HMajorityError, NormalizedConfig
+from .core import HMajorityError, coerce_probs
 
 _MASK64 = (1 << 64) - 1
 
 # Row batch bound for matrix helpers; callers chunk above this.
 MAX_BATCH_CELLS = 1 << 28
+# Cell budget of one sample_counts_chunks block: rows x min(k, h).
+CHUNK_CELLS = 1 << 22
 
 
 class InvalidProbError(HMajorityError, ValueError):
-    """Probability outside [0, 1]."""
-
-
-class EmptySampleError(HMajorityError, ValueError):
-    """A mode was requested for a sample of size zero."""
+    """A sampling request with negative h or rows, an unknown method, or
+    more cells than MAX_BATCH_CELLS."""
 
 
 @dataclass(frozen=True)
@@ -65,61 +65,11 @@ class RngHandle:
         return f"RngHandle(master_seed={self.master_seed}, stream_id={self.stream_id})"
 
 
-def _probs_array(p) -> np.ndarray:
-    if isinstance(p, NormalizedConfig):
-        arr = np.asarray(p.probs, dtype=np.float64)
-    else:
-        arr = np.asarray(p, dtype=np.float64)
-    if arr.ndim != 1 or arr.size == 0:
-        raise InvalidProbError(f"expected a non-empty probability vector, got {p!r}")
-    if np.any(arr < 0.0) or np.any(arr > 1.0):
-        raise InvalidProbError(f"probabilities outside [0,1]: {arr}")
-    return arr
-
-
-def draw_binomial(trials: int, prob: float, rng: RngHandle) -> int:
-    """One Binomial(trials, prob) variate.
-
-    Expected cost is bounded independently of trials (numpy dispatches to
-    inversion for small mean and a rejection method otherwise), so h up to
-    1e6 is usable.
-    """
-    if trials < 0:
-        raise InvalidProbError(f"trials must be >= 0, got {trials}")
-    if not (0.0 <= prob <= 1.0):
-        raise InvalidProbError(f"prob must lie in [0,1], got {prob}")
-    return int(rng.gen.binomial(trials, prob))
-
-
 def draw_multinomial(h: int, p, rng: RngHandle) -> SampleVector:
-    """Exact Multinomial(h, p) draw via sequential conditional binomials.
-
-    X_i ~ Binomial(h - sum_{j<i} X_j, p_i / (1 - sum_{j<i} p_j)), cost O(k).
-    """
-    probs = _probs_array(p)
-    if h < 0:
-        raise InvalidProbError(f"h must be >= 0, got {h}")
-    k = probs.size
-    counts = [0] * k
-    remaining = int(h)
-    rem_p = 1.0
-    for i in range(k - 1):
-        if remaining == 0:
-            break
-        pi = float(probs[i])
-        if pi <= 0.0:
-            continue
-        if rem_p <= pi:
-            counts[i] = remaining
-            remaining = 0
-            rem_p = 0.0
-            continue
-        x = int(rng.gen.binomial(remaining, pi / rem_p))
-        counts[i] = x
-        remaining -= x
-        rem_p -= pi
-    counts[k - 1] += remaining
-    return SampleVector(counts=tuple(counts), h=int(h))
+    """One exact Multinomial(h, p) draw: a single row of the chain sampler,
+    so its cost is O(k) whatever h is."""
+    row = sample_counts_matrix(h, p, rng, 1, "chain")[0]
+    return SampleVector(counts=tuple(int(c) for c in row), h=int(h))
 
 
 class AliasTable:
@@ -131,10 +81,8 @@ class AliasTable:
     __slots__ = ("k", "accept", "alias")
 
     def __init__(self, p):
-        probs = _probs_array(p)
+        probs = np.asarray(coerce_probs(p), dtype=np.float64)
         total = probs.sum()
-        if total <= 0.0:
-            raise InvalidProbError("probability vector sums to zero")
         scaled = probs * (probs.size / total)
         k = probs.size
         accept = np.ones(k, dtype=np.float64)
@@ -164,39 +112,6 @@ class AliasTable:
         return np.where(u < self.accept[idx], idx, self.alias[idx])
 
 
-def draw_categorical_counts(
-    h: int, p, rng: RngHandle, table: AliasTable | None = None
-) -> SampleVector:
-    """Same law as draw_multinomial, via h alias-table draws: O(h) per draw
-    after O(k) shared setup. Preferable when h is much smaller than k."""
-    probs = _probs_array(p)
-    if h < 0:
-        raise InvalidProbError(f"h must be >= 0, got {h}")
-    if table is None:
-        table = AliasTable(probs)
-    if h == 0:
-        return SampleVector(counts=(0,) * probs.size, h=0)
-    ids = table.draw_ids(rng, h)
-    counts = np.bincount(ids, minlength=probs.size)
-    return SampleVector(counts=tuple(int(c) for c in counts), h=int(h))
-
-
-def mode_with_tiebreak(x: SampleVector, rng: RngHandle) -> int:
-    """1-based id of the most sampled opinion, ties broken u.a.r.
-
-    When m >= 2 opinions attain the maximum, each is returned with
-    probability exactly 1/m, using a single uniform integer in [0, m).
-    """
-    if x.h < 1:
-        raise EmptySampleError("cannot take the mode of an empty sample")
-    max_count = max(x.counts)
-    leaders = [i for i, c in enumerate(x.counts) if c == max_count]
-    if len(leaders) == 1:
-        return leaders[0] + 1
-    pick = int(rng.gen.integers(0, len(leaders)))
-    return leaders[pick] + 1
-
-
 def sample_counts_matrix(
     h: int, p, rng: RngHandle, rows: int, method: str = "auto"
 ) -> np.ndarray:
@@ -207,7 +122,7 @@ def sample_counts_matrix(
     alias table (O(h) per row after O(k) setup). "auto" picks chain when
     k <= h, categorical otherwise, which keeps per-row cost O(min(k, h)).
     """
-    probs = _probs_array(p)
+    probs = np.asarray(coerce_probs(p), dtype=np.float64)
     if h < 0:
         raise InvalidProbError(f"h must be >= 0, got {h}")
     if rows < 0:
@@ -247,6 +162,24 @@ def sample_counts_matrix(
         counts = np.bincount(flat.ravel(), minlength=rows * k)
         return counts.reshape(rows, k).astype(np.int64)
     raise InvalidProbError(f"unknown sampling method {method!r}")
+
+
+def sample_counts_chunks(h: int, p, rng: RngHandle, n: int):
+    """Yield sample_counts_matrix blocks ("auto" method) whose rows total n.
+
+    Each block has min(65536, CHUNK_CELLS // min(k, h)) rows, the last one
+    fewer, so rows x min(k, h), the sampler's per-row work, stays within
+    CHUNK_CELLS. Every block is still a (rows, k) count matrix. Blocks are
+    drawn from rng in order, so the stream depends only on (h, p, n).
+    """
+    probs = np.asarray(coerce_probs(p), dtype=np.float64)
+    width = max(1, min(probs.size, h))
+    rows_per_chunk = min(1 << 16, max(1, CHUNK_CELLS // width))
+    done = 0
+    while done < n:
+        rows = min(rows_per_chunk, n - done)
+        yield sample_counts_matrix(h, probs, rng, rows)
+        done += rows
 
 
 def argmax_rows_with_tiebreak(counts: np.ndarray, rng: RngHandle) -> np.ndarray:

@@ -28,7 +28,14 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-from .core import Configuration, HMajorityError, NormalizedConfig, validate
+from .core import (
+    Configuration,
+    HMajorityError,
+    NormalizedConfig,
+    coerce_probs,
+    require_sorted,
+    validate,
+)
 from .oracle import ABS_TOL, g_function
 
 
@@ -169,6 +176,24 @@ CLASS_GAP_GREW = "additive_gap_grew"
 CLASS_RATIO_SHRANK = "ratio_shrank"
 CLASS_VANISHED = "vanished"
 
+# Class predicates on (c(1), c'(1), c(j), c'(j)), in the precedence order
+# classify_opinions assigns them.
+_CLASS_PREDICATES = {
+    CLASS_VANISHED: lambda c1, c1p, cj, cjp: cjp == 0 and cj > 0,
+    CLASS_GAP_GREW: lambda c1, c1p, cj, cjp: (c1p - cjp) > (c1 - cj),
+    CLASS_RATIO_SHRANK: lambda c1, c1p, cj, cjp: (
+        c1 > 0 and c1p > 0 and cjp * c1 < cj * c1p
+    ),
+}
+
+
+def _holds(label: str, before: Configuration, after: Configuration, j: int) -> bool:
+    """Whether 1-based opinion j satisfies the growth-audit class label."""
+    pred = _CLASS_PREDICATES.get(label)
+    return pred is not None and pred(
+        before.counts[0], after.counts[0], before.counts[j - 1], after.counts[j - 1]
+    )
+
 
 def classify_opinions(
     before: Configuration, after: Configuration
@@ -191,19 +216,14 @@ def classify_opinions(
     if before.counts[0] < max(before.counts):
         raise UnclassifiedOpinionError("opinion 1 is not a plurality opinion")
     out: dict[int, str] = {}
-    c1, c1p = before.counts[0], after.counts[0]
-    for j in range(1, before.k):
-        cj, cjp = before.counts[j], after.counts[j]
-        if cjp == 0 and cj > 0:
-            out[j + 1] = CLASS_VANISHED
-        elif (c1p - cjp) > (c1 - cj):
-            out[j + 1] = CLASS_GAP_GREW
-        elif c1 > 0 and c1p > 0 and cjp * c1 < cj * c1p:
-            out[j + 1] = CLASS_RATIO_SHRANK
-        else:
+    for j in range(2, before.k + 1):
+        holding = [c for c in _CLASS_PREDICATES if _holds(c, before, after, j)]
+        if not holding:
             raise UnclassifiedOpinionError(
-                f"opinion {j + 1} fits no class: before={cj}, after={cjp}"
+                f"opinion {j} fits no class: before={before.counts[j - 1]}, "
+                f"after={after.counts[j - 1]}"
             )
+        out[j] = holding[0]
     return out
 
 
@@ -218,28 +238,16 @@ def p1_growth_audit(
     a supplied classification is re-verified arithmetically before use.
     Returns "pass" when p'(1) > p(1), "fail" otherwise.
     """
-    derived = classify_opinions(before, after)
+    classify_opinions(before, after)  # raises unless every rival has a class
     if classification is not None:
         for j, label in classification.items():
-            if derived.get(j) != label and not _class_holds(before, after, j, label):
+            if not _holds(label, before, after, j):
                 raise UnclassifiedOpinionError(
                     f"opinion {j} does not satisfy class {label!r}"
                 )
     p1_before = before.counts[0] / before.n
     p1_after = after.counts[0] / after.n
     return VERDICT_PASS if p1_after > p1_before else VERDICT_FAIL
-
-
-def _class_holds(before, after, j, label) -> bool:
-    cj, cjp = before.counts[j - 1], after.counts[j - 1]
-    c1, c1p = before.counts[0], after.counts[0]
-    if label == CLASS_VANISHED:
-        return cjp == 0 and cj > 0
-    if label == CLASS_GAP_GREW:
-        return (c1p - cjp) > (c1 - cj)
-    if label == CLASS_RATIO_SHRANK:
-        return c1 > 0 and c1p > 0 and cjp * c1 < cj * c1p
-    return False
 
 
 REGIME_SMALL = "small_bias"
@@ -264,12 +272,10 @@ def regime_classifier(
     with j >= 2. Boundary points go to the higher regime, and the large
     check takes precedence so the classification is monotone in delta(j).
     """
-    probs = p.probs if isinstance(p, NormalizedConfig) else tuple(p)
+    probs = coerce_probs(p)
     if j < 2 or j > len(probs):
         raise UnclassifiedOpinionError(f"j must be in 2..k, got {j}")
-    for a, b in zip(probs, probs[1:]):
-        if b > a + 1e-15:
-            raise UnclassifiedOpinionError("probabilities must be non-increasing")
+    require_sorted(probs)
     p1 = probs[0]
     p2 = probs[1] if len(probs) > 1 else 0.0
     delta_j = p1 - probs[j - 1]

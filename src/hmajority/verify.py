@@ -17,16 +17,16 @@ on outright "fail" verdicts, with inconclusive intervals listed but allowed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
 
 from .core import Configuration
 from .montecarlo import balanced_plus_bias_counts, check_w1_lower_bound
 from .oracle import (
     ABS_TOL,
     binomial_pair_report,
+    binomial_pair_table,
     event_report,
     g_function,
     tie_map_audit,
@@ -63,17 +63,6 @@ class SuiteResult:
             self.failures.append(message)
         self.passed = False
 
-    def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "checks": self.checks,
-            "failure_count": self.failure_count,
-            "failures": self.failures,
-            "inconclusive": self.inconclusive,
-            "stats": self.stats,
-        }
-
 
 def simplex_grid(k: int, denom: int = 20):
     """Non-increasing probability vectors with entries i/denom summing to 1."""
@@ -90,16 +79,6 @@ def simplex_grid(k: int, denom: int = 20):
 
     for ints in parts(denom, k, denom):
         yield tuple(v / denom for v in ints)
-
-
-def _binomial_pmf_matrix(m: int, qs: np.ndarray) -> np.ndarray:
-    j = np.arange(m + 1, dtype=np.float64)
-    log_c = gammaln(m + 1) - gammaln(j + 1) - gammaln(m - j + 1)
-    return np.exp(
-        log_c[None, :]
-        + j[None, :] * np.log(qs)[:, None]
-        + (m - j)[None, :] * np.log1p(-qs)[:, None]
-    )
 
 
 def suite_lemma9(m_max: int = 200, delta_step: float = 0.01) -> SuiteResult:
@@ -120,17 +99,8 @@ def suite_lemma9(m_max: int = 200, delta_step: float = 0.01) -> SuiteResult:
     even_violations = 0
     even_violating_m: set[int] = set()
     for m in range(1, m_max + 1):
-        pmf = _binomial_pmf_matrix(m, qs)
-        upper = [j for j in range(m + 1) if 2 * j > m]
-        diff = pmf[:, upper].sum(axis=1) - pmf[:, [m - j for j in upper]].sum(axis=1)
-        root = 1.0 / math.sqrt(m)
-        exponent = (m - 1) / 2.0
-        g_vals = np.where(
-            deltas < root,
-            deltas * (1.0 - deltas * deltas) ** exponent,
-            root * (1.0 - 1.0 / m) ** exponent,
-        )
-        bound = math.sqrt(2.0 * m / math.pi) * g_vals
+        diff, _, _ = binomial_pair_table(m, qs)
+        bound = math.sqrt(2.0 * m / math.pi) * g_function(deltas, m)
         margins = diff - bound
         min_margin = min(min_margin, float(margins.min()))
         if m % 2 == 1:
@@ -163,25 +133,7 @@ def suite_monotonicity(
     result = SuiteResult(name="monotonicity", passed=True, checks=0)
     worst = math.inf
     for m in range(m_min, m_max + 1):
-        pmf = _binomial_pmf_matrix(m, qs)
-        lo = math.ceil(m / 2)
-        logit = np.log(qs) - np.log1p(-qs)
-        mass_cols = []
-        signed_cols = []
-        for j in range(lo, m + 1):
-            if 2 * j == m:
-                mass_cols.append(pmf[:, j])
-                signed_cols.append(np.zeros(qs.size))
-            else:
-                mass = pmf[:, j] + pmf[:, m - j]
-                f = 1.0 / (1.0 + np.exp(-(2 * j - m) * logit))
-                mass_cols.append(mass)
-                signed_cols.append(mass * (2.0 * f - 1.0))
-        mass = np.stack(mass_cols, axis=1)
-        signed = np.stack(signed_cols, axis=1)
-        num = np.cumsum(signed[:, ::-1], axis=1)[:, ::-1]
-        den = np.cumsum(mass[:, ::-1], axis=1)[:, ::-1]
-        table = num / den
+        _, thresholds, table = binomial_pair_table(m, qs)
         steps = np.diff(table, axis=1)
         if steps.size:
             worst = min(worst, float(steps.min()))
@@ -189,7 +141,7 @@ def suite_monotonicity(
             for qi, ti in bad:
                 result.add_failure(
                     f"m={m} q={qs[qi]:.2f}: diff drops at threshold "
-                    f"{lo + ti} -> {lo + ti + 1}"
+                    f"{thresholds[ti]} -> {thresholds[ti] + 1}"
                 )
         result.checks += int(steps.size)
     result.stats["min_step"] = worst if worst < math.inf else 0.0
@@ -374,7 +326,7 @@ def suite_bounds(
             {
                 "bound": "strict_vs_ties_lower",
                 "params": {"k": k},
-                "measured": report.strict_1.to_json_dict(),
+                "measured": asdict(report.strict_1),
                 "bound_value": report.ties_1.point / 6.0,
                 "verdict": report.strict_vs_ties_verdict,
             }
@@ -398,17 +350,16 @@ def suite_bounds(
     # empirical constants over exact grids
     c1_min = math.inf
     c1_arg = None
+    qs = np.arange(0.51, 0.995, 0.02)
     for m in range(2, 101):
-        for q in np.arange(0.51, 0.995, 0.02):
-            rep = binomial_pair_report(m, float(q))
-            base = min(math.sqrt(m) * (2 * q - 1), 1.0)
-            for thr, d in zip(rep.thresholds, rep.diff_given_max_ge):
-                if thr <= m / 2:
-                    continue
-                ratio = d / base
-                if ratio < c1_min:
-                    c1_min = ratio
-                    c1_arg = (m, float(q), thr)
+        _, thresholds, table = binomial_pair_table(m, qs)
+        keep = [t for t, thr in enumerate(thresholds) if thr > m / 2]
+        base = np.minimum(math.sqrt(m) * (2 * qs - 1), 1.0)
+        ratios = table[:, keep] / base[:, None]
+        qi, ti = np.unravel_index(np.argmin(ratios), ratios.shape)
+        if ratios[qi, ti] < c1_min:
+            c1_min = float(ratios[qi, ti])
+            c1_arg = (m, float(qs[qi]), thresholds[keep[ti]])
     result.stats["C1_empirical"] = c1_min
     result.stats["C1_argmin"] = c1_arg
     wit_m, wit_q, _ = c1_arg

@@ -1,6 +1,9 @@
 import json
 import os
+import subprocess
+import sys
 
+import hmajority.cli
 from hmajority.cli import main, trajectory_summary_line
 
 
@@ -39,6 +42,36 @@ def test_simulate_refuses_overwrite(tmp_path, capsys):
     capsys.readouterr()
     assert main(["simulate", "--config", str(config), "--out", str(out)]) == 2
     assert main(["simulate", "--config", str(config), "--out", str(out), "--force"]) == 0
+
+
+def test_simulate_refuses_overwrite_before_running(tmp_path, capsys, monkeypatch):
+    config = tmp_path / "config.json"
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "trajectory.json").write_text("keep")
+    _write_json(config, {
+        "schema_version": 1, "counts": [5, 5], "h": 3, "max_rounds": 5, "seed": 1,
+    })
+
+    def never(*args):
+        raise AssertionError("run called before the overwrite check")
+
+    monkeypatch.setattr(hmajority.cli, "run", never)
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 2
+    assert (out / "trajectory.json").read_text() == "keep"
+
+
+def test_cli_import_loads_no_scipy():
+    code = (
+        "import sys, hmajority.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_simulate_malformed_config(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -253,7 +254,7 @@ def test_trajectory_json_roundtrip():
         Configuration.from_counts((30, 10)),
         RunParams(h=3, max_rounds=100, seed=21),
     )
-    doc = json.loads(json.dumps(traj.to_json_dict()))
+    doc = json.loads(json.dumps(asdict(traj)))
     assert doc["terminal_status"] == traj.terminal_status
     assert doc["consensus_round"] == traj.consensus_round
     assert doc["rounds"][0]["counts"] == [30, 10]

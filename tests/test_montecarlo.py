@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from hmajority.core import Configuration
+from hmajority.core import Configuration, NotSortedError
 from hmajority.montecarlo import (
     Estimate,
     SweepSpec,
@@ -93,7 +93,7 @@ def test_check_w1_lower_bound_balanced_pair():
 
 
 def test_check_w1_requires_sorted():
-    with pytest.raises(SweepSpecError):
+    with pytest.raises(NotSortedError):
         check_w1_lower_bound((0.3, 0.7), n=20, c4=324.0, trials=100, seed=5)
 
 
@@ -164,6 +164,22 @@ def test_sweep_deterministic_and_worker_invariant():
     assert lines_a == lines_b
     lines_c = [r.to_json_line() for r in run_sweep(spec, workers=2)]
     assert lines_a == lines_c
+
+
+def test_sweep_error_records_worker_invariant(tmp_path):
+    # a negative count passes the spec but fails every trial at run time
+    spec = SweepSpec(
+        ns=(), ks=(), hs=(3, 5), pattern="custom", custom_counts=(6, -1, 3),
+        trials=3, master_seed=5,
+    )
+    digests = []
+    for workers in (1, 2):
+        path = tmp_path / f"records{workers}.jsonl"
+        assert write_records_jsonl(run_sweep(spec, workers=workers), str(path)) == 6
+        digests.append(path.read_bytes())
+    assert digests[0] == digests[1]
+    statuses = {json.loads(line)["status"] for line in digests[0].splitlines()}
+    assert statuses == {"error:SumMismatchError"}
 
 
 def test_record_jsonl_roundtrip(tmp_path):

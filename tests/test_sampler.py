@@ -5,18 +5,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import chi2
 
+from hmajority.core import SumMismatchError
 from hmajority.oracle import multinomial_pmf
 from hmajority.sampler import (
-    AliasTable,
-    EmptySampleError,
+    CHUNK_CELLS,
     InvalidProbError,
     RngHandle,
-    SampleVector,
     argmax_rows_with_tiebreak,
-    draw_binomial,
-    draw_categorical_counts,
     draw_multinomial,
-    mode_with_tiebreak,
+    sample_counts_chunks,
     sample_counts_matrix,
 )
 
@@ -33,25 +30,29 @@ def test_rng_streams_differ_across_stream_ids():
     assert a.tobytes() != b.tobytes()
 
 
+# With k = 2 the chain sampler's first column is one Binomial(h, p_1) draw.
+
+
 def test_draw_binomial_degenerate():
     rng = RngHandle(1)
-    assert draw_binomial(5, 0.0, rng) == 0
-    assert draw_binomial(5, 1.0, rng) == 5
-    assert draw_binomial(0, 0.3, rng) == 0
+    for method in ("chain", "categorical"):
+        assert np.all(sample_counts_matrix(5, (0.0, 1.0), rng, 8, method)[:, 0] == 0)
+        assert np.all(sample_counts_matrix(5, (1.0, 0.0), rng, 8, method)[:, 0] == 5)
+        assert np.all(sample_counts_matrix(0, (0.3, 0.7), rng, 8, method) == 0)
 
 
 def test_draw_binomial_invalid_prob():
     rng = RngHandle(1)
+    with pytest.raises(SumMismatchError):
+        sample_counts_matrix(5, (1.5, -0.5), rng, 1, "chain")
     with pytest.raises(InvalidProbError):
-        draw_binomial(5, 1.5, rng)
-    with pytest.raises(InvalidProbError):
-        draw_binomial(-1, 0.5, rng)
+        sample_counts_matrix(-1, (0.5, 0.5), rng, 1, "chain")
 
 
 def test_draw_binomial_mean_large_trials():
     # Bin(1e5, 0.3): sample mean over 1e4 draws within 3 sigma/100 of 3e4
     rng = RngHandle(12345)
-    draws = [draw_binomial(10**5, 0.3, rng) for _ in range(10**4)]
+    draws = sample_counts_matrix(10**5, (0.3, 0.7), rng, 10**4, "chain")[:, 0]
     sigma = math.sqrt(10**5 * 0.3 * 0.7)
     assert abs(np.mean(draws) - 3 * 10**4) < 3 * sigma / 100
 
@@ -76,8 +77,10 @@ def test_draw_multinomial_means():
 
 def test_draw_categorical_trivial():
     rng = RngHandle(3)
-    assert draw_categorical_counts(0, (0.5, 0.5), rng).counts == (0, 0)
-    assert draw_categorical_counts(1, (0.0, 1.0, 0.0), rng).counts == (0, 1, 0)
+    empty = sample_counts_matrix(0, (0.5, 0.5), rng, 4, "categorical")
+    assert empty.tolist() == [[0, 0]] * 4
+    point = sample_counts_matrix(1, (0.0, 1.0, 0.0), rng, 4, "categorical")
+    assert point.tolist() == [[0, 1, 0]] * 4
 
 
 def _two_sample_chi2(counts_a, counts_b):
@@ -98,12 +101,11 @@ def test_multinomial_vs_categorical_same_law():
     draws = 10**5
     outcomes_a = {}
     outcomes_b = {}
-    for _ in range(draws):
-        key = draw_multinomial(3, probs, rng).counts
+    for row in sample_counts_matrix(3, probs, rng, draws, "chain").tolist():
+        key = tuple(row)
         outcomes_a[key] = outcomes_a.get(key, 0) + 1
-    table = AliasTable(probs)
-    for _ in range(draws):
-        key = draw_categorical_counts(3, probs, rng, table).counts
+    for row in sample_counts_matrix(3, probs, rng, draws, "categorical").tolist():
+        key = tuple(row)
         outcomes_b[key] = outcomes_b.get(key, 0) + 1
     keys = sorted(set(outcomes_a) | set(outcomes_b))
     pvalue = _two_sample_chi2(
@@ -139,21 +141,15 @@ def test_counts_matrix_matches_exact_pmf(method):
 
 def test_mode_with_tiebreak_unique_max():
     rng = RngHandle(4)
-    assert mode_with_tiebreak(SampleVector((2, 0, 0), 2), rng) == 1
-    assert mode_with_tiebreak(SampleVector((0, 0, 5), 5), rng) == 3
-
-
-def test_mode_with_tiebreak_empty():
-    with pytest.raises(EmptySampleError):
-        mode_with_tiebreak(SampleVector((0, 0), 0), RngHandle(4))
+    counts = np.array([[2, 0, 0], [0, 0, 5]], dtype=np.int64)
+    assert argmax_rows_with_tiebreak(counts, rng).tolist() == [0, 2]
 
 
 def test_mode_with_tiebreak_fair_coin():
     rng = RngHandle(31337)
     trials = 10**5
-    ones = sum(
-        mode_with_tiebreak(SampleVector((1, 1, 0), 2), rng) == 1 for _ in range(trials)
-    )
+    counts = np.tile(np.array([1, 1, 0], dtype=np.int64), (trials, 1))
+    ones = int((argmax_rows_with_tiebreak(counts, rng) == 0).sum())
     assert 0.49 <= ones / trials <= 0.51
 
 
@@ -191,5 +187,19 @@ def test_multinomial_sums_to_h(h, weights, seed):
     vec = draw_multinomial(h, tuple(probs), rng)
     assert sum(vec.counts) == h
     assert all(c >= 0 for c in vec.counts)
-    vec2 = draw_categorical_counts(h, tuple(probs), rng)
-    assert sum(vec2.counts) == h
+    row = sample_counts_matrix(h, tuple(probs), rng, 1, "categorical")[0]
+    assert row.sum() == h
+    assert row.min() >= 0
+
+
+@pytest.mark.parametrize("k, h, n", [(2, 3, 70_000), (3000, 2000, 5000)])
+def test_count_chunks_cap_cells(k, h, n):
+    rng = RngHandle(8)
+    rows = []
+    for block in sample_counts_chunks(h, np.full(k, 1.0 / k), rng, n):
+        assert block.shape[0] * min(k, h) <= CHUNK_CELLS
+        assert np.all(block.sum(axis=1) == h)
+        rows.append(block.shape[0])
+    assert sum(rows) == n
+    # blocks shrink below 65 536 rows only when min(k, h) > 64
+    assert rows[0] == min(65_536, CHUNK_CELLS // min(k, h))

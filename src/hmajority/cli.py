@@ -3,7 +3,8 @@
 Exit codes are the machine contract: 0 success, 1 runtime or verification
 failure, 2 configuration error. Every JSON artifact carries schema_version
 and the master seed it was produced from. Record files are never silently
-overwritten; pass --append (sweep) or --force (simulate) to reuse a path.
+overwritten; pass --append (sweep, which resumes an interrupted sweep) or
+--force (simulate) to reuse a path.
 """
 
 from __future__ import annotations
@@ -25,8 +26,9 @@ from .montecarlo import (
     run_sweep,
     scaling_fit,
     summarize_cells,
-    write_timings_csv,
+    timings_row,
     SUMMARY_HEADER,
+    TIMINGS_HEADER,
 )
 from .oracle import event_report, tie_map_audit, win_distribution
 from .verify import ALL_SUITES, run_suites
@@ -134,16 +136,38 @@ def _cmd_sweep(args) -> int:
         raise ConfigError(str(exc))
     os.makedirs(args.out, exist_ok=True)
     records_path = os.path.join(args.out, "records.jsonl")
-    if os.path.exists(records_path) and not args.append:
+    timings_path = os.path.join(args.out, "timings.csv")
+    resume = os.path.exists(records_path)
+    if resume and not args.append:
         raise ConfigError(f"{records_path} exists; pass --append to extend it")
-    records = []
-    with open(records_path, "a", encoding="utf-8") as fh:
-        for record in run_sweep(spec, workers=args.workers):
+    done = set()
+    if resume:
+        # skip the (cell, trial) pairs this master seed already wrote: trial
+        # seeds depend only on (master seed, cell, trial), so the resumed
+        # file is byte-equal to an uninterrupted run
+        _drop_torn_line(records_path)
+        done = {
+            (r["cell_id"], r["trial"])
+            for r in read_records_jsonl(records_path)
+            if r["master_seed"] == spec.master_seed
+        }
+    # timings.csv keeps one row per record line, old and new
+    keep_timings = (
+        resume and os.path.exists(timings_path) and _drop_torn_line(timings_path) > 0
+    )
+    written = 0
+    with open(records_path, "a", encoding="utf-8") as fh, open(
+        timings_path, "a" if keep_timings else "w", encoding="utf-8"
+    ) as timings:
+        if not keep_timings:
+            timings.write(TIMINGS_HEADER)
+        for record in run_sweep(spec, workers=args.workers, skip=done):
             fh.write(record.to_json_line())
             fh.write("\n")
             fh.flush()  # records survive a mid-sweep crash
-            records.append(record)
-    write_timings_csv(records, os.path.join(args.out, "timings.csv"))
+            timings.write(timings_row(record))
+            timings.flush()
+            written += 1
     meta = {
         "schema_version": SCHEMA_VERSION,
         "master_seed": spec.master_seed,
@@ -152,8 +176,17 @@ def _cmd_sweep(args) -> int:
     }
     with open(os.path.join(args.out, "sweep_meta.json"), "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=2)
-    print(f"wrote {len(records)} records to {records_path}")
+    print(f"wrote {written} records to {records_path} ({len(done)} already there)")
     return 0
+
+
+def _drop_torn_line(path: str) -> int:
+    """Cut a last line that an interrupted write left without its newline;
+    returns the remaining size in bytes."""
+    with open(path, "rb+") as fh:
+        size = fh.read().rfind(b"\n") + 1
+        fh.truncate(size)
+    return size
 
 
 def _cmd_oracle(args) -> int:
@@ -274,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--append", action="store_true")
     swp.set_defaults(func=_cmd_sweep)
 
-    orc = sub.add_parser("oracle", help="exact small-instance reports")
+    orc = sub.add_parser("oracle", help="exact adoption law and small-instance reports")
     orc.add_argument("--h", type=int, required=True)
     orc.add_argument("--p", required=True, help='comma list, e.g. "0.5,0.3,0.2"')
     orc.add_argument("--report", choices=("win", "event", "tiemap"), default="win")

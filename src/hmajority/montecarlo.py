@@ -562,14 +562,20 @@ def _cell_record(spec, cell, trial_index, status, **outcome) -> TrialRecord:
     )
 
 
-def run_sweep(spec: SweepSpec, workers: int = 1):
+def run_sweep(spec: SweepSpec, workers: int = 1, skip=frozenset()):
     """Yield TrialRecords cell by cell in deterministic (cell, trial) order.
 
     Per-trial failures are captured into the record stream as status
     "error:<Type>" rather than aborting the sweep. Worker count never
-    changes the emitted sequence.
+    changes the emitted sequence. (cell_id, trial) pairs in skip are left
+    out, which is how an interrupted sweep resumes.
     """
-    jobs = [(spec, cell, t) for cell in spec.cells() for t in range(spec.trials)]
+    jobs = [
+        (spec, cell, t)
+        for cell in spec.cells()
+        for t in range(spec.trials)
+        if (cell.cell_id, t) not in skip
+    ]
     if workers <= 1:
         yield from map(_safe_trial, jobs)
         return
@@ -823,12 +829,13 @@ def scaling_fit(summary_rows) -> list[dict]:
     return out
 
 
-def write_timings_csv(records, path: str) -> None:
-    """Sidecar per-trial wall times (non-deterministic, kept out of records)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("cell_id,trial,wall_time_ms\n")
-        for record in records:
-            fh.write(f"{record.cell_id},{record.trial},{record.wall_time_ms:.3f}\n")
+# Sidecar per-trial wall times (non-deterministic, kept out of records).
+TIMINGS_HEADER = "cell_id,trial,wall_time_ms\n"
+
+
+def timings_row(record: TrialRecord) -> str:
+    """The timings.csv line of one record."""
+    return f"{record.cell_id},{record.trial},{record.wall_time_ms:.3f}\n"
 
 
 def read_mean_timings_csv(path: str) -> dict[str, float]:

@@ -1,13 +1,16 @@
-"""Exact enumeration oracle for the one-round winning probabilities.
-
-For small (h, k) every quantity of interest is computed by summing the
-multinomial pmf over all C(h+k-1, k-1) unordered outcomes:
+"""Exact oracle for the one-round winning probabilities.
 
 * win_distribution: q_i = Pr(opinion i is adopted), with the u.a.r. tie
   split 1/m applied whenever m opinions share the maximum, plus the strict
   and tie-inclusive variants Pr(X_i > X_j for all j) and
-  Pr(X_i >= X_j for all j).
-* event_report: the conditional quantities behind the two-opinion
+  Pr(X_i >= X_j for all j). Computed in polynomial time from Levin's
+  Poissonised representation of the multinomial by a generating-function
+  DP, so it reaches (h, k) far beyond enumeration; its size is capped by
+  DP_CELL_CAP.
+* event_report, tie_map_audit and conditional_sum_binomial_check need
+  outcome-level events, so they sum the multinomial pmf over all
+  C(h+k-1, k-1) unordered outcomes, capped by ENUMERATION_GUARD.
+  event_report gives the conditional quantities behind the two-opinion
   reduction, all conditioned on the event that opinion 1 or opinion 2 is
   the unique maximum.
 * binomial_pair_table (vectorised over q) and its scalar view
@@ -21,12 +24,13 @@ multinomial pmf over all C(h+k-1, k-1) unordered outcomes:
   (1 - 1/sqrt(h))).
 
 Pmfs are evaluated in log space with log-gamma and exponentiated at the
-end; accumulation uses compensated (Neumaier) summation. All equalities
-carry an absolute tolerance of 1e-12.
+end; enumeration accumulates with compensated (Neumaier) summation. All
+equalities carry an absolute tolerance of 1e-12.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterator
@@ -43,11 +47,17 @@ from .core import (
 )
 
 ENUMERATION_GUARD = 10**8
+# Cell budget of win_distribution: points in u x live opinions x (h+1),
+# summed over the winning count t. Its arrays peak below 48 bytes a cell
+# (under 200 MiB at the cap) and its work stays below h + 2 multiply-adds a
+# cell.
+DP_CELL_CAP = 1 << 22
 ABS_TOL = 1e-12
 
 
 class TooLargeError(HMajorityError):
-    """The outcome space exceeds the enumeration guard."""
+    """The outcome space exceeds the enumeration guard, or the adoption-law
+    DP its cell cap."""
 
 
 class InvalidQError(HMajorityError, ValueError):
@@ -185,38 +195,109 @@ class WinDistribution:
         return len(self.q)
 
 
-def win_distribution(h: int, p) -> WinDistribution:
-    """Exact adoption law by enumeration over all multinomial outcomes.
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre01(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """m Gauss-Legendre nodes and weights on [0, 1], exact for polynomials
+    of degree < 2m; numpy.polynomial is imported on first use only."""
+    from numpy.polynomial.legendre import leggauss
 
-    For each outcome with maximum set M, pmf/|M| is added to q_i for every
-    i in M, pmf to q_ties[i] for every i in M, and pmf to q_strict[i] only
-    when |M| = 1.
+    x, w = leggauss(m)
+    return (x + 1.0) / 2.0, w / 2.0
+
+
+def win_distribution(h: int, p) -> WinDistribution:
+    """Exact adoption law through Levin's Poissonised multinomial.
+
+    With a_l(s) = Pois(h p_l)(s), Pr(X = x) = prod_l a_l(x_l) / Pois(h)(h),
+    so the mass of "opinion i draws t and every other opinion draws at most
+    t, j of them exactly t", weighted by u^j, is a_i(t) / Pois(h)(h) times
+    [z^(h-t)] prod_{l != i} (sum_{s<t} a_l(s) z^s + u a_l(t) z^t).
+    u = 0 gives q_strict, u = 1 gives q_ties, and the u.a.r. tie split
+    1/(j+1) = int_0^1 u^j du gives q, integrated exactly by Gauss-Legendre.
+    The products over l != i come from prefix and suffix products over the
+    opinions, vectorised over the u nodes. Opinions with p_l = 0 never draw
+    and are dropped. Raises TooLargeError when the DP would exceed
+    DP_CELL_CAP cells.
     """
     probs = coerce_probs(p)
     k = len(probs)
-    _check_guard(h, k)
-    q = [_NeumaierSum() for _ in range(k)]
-    q_strict = [_NeumaierSum() for _ in range(k)]
-    q_ties = [_NeumaierSum() for _ in range(k)]
-    pair = _NeumaierSum()
-    for x, pmf in _iter_pmf(h, probs):
-        leaders = argmax_set(x)
-        w = _tiebreak_weight(len(leaders))
-        for i in leaders:
-            q[i].add(pmf * w)
-            q_ties[i].add(pmf)
-        if len(leaders) == 1:
-            lead = leaders[0]
-            q_strict[lead].add(pmf)
-            if lead < 2:
-                pair.add(pmf)
+    h = int(h)
+    if h < 0:
+        raise ValueError(f"need h >= 0, got h={h}")
+    live = [i for i, v in enumerate(probs) if v > 0.0]
+    out = np.zeros((3, k))  # rows: q, q_strict, q_ties
+    if h == 0 or len(live) == 1:
+        # one outcome: all k opinions tie at zero draws, or the live one draws h
+        leaders = range(k) if h == 0 else live
+        out[0, leaders] = 1.0 / len(leaders)
+        out[1, leaders] = 1.0 if len(leaders) == 1 else 0.0
+        out[2, leaders] = 1.0
+    else:
+        out[:, live] = _win_dp(h, np.array([probs[i] for i in live]))
+    q, q_strict, q_ties = (tuple(float(v) for v in row) for row in out)
     return WinDistribution(
-        q=tuple(a.value for a in q),
-        q_strict=tuple(a.value for a in q_strict),
-        q_ties=tuple(a.value for a in q_ties),
-        q_strict_pair_12=pair.value,
-        h=int(h),
+        q=q,
+        q_strict=q_strict,
+        q_ties=q_ties,
+        q_strict_pair_12=sum(q_strict[:2]),
+        h=h,
     )
+
+
+def _win_dp(h: int, probs: np.ndarray) -> np.ndarray:
+    """(3, k) array of q, q_strict, q_ties for h >= 1 and k >= 2 positive
+    probabilities; see win_distribution."""
+    k = probs.size
+    # j bounds how many other opinions can also draw t, the degree in u of
+    # the tie-split integrand; a winning count below ceil(h/k) has no mass
+    plan = [(t, min(k - 1, (h - t) // t)) for t in range(-(-h // k), h + 1)]
+    # points in u at each t: 0, 1 and (j + 2) // 2 nodes, or one when j = 0
+    cells = sum(1 if j == 0 else (j + 2) // 2 + 2 for _, j in plan) * k * (h + 1)
+    if cells > DP_CELL_CAP:
+        raise TooLargeError(
+            f"adoption-law DP at h={h} over {k} live opinions needs {cells} "
+            f"cells, above the cap {DP_CELL_CAP}"
+        )
+    s = np.arange(h + 1)
+    log_s_fact = np.array([math.lgamma(v + 1) for v in range(h + 1)])
+    lam = h * probs
+    # a[l, s] = Pois(h p_l)(s), in log space so h! never appears
+    a = np.exp(s * np.log(lam)[:, None] - lam[:, None] - log_s_fact)
+    pois_h = math.exp(h * math.log(h) - h - log_s_fact[h])
+
+    out = np.zeros((3, k))
+    for t, j in plan:
+        deg = h - t
+        width = min(t, deg) + 1  # factor coefficients of degree 0..width-1
+        if j == 0:
+            nodes = np.zeros(1)
+            weights = np.ones((3, 1))
+        else:
+            gl_u, gl_w = _gauss_legendre01((j + 2) // 2)
+            nodes = np.concatenate(([0.0, 1.0], gl_u))
+            weights = np.zeros((3, nodes.size))
+            weights[0, 2:] = gl_w
+            weights[1, 0] = 1.0
+            weights[2, 1] = 1.0
+        g = nodes.size
+        factor = np.broadcast_to(a[:, :width], (g, k, width)).copy()
+        if t <= deg:
+            factor[:, :, t] *= nodes[:, None]
+        # prefix products in both opinion orders at once: rows 0..g-1 run
+        # l = 0..k-1, rows g..2g-1 run l = k-1..0; polynomials sit behind
+        # width-1 zeros so a sliding window is one convolution step
+        both = np.concatenate((factor, factor[:, ::-1]))[:, :, ::-1]
+        prod = np.zeros((2 * g, k + 1, width + deg))
+        prod[:, 0, width - 1] = 1.0
+        window = np.lib.stride_tricks.sliding_window_view(prod, width, axis=-1)
+        for l in range(k):
+            np.einsum("gdw,gw->gd", window[:, l], both[:, l],
+                      out=prod[:, l + 1, width - 1:])
+        before = prod[:g, :k, width - 1:]  # opinions < i, by degree
+        after = prod[g:, :k, width - 1:][:, ::-1, ::-1]  # opinions > i, reversed
+        coef = np.einsum("gid,gid->gi", before, after)
+        out += (weights @ coef) * a[:, t]
+    return out / pois_h
 
 
 @dataclass(frozen=True)

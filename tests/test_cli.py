@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import hmajority.cli
 from hmajority.cli import main, trajectory_summary_line
 
@@ -62,9 +64,11 @@ def test_simulate_refuses_overwrite_before_running(tmp_path, capsys, monkeypatch
 
 
 def test_cli_import_loads_no_scipy():
+    # numpy.polynomial (Gauss-Legendre nodes) loads on the first oracle call
     code = (
         "import sys, hmajority.cli; "
-        "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        "print(sorted(m for m in sys.modules "
+        "if m.startswith(('scipy', 'numpy.polynomial'))))"
     )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     out = subprocess.run(
@@ -160,6 +164,53 @@ def test_sweep_report_roundtrip(tmp_path, capsys):
     assert len(lines) == 4  # three cells
     scaling = (report_dir / "scaling.csv").read_text().strip().splitlines()
     assert scaling[0] == "k,n_values,medians,slope,intercept"
+
+
+def test_sweep_append_resumes_interrupted_sweep(tmp_path, capsys, monkeypatch):
+    spec = tmp_path / "spec.json"
+    _write_json(spec, {
+        "schema_version": 1, "n": [60, 120], "k": [3], "h": [3],
+        "bias_multiplier": 2.0, "trials": 3, "master_seed": 17, "max_rounds": 300,
+    })
+    full = tmp_path / "full"
+    assert main(["sweep", "--spec", str(spec), "--out", str(full)]) == 0
+    expected = (full / "records.jsonl").read_bytes()
+    lines = expected.splitlines(keepends=True)
+    assert len(lines) == 6
+
+    real_run_sweep = hmajority.cli.run_sweep
+
+    def interrupted(*args, **kwargs):
+        for i, record in enumerate(real_run_sweep(*args, **kwargs)):
+            if i == 4:
+                raise KeyboardInterrupt
+            yield record
+
+    part = tmp_path / "part"
+    monkeypatch.setattr(hmajority.cli, "run_sweep", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(["sweep", "--spec", str(spec), "--out", str(part)])
+    monkeypatch.undo()
+    # a crash mid-write leaves a torn last line in both files
+    with open(part / "records.jsonl", "ab") as fh:
+        fh.write(lines[4][:25])
+    with open(part / "timings.csv", "a", encoding="utf-8") as fh:
+        fh.write("n120-k3")
+
+    resume = ["sweep", "--spec", str(spec), "--out", str(part), "--append"]
+    assert main(resume) == 0
+    assert (part / "records.jsonl").read_bytes() == expected
+    rows = (part / "timings.csv").read_text().splitlines()
+    assert rows[0] == "cell_id,trial,wall_time_ms"
+    keys = [tuple(row.split(",")[:2]) for row in rows[1:]]
+    records = [json.loads(line) for line in lines]
+    assert keys == [(r["cell_id"], str(r["trial"])) for r in records]
+
+    # resuming a finished sweep adds nothing
+    assert main(resume) == 0
+    assert (part / "records.jsonl").read_bytes() == expected
+    assert (part / "timings.csv").read_text().splitlines() == rows
+    assert "wrote 0 records" in capsys.readouterr().out
 
 
 def test_report_missing_inputs(tmp_path, capsys):

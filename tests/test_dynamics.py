@@ -22,6 +22,7 @@ from hmajority.dynamics import (
     step,
     summarize_round,
 )
+from hmajority.montecarlo import balanced_plus_bias_counts
 from hmajority.oracle import win_distribution
 from hmajority.sampler import RngHandle
 
@@ -103,23 +104,31 @@ def test_oracle_step_dimension_mismatch():
 
 
 def test_step_and_oracle_step_same_marginal_law():
-    # two-sample chi-square on the next-round count of opinion 1, alpha 1e-3
+    # two-sample chi-square on the next-round count of opinion 1, alpha 1e-3;
+    # the k = 16 case is balanced-plus-bias, past the reach of enumeration
     steps = 4000
-    cfg = Configuration.from_counts((60, 40, 20))
-    win = win_distribution(2, tuple(c / cfg.n for c in cfg.counts))
-    rng_a = RngHandle(101)
-    rng_b = RngHandle(202)
-    sample_a = np.array([step(cfg, 2, rng_a).counts[0] for _ in range(steps)])
-    sample_b = np.array([oracle_step(cfg, win, rng_b).counts[0] for _ in range(steps)])
-    lo = min(sample_a.min(), sample_b.min())
-    hi = max(sample_a.max(), sample_b.max())
-    edges = np.linspace(lo - 0.5, hi + 0.5, 16)
-    counts_a, _ = np.histogram(sample_a, edges)
-    counts_b, _ = np.histogram(sample_b, edges)
-    keep = (counts_a + counts_b) >= 8
-    counts_a, counts_b = counts_a[keep], counts_b[keep]
-    stat = ((counts_a - counts_b) ** 2 / (counts_a + counts_b)).sum()
-    assert chi2.sf(stat, keep.sum() - 1) > 1e-3
+    cases = [
+        ((60, 40, 20), 2, 101, 202),
+        (balanced_plus_bias_counts(1600, 16, 2.0)[0], 3, 303, 404),
+    ]
+    for counts, h, seed_a, seed_b in cases:
+        cfg = Configuration.from_counts(counts)
+        win = win_distribution(h, tuple(c / cfg.n for c in cfg.counts))
+        rng_a = RngHandle(seed_a)
+        rng_b = RngHandle(seed_b)
+        sample_a = np.array([step(cfg, h, rng_a).counts[0] for _ in range(steps)])
+        sample_b = np.array(
+            [oracle_step(cfg, win, rng_b).counts[0] for _ in range(steps)]
+        )
+        lo = min(sample_a.min(), sample_b.min())
+        hi = max(sample_a.max(), sample_b.max())
+        edges = np.linspace(lo - 0.5, hi + 0.5, 16)
+        counts_a, _ = np.histogram(sample_a, edges)
+        counts_b, _ = np.histogram(sample_b, edges)
+        keep = (counts_a + counts_b) >= 8
+        counts_a, counts_b = counts_a[keep], counts_b[keep]
+        stat = ((counts_a - counts_b) ** 2 / (counts_a + counts_b)).sum()
+        assert chi2.sf(stat, keep.sum() - 1) > 1e-3, (len(counts), h)
 
 
 def test_symmetric_start_winner_uniform():

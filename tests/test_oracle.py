@@ -1,11 +1,16 @@
 import math
+import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hmajority.cli import main
+from hmajority.montecarlo import Estimate, sample_win_events
 from hmajority.oracle import (
+    DP_CELL_CAP,
     InvalidQError,
     NotSortedError,
     TooLargeError,
@@ -22,6 +27,7 @@ from hmajority.oracle import (
     win_distribution,
 )
 from hmajority.core import SumMismatchError
+from hmajority.sampler import RngHandle
 
 from oracles import (
     exact_multinomial_pmf_fraction,
@@ -131,20 +137,120 @@ def test_win_distribution_invariants_on_grid():
         assert abs(w.q_strict_pair_12 - (w.q_strict[0] + (w.q_strict[1] if w.k > 1 else 0.0))) < 1e-12
 
 
+def _assert_matches_naive(h, probs):
+    w = win_distribution(h, probs)
+    q, q_strict, q_ties, pair = naive_win_distribution(h, probs)
+    for fast, slow in ((w.q, q), (w.q_strict, q_strict), (w.q_ties, q_ties)):
+        assert max(abs(a - b) for a, b in zip(fast, slow)) <= 1e-12
+    assert abs(w.q_strict_pair_12 - pair) <= 1e-12
+
+
 def test_win_distribution_matches_sequence_enumeration():
-    rng = np.random.default_rng(42)
-    for h, k in [(1, 2), (3, 2), (2, 3), (4, 3), (3, 4)]:
-        probs = rng.dirichlet([1.0] * k)
-        probs = tuple(float(v) for v in probs)
-        w = win_distribution(h, probs)
-        q, q_strict, q_ties, pair = naive_win_distribution(h, probs)
-        for a, b in zip(w.q, q):
-            assert abs(a - b) < 1e-12
-        for a, b in zip(w.q_strict, q_strict):
-            assert abs(a - b) < 1e-12
-        for a, b in zip(w.q_ties, q_ties):
-            assert abs(a - b) < 1e-12
-        assert abs(w.q_strict_pair_12 - pair) < 1e-12
+    # the criterion-1 grid, every field to 1e-12
+    rng = np.random.default_rng(20240501)
+    grid = [(h, k) for k in (2, 3, 4) for h in range(1, 7)]
+    grid += [(h, 8) for h in range(1, 5)]
+    for h, k in grid:
+        for _ in range(3):
+            _assert_matches_naive(h, tuple(float(v) for v in rng.dirichlet([1.0] * k)))
+
+
+def test_win_distribution_zero_probs_match_naive_without_warnings():
+    cases = [
+        (0.5, 0.0, 0.5),
+        (0.0, 0.3, 0.7, 0.0),
+        (0.0, 0.0, 1.0),
+        (0.25, 0.0, 0.25, 0.0, 0.2, 0.0, 0.3, 0.0),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for probs in cases:
+            for h in range(1, 5 if len(probs) > 4 else 7):
+                _assert_matches_naive(h, probs)
+                w = win_distribution(h, probs)
+                for i, v in enumerate(probs):
+                    if v == 0.0:
+                        assert w.q[i] == w.q_strict[i] == w.q_ties[i] == 0.0
+
+
+def test_win_distribution_degenerate_sizes_exact():
+    # the values the outcome enumeration returned: h = 0 is one all-zero
+    # outcome, every opinion tied; k = 1 draws h of its one opinion
+    third = 1.0 / 3.0
+    w = win_distribution(0, (0.5, 0.3, 0.2))
+    assert (w.q, w.q_strict, w.q_ties) == ((third,) * 3, (0.0,) * 3, (1.0,) * 3)
+    assert w.q_strict_pair_12 == 0.0
+    w = win_distribution(0, (0.0, 1.0, 0.0))
+    assert (w.q, w.q_strict, w.q_ties) == ((third,) * 3, (0.0,) * 3, (1.0,) * 3)
+    for h in (0, 1, 7):
+        w = win_distribution(h, (1.0,))
+        assert (w.q, w.q_strict, w.q_ties, w.q_strict_pair_12) == ((1.0,),) * 3 + (1.0,)
+    w = win_distribution(4, (0.0, 1.0, 0.0))
+    assert (w.q, w.q_strict, w.q_ties) == ((0.0, 1.0, 0.0),) * 3
+    assert w.q_strict_pair_12 == 1.0
+
+
+# ---------------------------------------------------------------------------
+# win distribution beyond the enumeration guard
+# ---------------------------------------------------------------------------
+
+# h = 30, k = 16: C(45, 15) ~ 3.4e11 outcomes, above ENUMERATION_GUARD
+LARGE_H = 30
+LARGE_P = (0.16,) + (0.056,) * 15
+
+
+def test_win_distribution_large_instance_is_a_law():
+    assert outcome_count(LARGE_H, len(LARGE_P)) > 10**11
+    w = win_distribution(LARGE_H, LARGE_P)
+    assert abs(sum(w.q) - 1.0) <= 1e-12
+    for qs, qi, qt in zip(w.q_strict, w.q, w.q_ties):
+        assert qs <= qi + 1e-15
+        assert qi <= qt + 1e-15
+    # equal probabilities, equal adoption
+    assert max(w.q[1:]) - min(w.q[1:]) <= 1e-12
+    assert w.q[0] > w.q[1]
+
+
+def test_win_distribution_large_instance_permutation_equivariant():
+    rng = np.random.default_rng(7)
+    probs = tuple(float(v) for v in rng.dirichlet([1.0] * 16))
+    perm = rng.permutation(16)
+    w = win_distribution(LARGE_H, probs)
+    w_perm = win_distribution(LARGE_H, tuple(probs[i] for i in perm))
+    for field in ("q", "q_strict", "q_ties"):
+        a = np.array(getattr(w, field))[perm]
+        assert np.max(np.abs(a - getattr(w_perm, field))) <= 1e-12
+
+
+def test_win_distribution_large_instance_matches_monte_carlo():
+    trials = 200_000
+    w = win_distribution(LARGE_H, LARGE_P)
+    counts = sample_win_events(LARGE_H, LARGE_P, trials, RngHandle(31))
+    for qi, wins in zip(w.q, counts.win):
+        est = Estimate.from_counts(wins, trials)
+        assert est.wilson_low <= qi <= est.wilson_high
+    strict_1 = Estimate.from_counts(counts.strict_1, trials)
+    ties_1 = Estimate.from_counts(counts.ties_1, trials)
+    assert strict_1.wilson_low <= w.q_strict[0] <= strict_1.wilson_high
+    assert ties_1.wilson_low <= w.q_ties[0] <= ties_1.wilson_high
+
+
+def test_oracle_cli_win_report_large_instance(capsys):
+    p = ",".join(repr(v) for v in LARGE_P)
+    assert main(["oracle", "--h", str(LARGE_H), "--p", p, "--report", "win"]) == 0
+    assert '"q_strict_pair_12"' in capsys.readouterr().out
+
+
+def test_win_distribution_cap_raises_before_allocating():
+    k = 2000
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLargeError, match=str(DP_CELL_CAP)):
+            win_distribution(2000, (1.0 / k,) * k)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from .dynamics import RunParams, run
 from .montecarlo import (
     SCHEMA_VERSION,
     SweepSpec,
+    drop_torn_line,
     read_mean_timings_csv,
     read_records_jsonl,
     run_sweep,
@@ -145,15 +146,15 @@ def _cmd_sweep(args) -> int:
         # skip the (cell, trial) pairs this master seed already wrote: trial
         # seeds depend only on (master seed, cell, trial), so the resumed
         # file is byte-equal to an uninterrupted run
-        _drop_torn_line(records_path)
+        drop_torn_line(records_path)
         done = {
             (r["cell_id"], r["trial"])
-            for r in read_records_jsonl(records_path)
+            for r in _read_records(records_path)
             if r["master_seed"] == spec.master_seed
         }
     # timings.csv keeps one row per record line, old and new
     keep_timings = (
-        resume and os.path.exists(timings_path) and _drop_torn_line(timings_path) > 0
+        resume and os.path.exists(timings_path) and drop_torn_line(timings_path) > 0
     )
     written = 0
     with open(records_path, "a", encoding="utf-8") as fh, open(
@@ -180,13 +181,11 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _drop_torn_line(path: str) -> int:
-    """Cut a last line that an interrupted write left without its newline;
-    returns the remaining size in bytes."""
-    with open(path, "rb+") as fh:
-        size = fh.read().rfind(b"\n") + 1
-        fh.truncate(size)
-    return size
+def _read_records(path: str) -> list[dict]:
+    try:
+        return read_records_jsonl(path)
+    except ValueError as exc:  # a line that is not JSON, or not UTF-8
+        raise ConfigError(f"{path} holds a line that is not a JSON record: {exc}")
 
 
 def _cmd_oracle(args) -> int:
@@ -258,8 +257,12 @@ def _cmd_report(args) -> int:
         raise ConfigError(f"no .jsonl record files in {args.in_dir}")
     records = []
     for path in record_files:
-        records.extend(read_records_jsonl(path))
-    timings = read_mean_timings_csv(os.path.join(args.in_dir, "timings.csv"))
+        records.extend(_read_records(path))
+    timings_path = os.path.join(args.in_dir, "timings.csv")
+    try:
+        timings = read_mean_timings_csv(timings_path)
+    except ValueError as exc:
+        raise ConfigError(f"{timings_path} holds a malformed line: {exc}")
     rows = summarize_cells(records, timings)
     os.makedirs(args.out, exist_ok=True)
     summary_path = os.path.join(args.out, "summary.csv")

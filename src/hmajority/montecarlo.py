@@ -155,9 +155,7 @@ class W1BoundReport:
     """Monte Carlo check of the plurality-opinion lower bounds.
 
     Verdicts are three-valued: statistical evidence must not masquerade as
-    proof, so an interval straddling its bound reports inconclusive. The
-    lenient booleans additionally accept a straddling interval whose point
-    estimate clears the bound.
+    proof, so an interval straddling its bound reports inconclusive.
     """
 
     p: tuple[float, ...]
@@ -174,8 +172,6 @@ class W1BoundReport:
     w1_verdict: str
     strict_vs_ties_verdict: str
     strict_pair_verdict: str
-    w1_pass_lenient: bool
-    strict_pair_pass_lenient: bool
 
 
 def check_w1_lower_bound(
@@ -226,9 +222,6 @@ def check_w1_lower_bound(
         w1_verdict=w1_verdict,
         strict_vs_ties_verdict=ratio_verdict,
         strict_pair_verdict=pair_verdict,
-        w1_pass_lenient=w1_verdict != VERDICT_FAIL and w1.point >= w1_bound,
-        strict_pair_pass_lenient=pair_verdict != VERDICT_FAIL
-        and pair.point >= pair_bound,
     )
 
 
@@ -595,14 +588,27 @@ def write_records_jsonl(records, path: str, append: bool = False) -> int:
     return count
 
 
+def _read_complete(path: str) -> bytes:
+    """The file up to its last newline. Records and timings are written a
+    line at a time, so a last line without its newline is a write that an
+    interruption tore, not a record."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    return data[: data.rfind(b"\n") + 1]
+
+
+def drop_torn_line(path: str) -> int:
+    """Cut a torn last line off the file; returns the remaining size in bytes."""
+    size = len(_read_complete(path))
+    os.truncate(path, size)
+    return size
+
+
 def read_records_jsonl(path: str) -> list[dict]:
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(json.loads(line))
-    return out
+    """The records of a JSON-lines file, without a torn last line; a line
+    that is not JSON raises ValueError."""
+    lines = _read_complete(path).decode("utf-8").split("\n")
+    return [json.loads(line) for line in lines if line.strip()]
 
 
 # ---------------------------------------------------------------------------
@@ -842,10 +848,8 @@ def read_mean_timings_csv(path: str) -> dict[str, float]:
     sums: dict[str, list[float]] = {}
     if not os.path.exists(path):
         return {}
-    with open(path, encoding="utf-8") as fh:
-        next(fh, None)
-        for line in fh:
-            parts = line.strip().split(",")
-            if len(parts) == 3:
-                sums.setdefault(parts[0], []).append(float(parts[2]))
+    for line in _read_complete(path).decode("utf-8").splitlines()[1:]:
+        parts = line.strip().split(",")
+        if len(parts) == 3:
+            sums.setdefault(parts[0], []).append(float(parts[2]))
     return {cid: sum(v) / len(v) for cid, v in sums.items()}

@@ -8,8 +8,10 @@
   DP, so it reaches (h, k) far beyond enumeration; its size is capped by
   DP_CELL_CAP.
 * event_report, tie_map_audit and conditional_sum_binomial_check need
-  outcome-level events, so they sum the multinomial pmf over all
-  C(h+k-1, k-1) unordered outcomes, capped by ENUMERATION_GUARD.
+  outcome-level events, so they work on one outcome table: every one of
+  the C(h+k-1, k-1) unordered outcomes as a row of an (N, k) count array,
+  with its multinomial pmf, and each report is masks and sums over that
+  table. Its size is capped at ENUMERATION_GUARD = N * k cells.
   event_report gives the conditional quantities behind the two-opinion
   reduction, all conditioned on the event that opinion 1 or opinion 2 is
   the unique maximum.
@@ -24,29 +26,33 @@
   (1 - 1/sqrt(h))).
 
 Pmfs are evaluated in log space with log-gamma and exponentiated at the
-end; enumeration accumulates with compensated (Neumaier) summation. All
-equalities carry an absolute tolerance of 1e-12.
+end. event_report and tie_map_audit sum over the table with math.fsum,
+which is exactly rounded; the pair-sum check groups its masses with
+np.bincount. All equalities carry an absolute tolerance of 1e-12.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
 from .core import (
     HMajorityError,
-    NormalizedConfig,
     NotSortedError,
     SumMismatchError,
     coerce_probs,
     require_sorted,
 )
 
-ENUMERATION_GUARD = 10**8
+# Cell budget of the outcome table: outcomes x k count cells. A report's
+# arrays, with the lists math.fsum reads, peak near 36 bytes a cell at
+# k = 4 and 76 at k = 2, where each row holds only two cells (143 and
+# 304 MiB at the cap).
+ENUMERATION_GUARD = 1 << 22
 # Cell budget of win_distribution: points in u x live opinions x (h+1),
 # summed over the winning count t. Its arrays peak below 48 bytes a cell
 # (under 200 MiB at the cap) and its work stays below h + 2 multiply-adds a
@@ -56,34 +62,11 @@ ABS_TOL = 1e-12
 
 
 class TooLargeError(HMajorityError):
-    """The outcome space exceeds the enumeration guard, or the adoption-law
-    DP its cell cap."""
+    """The outcome table or the adoption-law DP exceeds its cell cap."""
 
 
 class InvalidQError(HMajorityError, ValueError):
     """The binomial pair requires 1/2 < q < 1."""
-
-
-class _NeumaierSum:
-    """Compensated accumulator: error stays O(eps) independent of count."""
-
-    __slots__ = ("s", "c")
-
-    def __init__(self):
-        self.s = 0.0
-        self.c = 0.0
-
-    def add(self, x: float) -> None:
-        t = self.s + x
-        if abs(self.s) >= abs(x):
-            self.c += (self.s - t) + x
-        else:
-            self.c += (x - t) + self.s
-        self.s = t
-
-    @property
-    def value(self) -> float:
-        return self.s + self.c
 
 
 def outcome_count(h: int, k: int) -> int:
@@ -91,30 +74,69 @@ def outcome_count(h: int, k: int) -> int:
     return math.comb(h + k - 1, k - 1)
 
 
-def _check_guard(h: int, k: int) -> None:
+def _log_pmf(x: np.ndarray, probs) -> np.ndarray:
+    """Row-wise log multinomial pmf of the count vectors x, each row with
+    its own sum h: log h! + sum_i (x_i log p_i - log x_i!), and -inf for a
+    row that draws an opinion with p_i = 0."""
+    p = np.asarray(probs, dtype=np.float64)
+    live = p > 0.0
+    sums = x.sum(axis=1)
+    # log-gamma once per distinct count, so the cost follows the size of x
+    # and not the size of its entries
+    values = np.union1d(x, sums)
+    lgam = np.array([math.lgamma(v + 1) for v in values.tolist()])
+    terms = x * np.log(np.where(live, p, 1.0)) - lgam[np.searchsorted(values, x)]
+    out = lgam[np.searchsorted(values, sums)] + terms.sum(axis=1)
+    if not live.all():
+        out[x[:, ~live].any(axis=1)] = -np.inf
+    return out
+
+
+def _outcome_table(h: int, probs) -> tuple[np.ndarray, np.ndarray]:
+    """(x, pmf) over the whole outcome space.
+
+    x is an (N, k) int64 array of every count vector with sum h, in
+    colexicographic order (last coordinate varies slowest), built by stars
+    and bars; pmf is its multinomial pmf. Rows that draw an opinion with
+    p_i = 0 are dropped. Raises TooLargeError, before allocating, when the
+    table would exceed ENUMERATION_GUARD cells.
+    """
+    k = len(probs)
     if k < 1 or h < 0:
         raise ValueError(f"need k >= 1 and h >= 0, got h={h}, k={k}")
-    if outcome_count(h, k) > ENUMERATION_GUARD:
+    n = outcome_count(h, k)
+    if n * k > ENUMERATION_GUARD:
         raise TooLargeError(
-            f"outcome space C({h + k - 1},{k - 1}) = {outcome_count(h, k)} "
-            f"exceeds the guard {ENUMERATION_GUARD}"
+            f"outcome table at h={h}, k={k} needs {n} x {k} cells, above the "
+            f"cap {ENUMERATION_GUARD}"
         )
+    # bar positions among h + k - 1 slots, framed by -1 and h + k - 1; the
+    # gaps between bars are the counts, read right to left for colex order
+    bars = itertools.combinations(range(h + k - 1), k - 1)
+    edges = np.hstack((
+        np.full((n, 1), -1),
+        np.fromiter(itertools.chain.from_iterable(bars), dtype=np.int64,
+                    count=n * (k - 1)).reshape(n, k - 1),
+        np.full((n, 1), h + k - 1),
+    ))
+    x = edges[:, :0:-1]  # a view: the gaps overwrite the bars in place
+    np.subtract(x, edges[:, -2::-1], out=x)
+    x -= 1
+    log_pmf = _log_pmf(x, probs)
+    possible = log_pmf > -np.inf
+    return x[possible], np.exp(log_pmf[possible])
 
 
-def enumerate_outcomes(h: int, k: int) -> Iterator[tuple[int, ...]]:
-    """Yield every count vector (x_1..x_k) with sum h, each exactly once,
-    in colexicographic order (last coordinate varies slowest)."""
-    _check_guard(h, k)
+def _mass(values: np.ndarray, mask: np.ndarray) -> float:
+    """Exactly rounded sum of values over mask."""
+    return math.fsum(values[mask].tolist())
 
-    def rec(budget: int, m: int):
-        if m == 1:
-            yield (budget,)
-            return
-        for last in range(budget + 1):
-            for rest in rec(budget - last, m - 1):
-                yield rest + (last,)
 
-    return rec(h, k)
+def enumerate_outcomes(h: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """Every count vector (x_1..x_k) with sum h, each exactly once, in
+    colexicographic order (last coordinate varies slowest)."""
+    x, _ = _outcome_table(h, (1.0,) * k)
+    return tuple(map(tuple, x.tolist()))
 
 
 def log_multinomial_pmf(x, h: int, p) -> float:
@@ -125,47 +147,12 @@ def log_multinomial_pmf(x, h: int, p) -> float:
         raise SumMismatchError(f"x has length {len(xs)}, p has length {len(probs)}")
     if sum(xs) != h:
         raise SumMismatchError(f"counts {xs} sum to {sum(xs)}, expected h={h}")
-    out = math.lgamma(h + 1)
-    for xi, pi in zip(xs, probs):
-        if xi == 0:
-            continue
-        if pi <= 0.0:
-            return -math.inf
-        out += xi * math.log(pi) - math.lgamma(xi + 1)
-    return out
+    return float(_log_pmf(np.array([xs], dtype=np.int64), probs)[0])
 
 
 def multinomial_pmf(x, h: int, p) -> float:
     """Multinomial pmf, exactly 0 when some x_i > 0 has p_i = 0."""
-    logv = log_multinomial_pmf(x, h, p)
-    return math.exp(logv) if logv > -math.inf else 0.0
-
-
-def _iter_pmf(h: int, probs: tuple[float, ...]):
-    """Yield (outcome, pmf) over the whole outcome space, log-space pmf."""
-    k = len(probs)
-    logp = [math.log(pi) if pi > 0.0 else None for pi in probs]
-    lgam = [math.lgamma(i + 1) for i in range(h + 1)]
-    log_h_fact = lgam[h]
-    for x in enumerate_outcomes(h, k):
-        log_pmf = log_h_fact
-        impossible = False
-        for xi, lpi in zip(x, logp):
-            if xi == 0:
-                continue
-            if lpi is None:
-                impossible = True
-                break
-            log_pmf += xi * lpi - lgam[xi]
-        if impossible:
-            continue
-        yield x, math.exp(log_pmf)
-
-
-def argmax_set(x) -> tuple[int, ...]:
-    """0-based indices attaining the maximum of x."""
-    top = max(x)
-    return tuple(i for i, v in enumerate(x) if v == top)
+    return math.exp(log_multinomial_pmf(x, h, p))
 
 
 def _tiebreak_weight(m: int) -> float:
@@ -330,21 +317,6 @@ class EventReport:
         return len(self.p)
 
 
-def relabel_descending(p) -> tuple[NormalizedConfig, tuple[int, ...]]:
-    """Sort probabilities in non-increasing order.
-
-    Returns the sorted vector and the permutation perm with
-    sorted[i] = original[perm[i]] (perm holds 1-based original opinion ids),
-    so report indices can be mapped back to the caller's labels. Inputs are
-    never permuted silently anywhere else in the package.
-    """
-    probs = coerce_probs(p)
-    n = p.n if isinstance(p, NormalizedConfig) else 0
-    order = sorted(range(len(probs)), key=lambda i: (-probs[i], i))
-    sorted_probs = tuple(probs[i] for i in order)
-    return NormalizedConfig(probs=sorted_probs, n=n), tuple(i + 1 for i in order)
-
-
 def event_report(h: int, p, rare_x: float = 0.25) -> EventReport:
     """Every EventReport field by exact enumeration; p must be pre-sorted.
 
@@ -352,54 +324,31 @@ def event_report(h: int, p, rare_x: float = 0.25) -> EventReport:
     lists those with p_i > p_1 / 2.
     """
     probs = coerce_probs(p)
-    k = len(probs)
-    if k < 2:
+    if len(probs) < 2:
         raise NotSortedError("event_report needs at least two opinions")
     require_sorted(probs)
-    _check_guard(h, k)
+    x, pmf = _outcome_table(h, probs)
     p1 = probs[0]
     threshold = h * (probs[0] + probs[1]) / 2.0
 
-    den_pair = _NeumaierSum()
-    num_w1 = _NeumaierSum()
-    num_w2 = _NeumaierSum()
-    num_cmp_12 = _NeumaierSum()
-    num_cmp_21 = _NeumaierSum()
-    tail_cond = _NeumaierSum()
-    tail_uncond = _NeumaierSum()
-    q1 = _NeumaierSum()
-    q2 = _NeumaierSum()
+    leads = x == x.max(axis=1, keepdims=True)
+    leaders = leads.sum(axis=1)
+    adopt = pmf * _tiebreak_weight(leaders)
+    # the conditioning event: opinion 1 or opinion 2 is the unique maximum
+    pair = (leaders == 1) & (leads[:, 0] | leads[:, 1])
+    in_tail = x[:, 0] + x[:, 1] >= threshold
 
-    for x, pmf in _iter_pmf(h, probs):
-        leaders = argmax_set(x)
-        w = _tiebreak_weight(len(leaders))
-        if 0 in leaders:
-            q1.add(pmf * w)
-        if 1 in leaders:
-            q2.add(pmf * w)
-        in_tail = x[0] + x[1] >= threshold
-        if in_tail:
-            tail_uncond.add(pmf)
-        if len(leaders) == 1 and leaders[0] < 2:
-            den_pair.add(pmf)
-            # adoption accounting: on this event the tie split is degenerate
-            if 0 in leaders:
-                num_w1.add(pmf * w)
-            if 1 in leaders:
-                num_w2.add(pmf * w)
-            # direct sample comparison, no reference to the maximum set
-            if x[0] > x[1]:
-                num_cmp_12.add(pmf)
-            elif x[1] > x[0]:
-                num_cmp_21.add(pmf)
-            if in_tail:
-                tail_cond.add(pmf)
-
-    pair_prob = den_pair.value
+    pair_prob = _mass(pmf, pair)
     if pair_prob > 0.0:
-        cond_maj = (num_w1.value - num_w2.value) / pair_prob
-        cond_cmp = (num_cmp_12.value - num_cmp_21.value) / pair_prob
-        cond_tail = tail_cond.value / pair_prob
+        # adoption accounting: on this event the tie split is degenerate
+        num_maj = _mass(adopt, pair & leads[:, 0]) - _mass(adopt, pair & leads[:, 1])
+        # direct sample comparison, no reference to the maximum set
+        num_cmp = _mass(pmf, pair & (x[:, 0] > x[:, 1])) - _mass(
+            pmf, pair & (x[:, 1] > x[:, 0])
+        )
+        cond_maj = num_maj / pair_prob
+        cond_cmp = num_cmp / pair_prob
+        cond_tail = _mass(pmf, pair & in_tail) / pair_prob
     else:
         cond_maj = cond_cmp = cond_tail = 0.0
 
@@ -412,10 +361,10 @@ def event_report(h: int, p, rare_x: float = 0.25) -> EventReport:
         cond_diff_majority=cond_maj,
         cond_diff_comparison=cond_cmp,
         sum_tail_conditional=cond_tail,
-        sum_tail_unconditional=tail_uncond.value,
+        sum_tail_unconditional=_mass(pmf, in_tail),
         sum_threshold=threshold,
         strict_pair_prob=pair_prob,
-        unconditional_diff=q1.value - q2.value,
+        unconditional_diff=_mass(adopt, leads[:, 0]) - _mass(adopt, leads[:, 1]),
         rare_set=rare,
         strong_set=strong,
     )
@@ -570,76 +519,65 @@ def tie_map_audit(h: int, p) -> TieMapAudit:
     p_i > p_1 / 2.
     """
     probs = coerce_probs(p)
-    k = len(probs)
     require_sorted(probs)
-    _check_guard(h, k)
+    x, pmf = _outcome_table(h, probs)
     p1 = probs[0]
-    strong = [i for i, v in enumerate(probs) if v > p1 / 2.0]
+    strong = np.array([i for i, v in enumerate(probs) if v > p1 / 2.0])
+
+    leads = x == x.max(axis=1, keepdims=True)
+    leaders = leads.sum(axis=1)
+    strict_prob = _mass(pmf, leads[:, 0] & (leaders == 1))
+    ties_prob = _mass(pmf, leads[:, 0])
+    # from here on x and pmf hold the 1-tie set only
+    tied = leads[:, 0] & (leaders > 1)
+    x, pmf = x[tied], pmf[tied]
+
+    # the last strong opinion among those with the smallest count
+    donor = strong[strong.size - 1 - np.argmin(x[:, strong[::-1]], axis=1)]
+    rows = np.arange(len(x))
+    applicable = (donor != 0) & (x[rows, donor] > 0)
+    image = x.copy()
+    image[applicable, 0] += 1
+    image[rows[applicable], donor[applicable]] -= 1
+    pmf_image = np.exp(_log_pmf(image, probs))
+    ratio = np.divide(pmf_image, pmf, out=np.full(len(x), np.inf), where=pmf > 0.0)
+    expected = x[rows, donor] / (x[:, 0] + 1) * (p1 / np.asarray(probs)[donor])
+    max_err = float(np.abs(ratio - expected)[applicable].max(initial=0.0))
 
     outcomes = []
-    images = {}
-    max_err = 0.0
-    strict1 = _NeumaierSum()
-    ties1 = _NeumaierSum()
-    applicable = 0
-    inapplicable = 0
-    domain = 0
+    sources = {}
+    for row, j, img, mass, mass_img, r, e, ok in zip(
+        x.tolist(), donor.tolist(), image.tolist(), pmf.tolist(),
+        pmf_image.tolist(), ratio.tolist(), expected.tolist(), applicable.tolist(),
+    ):
+        row = tuple(row)
+        if ok:
+            img = tuple(img)
+            sources.setdefault(img, []).append(row)
+            outcomes.append(TieMapOutcome(
+                x=row, donor=j + 1, image=img, pmf=mass,
+                pmf_image=mass_img, ratio=r, expected_ratio=e,
+            ))
+        else:
+            outcomes.append(TieMapOutcome(
+                x=row, donor=0, image=None, pmf=mass,
+                pmf_image=None, ratio=None, expected_ratio=None,
+            ))
 
-    for x, pmf in _iter_pmf(h, probs):
-        leaders = argmax_set(x)
-        if 0 in leaders:
-            ties1.add(pmf)
-            if len(leaders) == 1:
-                strict1.add(pmf)
-        if 0 not in leaders or len(leaders) < 2:
-            continue
-        domain += 1
-        low = min(x[i] for i in strong)
-        donor = max(i for i in strong if x[i] == low)
-        if donor == 0 or x[donor] == 0:
-            inapplicable += 1
-            outcomes.append(
-                TieMapOutcome(
-                    x=x, donor=0, image=None, pmf=pmf,
-                    pmf_image=None, ratio=None, expected_ratio=None,
-                )
-            )
-            continue
-        applicable += 1
-        image = list(x)
-        image[0] += 1
-        image[donor] -= 1
-        image = tuple(image)
-        pmf_image = multinomial_pmf(image, h, probs)
-        ratio = pmf_image / pmf if pmf > 0.0 else math.inf
-        expected = (x[donor] / (x[0] + 1)) * (p1 / probs[donor])
-        err = abs(ratio - expected)
-        max_err = max(max_err, err)
-        images.setdefault(image, []).append(x)
-        outcomes.append(
-            TieMapOutcome(
-                x=x, donor=donor + 1, image=image, pmf=pmf,
-                pmf_image=pmf_image, ratio=ratio, expected_ratio=expected,
-            )
-        )
-
-    collisions = tuple(
-        tuple(sources) for sources in images.values() if len(sources) > 1
-    )
-    ties_val = ties1.value
-    ratio_val = strict1.value / ties_val if ties_val > 0.0 else math.inf
+    collisions = tuple(tuple(src) for src in sources.values() if len(src) > 1)
+    applied = int(applicable.sum())
     return TieMapAudit(
         h=int(h),
         p=probs,
-        domain_size=domain,
-        applicable=applicable,
-        inapplicable=inapplicable,
+        domain_size=len(outcomes),
+        applicable=applied,
+        inapplicable=len(outcomes) - applied,
         injective=not collisions,
         collisions=collisions,
         max_ratio_error=max_err,
-        strict_prob=strict1.value,
-        ties_prob=ties_val,
-        strict_ties_ratio=ratio_val,
+        strict_prob=strict_prob,
+        ties_prob=ties_prob,
+        strict_ties_ratio=strict_prob / ties_prob if ties_prob > 0.0 else math.inf,
         outcomes=tuple(outcomes),
     )
 
@@ -652,34 +590,23 @@ def conditional_sum_binomial_check(h: int, p) -> float:
     against raw enumeration and returns the largest absolute deviation.
     """
     probs = coerce_probs(p)
-    k = len(probs)
-    if k < 2:
+    if len(probs) < 2:
         raise NotSortedError("need at least two opinions")
-    _check_guard(h, k)
+    x, pmf = _outcome_table(h, probs)
     p1, p2 = probs[0], probs[1]
     if p1 + p2 <= 0.0:
         return 0.0
     ratio = p1 / (p1 + p2)
 
-    sum_mass = [_NeumaierSum() for _ in range(h + 1)]
-    joint = [dict() for _ in range(h + 1)]
-    for x, pmf in _iter_pmf(h, probs):
-        m = x[0] + x[1]
-        sum_mass[m].add(pmf)
-        acc = joint[m].setdefault(x[0], _NeumaierSum())
-        acc.add(pmf)
-
-    worst = 0.0
-    for m in range(h + 1):
-        total = sum_mass[m].value
-        if total <= 1e-300:
-            continue
-        for a in range(m + 1):
-            cond = joint[m][a].value / total if a in joint[m] else 0.0
-            closed = (
-                math.comb(m, a) * ratio**a * (1.0 - ratio) ** (m - a)
-                if 0.0 < ratio < 1.0
-                else (1.0 if (a == m if ratio >= 1.0 else a == 0) else 0.0)
-            )
-            worst = max(worst, abs(cond - closed))
-    return worst
+    # mass of each pair (a, m - a) = (x_1, x_2) in the table, and of each m;
+    # a pair missing from it needs p1 = 0 or p2 = 0, where the closed form
+    # is 0 as well
+    keys, group = np.unique(x[:, 0] * (h + 1) + x[:, 1], return_inverse=True)
+    joint = np.bincount(group.ravel(), weights=pmf)
+    pairs = np.column_stack(np.divmod(keys, h + 1))
+    m = pairs.sum(axis=1)
+    total = np.bincount(m, weights=joint)[m]
+    closed = np.exp(_log_pmf(pairs, (ratio, 1.0 - ratio)))
+    seen = total > 1e-300
+    err = np.abs(joint[seen] / total[seen] - closed[seen])
+    return float(err.max(initial=0.0))

@@ -57,10 +57,6 @@ class RngHandle:
         key = np.array([self.master_seed, self.stream_id], dtype=np.uint64)
         self.gen = np.random.Generator(np.random.Philox(key=key))
 
-    def spawn(self, stream_id: int) -> "RngHandle":
-        """Fresh independent stream under the same master seed."""
-        return RngHandle(self.master_seed, stream_id)
-
     def __repr__(self) -> str:
         return f"RngHandle(master_seed={self.master_seed}, stream_id={self.stream_id})"
 

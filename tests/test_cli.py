@@ -213,6 +213,45 @@ def test_sweep_append_resumes_interrupted_sweep(tmp_path, capsys, monkeypatch):
     assert "wrote 0 records" in capsys.readouterr().out
 
 
+def _small_sweep(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    _write_json(spec, {
+        "schema_version": 1, "n": [40, 80], "k": [2], "h": [3],
+        "bias_multiplier": 2.0, "trials": 2, "master_seed": 5, "max_rounds": 300,
+    })
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--spec", str(spec), "--out", str(out)]) == 0
+    capsys.readouterr()
+    return out
+
+
+def test_report_skips_torn_last_line(tmp_path, capsys):
+    out = _small_sweep(tmp_path, capsys)
+    whole = tmp_path / "whole"
+    assert main(["report", "--in", str(out), "--out", str(whole)]) == 0
+    # an interrupted sweep leaves a last line without its newline in both files
+    with open(out / "records.jsonl", "ab") as fh:
+        fh.write(b'{"cell_id":"n80-k2-h3","tri')
+    with open(out / "timings.csv", "a", encoding="utf-8") as fh:
+        fh.write("n80-k2-h3,2,")
+    torn = tmp_path / "torn"
+    assert main(["report", "--in", str(out), "--out", str(torn)]) == 0
+    for name in ("summary.csv", "scaling.csv"):
+        assert (torn / name).read_bytes() == (whole / name).read_bytes()
+
+
+def test_report_rejects_undecodable_record_line(tmp_path, capsys):
+    out = _small_sweep(tmp_path, capsys)
+    lines = (out / "records.jsonl").read_bytes().splitlines(keepends=True)
+    lines[1] = lines[1][:20] + b"\n"
+    (out / "records.jsonl").write_bytes(b"".join(lines))
+    code = main(["report", "--in", str(out), "--out", str(tmp_path / "rep")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error:") and "records.jsonl" in err
+    assert "Traceback" not in err
+
+
 def test_report_missing_inputs(tmp_path, capsys):
     code = main(["report", "--in", str(tmp_path / "nope"), "--out", str(tmp_path)])
     assert code == 2

@@ -11,6 +11,7 @@ from hmajority.cli import main
 from hmajority.montecarlo import Estimate, sample_win_events
 from hmajority.oracle import (
     DP_CELL_CAP,
+    ENUMERATION_GUARD,
     InvalidQError,
     NotSortedError,
     TooLargeError,
@@ -22,7 +23,6 @@ from hmajority.oracle import (
     log_multinomial_pmf,
     multinomial_pmf,
     outcome_count,
-    relabel_descending,
     tie_map_audit,
     win_distribution,
 )
@@ -31,6 +31,7 @@ from hmajority.sampler import RngHandle
 
 from oracles import (
     exact_multinomial_pmf_fraction,
+    naive_event_report,
     naive_pair_diffs,
     naive_win_distribution,
 )
@@ -56,6 +57,41 @@ def test_enumerate_counts_stars_and_bars():
 def test_enumerate_guard():
     with pytest.raises(TooLargeError):
         list(enumerate_outcomes(500, 10))
+
+
+# k = 4 admits h <= 182: C(185, 3) * 4 = 4 152 880 cells, C(186, 3) * 4 =
+# 4 220 960 cells
+CAP_P = (0.4, 0.3, 0.2, 0.1)
+
+
+def test_outcome_table_cap_sits_between_h182_and_h183():
+    assert outcome_count(182, 4) * 4 <= ENUMERATION_GUARD < outcome_count(183, 4) * 4
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: event_report(183, CAP_P),
+        lambda: tie_map_audit(183, CAP_P),
+        lambda: enumerate_outcomes(183, 4),
+    ],
+    ids=["event_report", "tie_map_audit", "enumerate_outcomes"],
+)
+def test_outcome_table_cap_raises_before_allocating(call):
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLargeError, match=str(ENUMERATION_GUARD)):
+            call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_oracle_cli_event_report_above_cap_exits_2(capsys):
+    p = ",".join(repr(v) for v in CAP_P)
+    assert main(["oracle", "--h", "183", "--p", p, "--report", "event"]) == 2
+    assert str(ENUMERATION_GUARD) in capsys.readouterr().err
 
 
 @given(st.integers(min_value=0, max_value=7), st.integers(min_value=1, max_value=4))
@@ -296,10 +332,46 @@ def test_conditional_sum_reduction_identity():
         assert conditional_sum_binomial_check(h, probs) < 1e-12
 
 
-def test_relabel_descending():
-    sorted_p, perm = relabel_descending((0.2, 0.5, 0.3))
-    assert sorted_p.probs == (0.5, 0.3, 0.2)
-    assert perm == (2, 3, 1)
+def _assert_event_reports_match_naive(h, probs):
+    naive = naive_event_report(h, probs)
+    report = event_report(h, probs)
+    for field in (
+        "cond_diff_majority", "cond_diff_comparison", "sum_tail_conditional",
+        "sum_tail_unconditional", "sum_threshold", "strict_pair_prob",
+        "unconditional_diff",
+    ):
+        assert abs(getattr(report, field) - naive[field]) <= 1e-12, field
+    audit = tie_map_audit(h, probs)
+    assert abs(audit.strict_prob - naive["strict_prob"]) <= 1e-12
+    assert abs(audit.ties_prob - naive["ties_prob"]) <= 1e-12
+    assert audit.domain_size == naive["domain_size"]
+
+
+def test_event_report_and_tie_map_match_sequence_enumeration():
+    rng = np.random.default_rng(20240502)
+    grid = [(h, k) for k in (2, 3, 4) for h in range(1, 6 if k == 4 else 7)]
+    for h, k in grid:
+        for _ in range(3):
+            probs = sorted(rng.dirichlet([1.0] * k), reverse=True)
+            _assert_event_reports_match_naive(h, tuple(float(v) for v in probs))
+
+
+def test_event_report_and_tie_map_with_zero_probs_match_sequence_enumeration():
+    cases = [(1.0, 0.0), (0.6, 0.4, 0.0), (0.5, 0.5, 0.0), (1.0, 0.0, 0.0),
+             (0.5, 0.3, 0.2, 0.0), (0.7, 0.3, 0.0, 0.0)]
+    for probs in cases:
+        for h in range(1, 6 if len(probs) == 4 else 7):
+            _assert_event_reports_match_naive(h, probs)
+
+
+def test_event_report_point_mass_pair():
+    # the dropped impossible outcomes must not reach the counts
+    _assert_event_reports_match_naive(2, (1.0, 0.0))
+    report = event_report(2, (1.0, 0.0))
+    assert report.strict_pair_prob == 1.0
+    assert report.unconditional_diff == 1.0
+    audit = tie_map_audit(2, (1.0, 0.0))
+    assert (audit.domain_size, audit.applicable, audit.inapplicable) == (0, 0, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -4,13 +4,15 @@ These deliberately avoid the library's code paths: the win distribution and
 the event-report quantities are computed by enumerating all k^h ordered
 sample sequences, pmfs come from
 exact Fraction arithmetic, and the conditional pair differences are summed
-directly from scipy's binomial pmf with indicator events.
+directly from scipy's binomial pmf with indicator events. The multi-round
+law comes from the absorbing Markov chain on whole configurations.
 """
 
 from fractions import Fraction
 import itertools
 import math
 
+import numpy as np
 from scipy.stats import binom
 
 
@@ -150,3 +152,61 @@ def naive_event_report(h, probs):
         "ties_prob": ties_1,
         "domain_size": len(one_tie),
     }
+
+
+def compositions(n, k):
+    """Every count vector of n agents over k opinions, as tuples."""
+    if k == 1:
+        yield (n,)
+        return
+    for first in range(n + 1):
+        for rest in compositions(n - first, k - 1):
+            yield (first, *rest)
+
+
+def consensus_chain(start, h, horizon):
+    """Exact law of the h-majority run from the configuration start.
+
+    The states are the compositions of n into k parts. From x, every agent
+    adopts opinion i with probability q_i(x) (naive_win_distribution at
+    x/n) independently, so row x of the transition matrix is the
+    Multinomial(n, q(x)) pmf, written from math.lgamma. The k consensus
+    states are absorbing; with Q the transient block and R the block into
+    consensus, N = (I - Q)^-1 gives the winner law N R and E[T] = N 1
+    (Kemeny and Snell, Finite Markov Chains, ch. III).
+
+    Returns (win, expected_rounds, round_pmf): win[i] is P(opinion i + 1
+    wins), and round_pmf[r] is P(T = r) for r = 0..horizon, with T the
+    first round at consensus.
+    """
+    n, k = sum(start), len(start)
+    states = list(compositions(n, k))
+    x = np.array(states, dtype=np.int64)
+    log_fact = np.array([math.lgamma(c + 1) for c in range(n + 1)])
+    log_coef = log_fact[n] - log_fact[x].sum(axis=1)
+    P = np.empty((len(states), len(states)))
+    for row, state in enumerate(states):
+        q = np.array(naive_win_distribution(h, [c / n for c in state])[0])
+        log_q = np.log(np.where(q > 0, q, 1.0))
+        impossible = ((x > 0) & (q == 0)).any(axis=1)
+        P[row] = np.where(impossible, 0.0, np.exp(log_coef + x @ log_q))
+    absorbing = [states.index(tuple(n if j == i else 0 for j in range(k)))
+                 for i in range(k)]
+    transient = [i for i in range(len(states)) if i not in absorbing]
+    Q = P[np.ix_(transient, transient)]
+    R = P[np.ix_(transient, absorbing)]
+    origin = states.index(tuple(start))
+    round_pmf = np.zeros(horizon + 1)
+    if origin in absorbing:
+        round_pmf[0] = 1.0
+        return [float(c == n) for c in start], 0.0, round_pmf
+    fundamental = np.eye(len(transient)) - Q
+    i0 = transient.index(origin)
+    win = np.linalg.solve(fundamental, R)[i0]
+    expected = np.linalg.solve(fundamental, np.ones(len(transient)))[i0]
+    mass = np.zeros(len(transient))
+    mass[i0] = 1.0
+    for r in range(1, horizon + 1):
+        round_pmf[r] = (mass @ R).sum()
+        mass = mass @ Q
+    return [float(w) for w in win], float(expected), round_pmf

@@ -4,8 +4,12 @@ Each round, every one of the n agents independently samples h neighbors
 uniformly at random with repetition (self-loops included: the sampling law
 is exactly counts/n) and adopts the most frequent sampled opinion, breaking
 ties uniformly at random. Agents are anonymous; a round only needs the
-aggregated outcome counts, so it samples the n agents in blocks whose size
-sampler.sample_counts_chunks bounds.
+aggregated outcome counts, so it samples the n agents in blocks of at most
+sampler.CHUNK_CELLS cells. With k > h a block holds each agent's h draw ids
+(rows x h cells, whatever k is) and the agent adopts the tied-maximum
+opinion drawn first, which is exactly uniform over the tied set (see
+sampler.mode_of_draws); with k <= h it is a rows x k count matrix from the
+binomial chain, and ties take one uniform draw.
 """
 
 from __future__ import annotations
@@ -26,7 +30,10 @@ from .sampler import (
     RngHandle,
     argmax_rows_with_tiebreak,
     draw_multinomial,
+    draws_take_ids,
+    mode_of_draws,
     sample_counts_chunks,
+    sample_draw_chunks,
 )
 
 
@@ -116,10 +123,11 @@ def summarize_round(t: int, config: Configuration) -> RoundSummary:
         other = 0
     else:
         counts = None
-        order = sorted(range(config.k), key=lambda i: (-config.counts[i], i))
-        kept = order[:TOP_KEEP]
-        top = tuple((i + 1, config.counts[i]) for i in kept)
-        other = config.n - sum(config.counts[i] for i in kept)
+        # descending count, ties by ascending index (stable sort)
+        values = np.asarray(config.counts, dtype=np.int64)
+        kept = np.argsort(-values, kind="stable")[:TOP_KEEP]
+        top = tuple((int(i) + 1, int(values[i])) for i in kept)
+        other = config.n - int(values[kept].sum())
     return RoundSummary(
         t=t,
         counts=counts,
@@ -134,22 +142,30 @@ def summarize_round(t: int, config: Configuration) -> RoundSummary:
 def step(config: Configuration, h: int, rng: RngHandle) -> Configuration:
     """One synchronous round at agent level.
 
-    Every agent draws a Multinomial(h, counts/n) sample vector and adopts
-    the mode with u.a.r. tie-breaking; the n outcomes are aggregated into
-    the next configuration. Consensus is absorbing: every sample then
-    consists of the consensus opinion only, so the input is returned as is.
+    Every agent draws h opinions with law counts/n and adopts the mode with
+    u.a.r. tie-breaking; the n outcomes are aggregated into the next
+    configuration. The path follows sampler.draws_take_ids: with k > h the
+    modes come from the draw ids (an alias table over the live opinions,
+    exact from the integer counts), otherwise from chain count matrices.
+    Consensus is absorbing: every sample then consists of the consensus
+    opinion only, so the input is returned as is.
     """
     validate(config)
     if h < 1:
         raise ValueError(f"h must be >= 1, got {h}")
     if is_consensus(config) is not None:
         return config
-    probs = np.asarray(config.counts, dtype=np.float64) / config.n
     k = config.k
     new_counts = np.zeros(k, dtype=np.int64)
-    for matrix in sample_counts_chunks(h, probs, rng, config.n):
-        winners = argmax_rows_with_tiebreak(matrix, rng)
-        new_counts += np.bincount(winners, minlength=k)
+    if draws_take_ids(k, h):
+        counts = np.asarray(config.counts, dtype=np.int64)
+        for draws in sample_draw_chunks(h, counts, rng, config.n):
+            new_counts += np.bincount(mode_of_draws(draws)[0], minlength=k)
+    else:
+        probs = np.asarray(config.counts, dtype=np.float64) / config.n
+        for matrix in sample_counts_chunks(h, probs, rng, config.n):
+            winners = argmax_rows_with_tiebreak(matrix, rng)
+            new_counts += np.bincount(winners, minlength=k)
     return Configuration(counts=tuple(int(c) for c in new_counts), n=config.n)
 
 

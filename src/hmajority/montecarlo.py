@@ -31,7 +31,14 @@ from .dynamics import (
     RunParams,
     run,
 )
-from .sampler import RngHandle, argmax_rows_with_tiebreak, sample_counts_chunks
+from .sampler import (
+    RngHandle,
+    argmax_rows_with_tiebreak,
+    draws_take_ids,
+    mode_of_draws,
+    sample_counts_chunks,
+    sample_draw_chunks,
+)
 from .theory import (
     DEFAULT_C3,
     DEFAULT_C4,
@@ -113,18 +120,21 @@ def sample_win_events(h: int, p, trials: int, rng: RngHandle) -> WinEventCounts:
     strict_1 = 0
     ties_1 = 0
     strict_pair = 0
-    for matrix in sample_counts_chunks(h, probs, rng, trials):
-        rowmax = matrix.max(axis=1)
-        is_max = matrix == rowmax[:, None]
-        mcount = is_max.sum(axis=1)
-        top_1 = is_max[:, 0]
-        ties_1 += int(top_1.sum())
-        strict_1 += int((top_1 & (mcount == 1)).sum())
-        if k >= 2:
-            strict_pair += int(((is_max[:, 0] | is_max[:, 1]) & (mcount == 1)).sum())
+    take_ids = draws_take_ids(k, h)
+    sample = sample_draw_chunks if take_ids else sample_counts_chunks
+    for block in sample(h, probs, rng, trials):
+        if take_ids:
+            winners, top, ties = mode_of_draws(block)
+            first_is_max = (block == 0).sum(axis=1) == top
         else:
-            strict_pair += int((mcount == 1).sum())
-        winners = argmax_rows_with_tiebreak(matrix, rng)
+            is_max = block == block.max(axis=1)[:, None]
+            ties = is_max.sum(axis=1)
+            first_is_max = is_max[:, 0]
+            winners = argmax_rows_with_tiebreak(block, rng)
+        strict = ties == 1
+        ties_1 += int(first_is_max.sum())
+        strict_1 += int((strict & (winners == 0)).sum())
+        strict_pair += int((strict & (winners < 2)).sum())
         win += np.bincount(winners, minlength=k)
     return WinEventCounts(
         trials=trials,

@@ -69,6 +69,10 @@ class InvalidQError(HMajorityError, ValueError):
     """The binomial pair requires 1/2 < q < 1."""
 
 
+class NegativeHError(HMajorityError, ValueError):
+    """A sample size h below 0."""
+
+
 def outcome_count(h: int, k: int) -> int:
     """Number of non-negative integer vectors of length k summing to h."""
     return math.comb(h + k - 1, k - 1)
@@ -102,8 +106,10 @@ def _outcome_table(h: int, probs) -> tuple[np.ndarray, np.ndarray]:
     table would exceed ENUMERATION_GUARD cells.
     """
     k = len(probs)
-    if k < 1 or h < 0:
-        raise ValueError(f"need k >= 1 and h >= 0, got h={h}, k={k}")
+    if h < 0:
+        raise NegativeHError(f"need h >= 0, got h={h}")
+    if k < 1:
+        raise ValueError(f"need k >= 1, got k={k}")
     n = outcome_count(h, k)
     if n * k > ENUMERATION_GUARD:
         raise TooLargeError(
@@ -210,7 +216,7 @@ def win_distribution(h: int, p) -> WinDistribution:
     k = len(probs)
     h = int(h)
     if h < 0:
-        raise ValueError(f"need h >= 0, got h={h}")
+        raise NegativeHError(f"need h >= 0, got h={h}")
     live = [i for i, v in enumerate(probs) if v > 0.0]
     out = np.zeros((3, k))  # rows: q, q_strict, q_ties
     if h == 0 or len(live) == 1:

@@ -1,6 +1,7 @@
 """Bounded-cost random draws: multinomial count vectors (conditional-binomial
-chain or alias-table categorical sampling), memory-capped blocks of them,
-and the row-wise mode with uniform tie-break.
+chain or alias-table categorical sampling), memory-capped blocks of them or
+of raw category ids, and the row-wise mode with uniform tie-break, from a
+count matrix or straight from the ids.
 
 All randomness flows through RngHandle, a counter-based Philox stream keyed
 by (master_seed, stream_id): identical keys give byte-identical draw
@@ -69,34 +70,42 @@ def draw_multinomial(h: int, p, rng: RngHandle) -> SampleVector:
 
 
 class AliasTable:
-    """Walker alias table: O(k) setup, O(1) per categorical draw.
+    """Walker alias table: O(k log k) setup, O(1) per categorical draw.
 
-    Build once per round and share read-only across workers.
+    weights are non-negative with a positive sum: probabilities, or integer
+    counts, whose table is exact up to one rounding per entry. The table is
+    built with array operations in the sweep order of the two-list
+    construction: light entries (k w_i below the total W) take their alias
+    from the heavy ones, both in index order, and a heavy entry whose
+    remaining mass falls to W or below becomes light and takes its alias
+    from the next heavy one. With D the running sum of the light deficits
+    and S that of the heavy surpluses, light entry i goes to the first heavy
+    entry j with S_j > D_(i-1), and heavy entry j keeps W + S_j - D_(i_j),
+    where i_j light entries go to heavy entries 1..j.
     """
 
     __slots__ = ("k", "accept", "alias")
 
-    def __init__(self, p):
-        probs = np.asarray(coerce_probs(p), dtype=np.float64)
-        total = probs.sum()
-        scaled = probs * (probs.size / total)
-        k = probs.size
+    def __init__(self, weights):
+        w = np.asarray(weights)
+        k = w.size
+        total = w.sum()
+        scaled = w * k
+        light = np.flatnonzero(scaled < total)
+        heavy = np.flatnonzero(scaled >= total)
         accept = np.ones(k, dtype=np.float64)
         alias = np.arange(k, dtype=np.int64)
-        small = [i for i in range(k) if scaled[i] < 1.0]
-        large = [i for i in range(k) if scaled[i] >= 1.0]
-        scaled = scaled.copy()
-        while small and large:
-            s = small.pop()
-            g = large.pop()
-            accept[s] = scaled[s]
-            alias[s] = g
-            scaled[g] = scaled[g] - (1.0 - scaled[s])
-            if scaled[g] < 1.0:
-                small.append(g)
-            else:
-                large.append(g)
-        # leftovers are 1 up to rounding
+        if light.size and heavy.size:
+            deficit = np.cumsum(total - scaled[light])
+            surplus = np.cumsum(scaled[heavy] - total)
+            before = np.concatenate(([0], deficit[:-1]))
+            donor = np.searchsorted(surplus, before, side="right")
+            accept[light] = scaled[light] / total
+            alias[light] = heavy[np.minimum(donor, heavy.size - 1)]
+            served = np.searchsorted(before, surplus, side="left")
+            kept = total + surplus - np.concatenate(([0], deficit))[served]
+            accept[heavy[:-1]] = np.clip(kept[:-1] / total, 0.0, 1.0)
+            alias[heavy[:-1]] = heavy[1:]
         self.k = k
         self.accept = accept
         self.alias = alias
@@ -105,7 +114,9 @@ class AliasTable:
         """Array of category ids (0-based) with the table's law."""
         idx = rng.gen.integers(0, self.k, size=size)
         u = rng.gen.random(size=size)
-        return np.where(u < self.accept[idx], idx, self.alias[idx])
+        ids = self.alias[idx]
+        np.copyto(ids, idx, where=u < self.accept[idx])
+        return ids
 
 
 def sample_counts_matrix(
@@ -115,8 +126,9 @@ def sample_counts_matrix(
 
     method "chain" runs the conditional-binomial chain vectorized over rows
     (O(k) per row); "categorical" draws h category ids per row through an
-    alias table (O(h) per row after O(k) setup). "auto" picks chain when
-    k <= h, categorical otherwise, which keeps per-row cost O(min(k, h)).
+    alias table (O(h) per row after O(k log k) setup) and counts them.
+    "auto" picks chain when k <= h, categorical otherwise. Rounds at k > h
+    skip the count matrix: see sample_draw_chunks and mode_of_draws.
     """
     probs = np.asarray(coerce_probs(p), dtype=np.float64)
     if h < 0:
@@ -152,30 +164,109 @@ def sample_counts_matrix(
             raise InvalidProbError("batch too large; chunk the rows")
         if h == 0:
             return np.zeros((rows, k), dtype=np.int64)
-        table = AliasTable(probs)
-        ids = table.draw_ids(rng, (rows, h))
+        ids = AliasTable(probs).draw_ids(rng, (rows, h))
         flat = ids + (np.arange(rows, dtype=np.int64) * k)[:, None]
         counts = np.bincount(flat.ravel(), minlength=rows * k)
         return counts.reshape(rows, k).astype(np.int64)
     raise InvalidProbError(f"unknown sampling method {method!r}")
 
 
-def sample_counts_chunks(h: int, p, rng: RngHandle, n: int):
-    """Yield sample_counts_matrix blocks ("auto" method) whose rows total n.
-
-    Each block has min(65536, CHUNK_CELLS // min(k, h)) rows, the last one
-    fewer, so rows x min(k, h), the sampler's per-row work, stays within
-    CHUNK_CELLS. Every block is still a (rows, k) count matrix. Blocks are
-    drawn from rng in order, so the stream depends only on (h, p, n).
-    """
-    probs = np.asarray(coerce_probs(p), dtype=np.float64)
-    width = max(1, min(probs.size, h))
-    rows_per_chunk = min(1 << 16, max(1, CHUNK_CELLS // width))
+def _block_rows(width: int, n: int):
+    """Row counts of the blocks that cover n rows of width cells each:
+    min(65536, CHUNK_CELLS // width) rows per block, the last one fewer."""
+    rows_per_chunk = min(1 << 16, max(1, CHUNK_CELLS // max(1, width)))
     done = 0
     while done < n:
         rows = min(rows_per_chunk, n - done)
-        yield sample_counts_matrix(h, probs, rng, rows)
+        yield rows
         done += rows
+
+
+def sample_counts_chunks(h: int, p, rng: RngHandle, n: int):
+    """Yield sample_counts_matrix blocks ("auto" method) whose rows total n.
+
+    Blocks have _block_rows(min(k, h), n) rows, so rows x min(k, h), the
+    sampler's per-row work, stays within CHUNK_CELLS; each block is a
+    (rows, k) count matrix. Blocks are drawn from rng in order, so the
+    stream depends only on (h, p, n).
+    """
+    probs = np.asarray(coerce_probs(p), dtype=np.float64)
+    for rows in _block_rows(min(probs.size, h), n):
+        yield sample_counts_matrix(h, probs, rng, rows)
+
+
+def draws_take_ids(k: int, h: int) -> bool:
+    """The path rule: with 0 < h < k a row's h category ids are fewer than
+    its k counts, so rounds take each agent's mode from its ids
+    (sample_draw_chunks + mode_of_draws); otherwise from the chain sampler's
+    count matrix (sample_counts_chunks + argmax_rows_with_tiebreak)."""
+    return 0 < h < k
+
+
+def sample_draw_chunks(h: int, weights, rng: RngHandle, n: int):
+    """Yield (rows, h) arrays of opinion indices, h i.i.d. draws in each
+    row, whose rows total n.
+
+    Opinion i is drawn with probability weights_i / sum(weights); weights
+    are validated probabilities or counts (counts give an exact table). The
+    draws come from an alias table over the live opinions (weight > 0),
+    whose ids are mapped back to opinion indices, so a dead opinion is
+    never drawn. Blocks have _block_rows(h, n) rows: at most CHUNK_CELLS ids
+    each, whatever k is.
+    """
+    w = np.asarray(weights)
+    live = np.flatnonzero(w > 0)
+    table = AliasTable(w[live])
+    for rows in _block_rows(h, n):
+        ids = table.draw_ids(rng, (rows, h))
+        yield ids if live.size == w.size else live[ids]
+
+
+def mode_of_draws(draws: np.ndarray):
+    """Per-row mode of a (rows, h) array of category ids, h >= 1.
+
+    Returns (winner, top, ties): the winning id, its count, and the number
+    of ids that share that count. Among tied ids the winner is the one
+    whose first draw comes earliest. That is exactly uniform over the tied
+    set with no random draw: the draws are i.i.d., so given the counts every
+    order of them is equally likely, and swapping two tied labels maps the
+    orders where one wins onto those where the other wins.
+
+    Each row is sorted by (id, position) keys, id << shift | position, in
+    int32 when they fit; its runs of equal ids give every id's count and
+    first position. O(h log h) per row and O(rows x h) memory: no (rows, k)
+    array is built.
+    """
+    rows, h = draws.shape
+    cells = rows * h
+    shift = max(1, (h - 1).bit_length())
+    mask = (1 << shift) - 1
+    # keys hold ids up to draws.max() and scores counts up to h
+    narrow = (max(int(draws.max()), h) + 1) << shift <= np.iinfo(np.int32).max
+    key = draws.astype(np.int32 if narrow else np.int64)
+    key <<= shift
+    key |= np.arange(h, dtype=key.dtype)
+    key.sort(axis=1)
+    key = key.ravel()
+    ids = key >> shift
+    start = np.empty(cells, dtype=bool)
+    np.not_equal(ids[1:], ids[:-1], out=start[1:])
+    start[::h] = True
+    runs = np.flatnonzero(start)
+    row_start = np.arange(0, cells, h)
+    row_runs = np.searchsorted(runs, row_start)
+    length = np.diff(runs, append=cells)
+    # larger count first, then earlier first draw; unique within a row
+    score = key[runs]
+    score &= mask
+    np.subtract(mask, score, out=score)
+    score |= (length << shift).astype(key.dtype, copy=False)
+    best = np.maximum.reduceat(score, row_runs)
+    top = best >> shift
+    winner = draws.ravel()[row_start + (mask - (best & mask))]
+    runs_per_row = np.diff(row_runs, append=runs.size)
+    ties = np.add.reduceat(length == np.repeat(top, runs_per_row), row_runs)
+    return winner, top, ties
 
 
 def argmax_rows_with_tiebreak(counts: np.ndarray, rng: RngHandle) -> np.ndarray:

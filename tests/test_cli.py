@@ -119,6 +119,15 @@ def test_oracle_tiemap_report(capsys):
     assert doc["domain_size"] >= 1
 
 
+@pytest.mark.parametrize("report", ["win", "event", "tiemap"])
+def test_oracle_negative_h_is_config_error(report, capsys):
+    code = main(["oracle", "--h", "-1", "--p", "0.6,0.4", "--report", report])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "h >= 0" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_verify_single_suite(capsys):
     code = main(["verify", "--suite", "monotonicity"])
     out = capsys.readouterr().out

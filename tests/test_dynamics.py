@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -24,7 +25,9 @@ from hmajority.dynamics import (
 )
 from hmajority.montecarlo import balanced_plus_bias_counts
 from hmajority.oracle import win_distribution
-from hmajority.sampler import RngHandle
+from hmajority.sampler import CHUNK_CELLS, RngHandle
+
+from oracles import naive_win_distribution
 
 
 def test_step_consensus_absorbing():
@@ -129,6 +132,51 @@ def test_step_and_oracle_step_same_marginal_law():
         counts_a, counts_b = counts_a[keep], counts_b[keep]
         stat = ((counts_a - counts_b) ** 2 / (counts_a + counts_b)).sum()
         assert chi2.sf(stat, keep.sum() - 1) > 1e-3, (len(counts), h)
+
+
+@pytest.mark.parametrize("counts, h, seed", [
+    ((30, 20, 20, 15, 10, 5, 0, 0), 3, 505),
+    ((40, 30, 0, 20, 10), 4, 606),
+    ((0, 9, 0, 1, 0, 0, 10, 0, 0, 0, 0, 0), 5, 707),
+])
+def test_step_law_matches_sequence_enumeration_when_k_exceeds_h(counts, h, seed):
+    # k > h: agents take the mode of their draw ids. Summed over rounds from
+    # one configuration, the next counts are Multinomial(rounds * n, q) with
+    # q enumerated over the k^h ordered samples; chi-square at alpha 1e-3.
+    # Opinions with no agents must never be adopted.
+    cfg = Configuration.from_counts(counts)
+    q = naive_win_distribution(h, [c / cfg.n for c in counts])[0]
+    rng = RngHandle(seed)
+    rounds = 300
+    total = np.zeros(cfg.k, dtype=np.int64)
+    for _ in range(rounds):
+        total += step(cfg, h, rng).counts
+    live = np.array(counts) > 0
+    assert np.all(total[~live] == 0)
+    expected = rounds * cfg.n * np.array(q)[live]
+    stat = ((total[live] - expected) ** 2 / expected).sum()
+    assert chi2.sf(stat, live.sum() - 1) > 1e-3
+
+
+@pytest.mark.parametrize("n, k", [(65_536, 128), (10**5, 10**5)])
+def test_step_memory_bounded_by_rows_times_h(n, k):
+    # with k > h a block holds rows x h draw ids, never a rows x k count
+    # matrix: 128 bytes a cell of the largest block, plus 128 bytes an
+    # opinion for the configuration and the alias table
+    h = 3
+    counts = [n // k] * k
+    counts[0] += n - sum(counts)
+    cfg = Configuration.from_counts(counts)
+    block_cells = min(65_536, CHUNK_CELLS // h, n) * h
+    cap = 128 * block_cells + 128 * k
+    tracemalloc.start()
+    try:
+        nxt = step(cfg, h, RngHandle(37))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(nxt.counts) == n
+    assert peak <= cap, (peak, cap)
 
 
 def test_symmetric_start_winner_uniform():
@@ -256,6 +304,20 @@ def test_round_summary_compression():
     small = summarize_round(0, Configuration.from_counts([5, 5]))
     assert small.counts == (5, 5)
     assert small.top_counts is None
+
+
+def test_round_summary_top_counts_match_sorted_rule():
+    # the kept opinions follow (-count, index) order exactly, ties included
+    rng = np.random.default_rng(41)
+    for trial in range(200):
+        k = int(rng.integers(65, 300))
+        counts = rng.integers(0, int(rng.integers(1, 6)) + 1, size=k)
+        counts[rng.integers(0, k)] += 1
+        cfg = Configuration.from_counts(counts.tolist())
+        order = sorted(range(k), key=lambda i: (-cfg.counts[i], i))[:16]
+        summary = summarize_round(trial, cfg)
+        assert summary.top_counts == tuple((i + 1, cfg.counts[i]) for i in order)
+        assert summary.other_count == cfg.n - sum(cfg.counts[i] for i in order)
 
 
 def test_trajectory_json_roundtrip():

@@ -14,13 +14,13 @@ from hmajority.montecarlo import SweepSpec, run_sweep, write_records_jsonl
 
 GOLDEN = {
     "sweep_categorical":
-        "4461cf5978fc5b9ee121258dd2c3157abee704ef2764e2ae8aaba61566901b9e",
+        "fe6ec65806726968d4ed98848e8d3c3ce175617ae0a347ee1aaf80e50abc7087",
     "simulate_chain_two_chunks":
         "da9f1f23710faa61d5b5cc38245aa7fdc73fa2bbb81a4f9ff758bfd4296f4d72",
     "simulate_oracle_level":
         "67f85864282bcb293c70f4762d3419cc0f99e018e12357da2aa348c0502f3075",
     "simulate_top_counts":
-        "5dc1362b078d2fa6c86f9efa4a45800e86ac0068bb43a86e21cfde78f1860064",
+        "496161bad693e217e75d0b465e3d880cced5ef0e4ff347ea3cae6a4d8ff79ad8",
 }
 
 
@@ -37,7 +37,7 @@ def _simulate(tmp_path, name, config) -> str:
 
 
 def test_sweep_records_bytes(tmp_path):
-    # h = 3 < k: every round takes the categorical (alias-table) path
+    # h = 3 < k: every round takes each agent's mode from its draw ids
     spec = SweepSpec(
         ns=(2000,), ks=(8, 64), hs=(3,), bias_multiplier=2.0,
         trials=2, master_seed=20260417, max_rounds=300,

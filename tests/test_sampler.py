@@ -1,4 +1,6 @@
+import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,12 +11,15 @@ from hmajority.core import SumMismatchError
 from hmajority.oracle import multinomial_pmf
 from hmajority.sampler import (
     CHUNK_CELLS,
+    AliasTable,
     InvalidProbError,
     RngHandle,
     argmax_rows_with_tiebreak,
     draw_multinomial,
+    mode_of_draws,
     sample_counts_chunks,
     sample_counts_matrix,
+    sample_draw_chunks,
 )
 
 
@@ -203,3 +208,84 @@ def test_count_chunks_cap_cells(k, h, n):
     assert sum(rows) == n
     # blocks shrink below 65 536 rows only when min(k, h) > 64
     assert rows[0] == min(65_536, CHUNK_CELLS // min(k, h))
+
+
+# Each multiset is fed to mode_of_draws in every distinct order. Given its
+# counts, every order of i.i.d. draws is equally likely, so each tied label
+# must win in exactly the same number of orders.
+MULTISETS = [
+    (0, 1, 2),
+    (4, 4, 7),
+    (0, 0, 1, 1),
+    (2, 0, 0, 1, 1),
+    (5, 3, 3, 1, 1, 9, 9),
+    (0, 0, 1, 1, 2, 2),
+    (3, 3, 1, 1, 0, 2, 2, 5),
+    (6, 6, 6, 2, 2, 2, 0),
+    (8, 1, 2, 3, 4),
+]
+
+
+@pytest.mark.parametrize("multiset", MULTISETS)
+def test_mode_of_draws_tie_rule_exact_over_orderings(multiset):
+    orders = np.array(sorted(set(itertools.permutations(multiset))))
+    winner, top, ties = mode_of_draws(orders)
+    counts = Counter(multiset)
+    best = max(counts.values())
+    tied = sorted(label for label, c in counts.items() if c == best)
+    assert np.all(top == best)
+    assert np.all(ties == len(tied))
+    wins = Counter(winner.tolist())
+    assert sorted(wins) == tied
+    assert set(wins.values()) == {len(orders) // len(tied)}
+
+
+def test_mode_of_draws_matches_count_matrix_mode():
+    # top, ties and the winner's count agree with a dense count of each row
+    # the last case has one id drawn about 38 000 times out of 40 000: its
+    # count << shift outgrows int32 though the ids do not
+    rng = np.random.default_rng(17)
+    cases = [rng.integers(0, k, size=(2000, h))
+             for k, h in [(9, 3), (40, 12), (5, 4), (300, 30), (2, 1)]]
+    cases.append((rng.random((4, 40_000)) < 0.05).astype(np.int64))
+    for draws in cases:
+        k = int(draws.max()) + 1
+        winner, top, ties = mode_of_draws(draws)
+        dense = np.zeros((draws.shape[0], k), dtype=np.int64)
+        np.add.at(dense, (np.arange(draws.shape[0])[:, None], draws), 1)
+        rowmax = dense.max(axis=1)
+        assert np.array_equal(top, rowmax)
+        assert np.array_equal(ties, (dense == rowmax[:, None]).sum(axis=1))
+        assert np.array_equal(dense[np.arange(draws.shape[0]), winner], rowmax)
+
+
+def test_alias_table_reproduces_weights():
+    # bucket i holds accept[i] of i and 1 - accept[i] of alias[i]; with
+    # integer weights the implied law is exact up to one rounding an entry
+    rng = np.random.default_rng(23)
+    cases = [
+        rng.integers(0, 50, 64), np.array([1, 0, 0, 10**6]),
+        np.array([7]), np.full(100, 3), 2 ** np.arange(40)[::-1],
+        np.r_[1, np.full(999, 1000)], rng.integers(1, 10**4, 10**5),
+    ]
+    cases += [rng.dirichlet(np.ones(k)) for k in (2, 17, 1000)]
+    for weights in cases:
+        table = AliasTable(weights)
+        assert table.accept.min() >= 0.0 and table.accept.max() <= 1.0
+        implied = table.accept.copy()
+        np.add.at(implied, table.alias, 1.0 - table.accept)
+        target = weights * weights.size / weights.sum()
+        assert np.all(implied[weights == 0] == 0.0)
+        assert np.abs(implied - target).max() < 1e-12 * max(1.0, target.max())
+
+
+def test_sample_draw_chunks_live_opinions_only():
+    rng = RngHandle(29)
+    weights = np.array([0, 5, 0, 3, 2, 0])
+    blocks = list(sample_draw_chunks(3, weights, rng, 70_000))
+    assert [b.shape for b in blocks] == [(65_536, 3), (70_000 - 65_536, 3)]
+    draws = np.concatenate(blocks).ravel()
+    assert set(np.unique(draws).tolist()) == {1, 3, 4}
+    freq = np.bincount(draws, minlength=6)[[1, 3, 4]] / draws.size
+    sigma = np.sqrt(0.25 / draws.size)
+    assert np.all(np.abs(freq - [0.5, 0.3, 0.2]) < 4 * sigma)

@@ -12,7 +12,6 @@ from .core import (
     SumMismatchError,
     bias_stats,
     is_consensus,
-    normalize,
     validate,
 )
 from .dynamics import RunParams, Trajectory, oracle_step, run, step
@@ -30,16 +29,13 @@ from .oracle import (
     EventReport,
     WinDistribution,
     binomial_pair_report,
-    enumerate_outcomes,
     event_report,
     g_function,
-    multinomial_pmf,
     tie_map_audit,
     win_distribution,
 )
 from .sampler import (
     RngHandle,
-    SampleVector,
     draw_multinomial,
 )
 from .theory import (
@@ -63,7 +59,6 @@ __all__ = [
     "NormalizedConfig",
     "RngHandle",
     "RunParams",
-    "SampleVector",
     "SumMismatchError",
     "SweepSpec",
     "Trajectory",
@@ -74,13 +69,10 @@ __all__ = [
     "binomial_pair_report",
     "check_w1_lower_bound",
     "draw_multinomial",
-    "enumerate_outcomes",
     "estimate_win_probs",
     "event_report",
     "g_function",
     "is_consensus",
-    "multinomial_pmf",
-    "normalize",
     "oracle_step",
     "p1_growth_audit",
     "regime_classifier",

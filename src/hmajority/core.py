@@ -128,14 +128,6 @@ def validate(config: Configuration) -> None:
         raise SumMismatchError(f"counts sum to {total}, expected n={config.n}")
 
 
-def normalize(config: Configuration) -> NormalizedConfig:
-    """Return p_i = counts_i / n, preserving opinion order (no sorting)."""
-    validate(config)
-    return NormalizedConfig(
-        probs=tuple(c / config.n for c in config.counts), n=config.n
-    )
-
-
 def bias_stats(config: Configuration) -> BiasStats:
     """Plurality opinion, additive bias B, and normalized bias B/n.
 

@@ -185,7 +185,7 @@ def oracle_step(
             f"win distribution has k={win.k}, configuration has k={config.k}"
         )
     drawn = draw_multinomial(config.n, _renormalized(win.q), rng)
-    return Configuration(counts=drawn.counts, n=config.n)
+    return Configuration(counts=drawn, n=config.n)
 
 
 def _renormalized(q) -> tuple[float, ...]:

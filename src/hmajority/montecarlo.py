@@ -718,24 +718,31 @@ def rare_outsample_audit(
     """Repeat independent one-round experiments from a fixed configuration.
 
     A round counts as clean when every one of the n agents samples the
-    leading opinion strictly more often than the rare one. The comparison
-    bound is 1 - 1/n^(c3 - 2).
+    leading opinion strictly more often than the rare one. That event
+    depends only on the two opinions' counts, so each agent's sample is
+    drawn from the exact (leader, rare, rest) marginal: blocks of rows x 3
+    counts, whatever k is. The comparison bound is 1 - 1/n^(c3 - 2).
     """
-    probs = np.asarray(config.counts, dtype=np.float64) / config.n
-    lead = int(np.argmax(probs))
+    n, counts = config.n, config.counts
+    if not 1 <= rare_opinion <= config.k:
+        raise SweepSpecError(
+            f"rare_opinion must be in 1..{config.k}, got {rare_opinion}"
+        )
+    lead = counts.index(max(counts))
     rare = rare_opinion - 1
     if rare == lead:
         raise SweepSpecError("rare opinion coincides with the leader")
-    p1 = float(probs[lead])
+    c_lead, c_rare = counts[lead], counts[rare]
+    marginal = (c_lead / n, c_rare / n, (n - c_lead - c_rare) / n)
     if h is None:
-        h = math.ceil(c4 * math.log(config.n) / p1)
+        h = math.ceil(c4 * math.log(n) / marginal[0])
     rng = RngHandle(seed, stream_id=0)
     clean = 0
     for _ in range(rounds):
         all_outsampled = True
         # every block is drawn, so each round consumes the same stream
-        for matrix in sample_counts_chunks(h, probs, rng, config.n):
-            if np.any(matrix[:, lead] <= matrix[:, rare]):
+        for matrix in sample_counts_chunks(h, marginal, rng, n):
+            if np.any(matrix[:, 0] <= matrix[:, 1]):
                 all_outsampled = False
         if all_outsampled:
             clean += 1

@@ -43,7 +43,6 @@ import numpy as np
 from .core import (
     HMajorityError,
     NotSortedError,
-    SumMismatchError,
     coerce_probs,
     require_sorted,
 )
@@ -136,29 +135,6 @@ def _outcome_table(h: int, probs) -> tuple[np.ndarray, np.ndarray]:
 def _mass(values: np.ndarray, mask: np.ndarray) -> float:
     """Exactly rounded sum of values over mask."""
     return math.fsum(values[mask].tolist())
-
-
-def enumerate_outcomes(h: int, k: int) -> tuple[tuple[int, ...], ...]:
-    """Every count vector (x_1..x_k) with sum h, each exactly once, in
-    colexicographic order (last coordinate varies slowest)."""
-    x, _ = _outcome_table(h, (1.0,) * k)
-    return tuple(map(tuple, x.tolist()))
-
-
-def log_multinomial_pmf(x, h: int, p) -> float:
-    """log of h!/(prod x_i!) * prod p_i^{x_i}; -inf when impossible."""
-    probs = coerce_probs(p)
-    xs = tuple(int(v) for v in x)
-    if len(xs) != len(probs):
-        raise SumMismatchError(f"x has length {len(xs)}, p has length {len(probs)}")
-    if sum(xs) != h:
-        raise SumMismatchError(f"counts {xs} sum to {sum(xs)}, expected h={h}")
-    return float(_log_pmf(np.array([xs], dtype=np.int64), probs)[0])
-
-
-def multinomial_pmf(x, h: int, p) -> float:
-    """Multinomial pmf, exactly 0 when some x_i > 0 has p_i = 0."""
-    return math.exp(log_multinomial_pmf(x, h, p))
 
 
 def _tiebreak_weight(m: int) -> float:

@@ -1,7 +1,7 @@
-"""Bounded-cost random draws: multinomial count vectors (conditional-binomial
-chain or alias-table categorical sampling), memory-capped blocks of them or
-of raw category ids, and the row-wise mode with uniform tie-break, from a
-count matrix or straight from the ids.
+"""Bounded-cost random draws: multinomial count vectors from the
+conditional-binomial chain, memory-capped blocks of them or of raw category
+ids drawn through an alias table, and the row-wise mode with uniform
+tie-break, from a count matrix or straight from the ids.
 
 All randomness flows through RngHandle, a counter-based Philox stream keyed
 by (master_seed, stream_id): identical keys give byte-identical draw
@@ -11,35 +11,18 @@ reproducible under parallelism.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import HMajorityError, coerce_probs
 
 _MASK64 = (1 << 64) - 1
 
-# Row batch bound for matrix helpers; callers chunk above this.
-MAX_BATCH_CELLS = 1 << 28
-# Cell budget of one sample_counts_chunks block: rows x min(k, h).
+# Cell budget of one block: rows x k counts or rows x h draw ids.
 CHUNK_CELLS = 1 << 22
 
 
 class InvalidProbError(HMajorityError, ValueError):
-    """A sampling request with negative h or rows, an unknown method, or
-    more cells than MAX_BATCH_CELLS."""
-
-
-@dataclass(frozen=True)
-class SampleVector:
-    """Counts of each opinion among h sampled neighbors."""
-
-    counts: tuple[int, ...]
-    h: int
-
-    @property
-    def k(self) -> int:
-        return len(self.counts)
+    """A sampling request with negative h or rows."""
 
 
 class RngHandle:
@@ -62,11 +45,10 @@ class RngHandle:
         return f"RngHandle(master_seed={self.master_seed}, stream_id={self.stream_id})"
 
 
-def draw_multinomial(h: int, p, rng: RngHandle) -> SampleVector:
-    """One exact Multinomial(h, p) draw: a single row of the chain sampler,
-    so its cost is O(k) whatever h is."""
-    row = sample_counts_matrix(h, p, rng, 1, "chain")[0]
-    return SampleVector(counts=tuple(int(c) for c in row), h=int(h))
+def draw_multinomial(h: int, p, rng: RngHandle) -> tuple[int, ...]:
+    """One exact Multinomial(h, p) draw as a counts tuple: a single row of
+    the chain sampler, so its cost is O(k) whatever h is."""
+    return tuple(int(c) for c in sample_counts_matrix(h, p, rng, 1)[0])
 
 
 class AliasTable:
@@ -119,16 +101,14 @@ class AliasTable:
         return ids
 
 
-def sample_counts_matrix(
-    h: int, p, rng: RngHandle, rows: int, method: str = "auto"
-) -> np.ndarray:
+def sample_counts_matrix(h: int, p, rng: RngHandle, rows: int) -> np.ndarray:
     """(rows, k) matrix of independent Multinomial(h, p) draws.
 
-    method "chain" runs the conditional-binomial chain vectorized over rows
-    (O(k) per row); "categorical" draws h category ids per row through an
-    alias table (O(h) per row after O(k log k) setup) and counts them.
-    "auto" picks chain when k <= h, categorical otherwise. Rounds at k > h
-    skip the count matrix: see sample_draw_chunks and mode_of_draws.
+    The conditional-binomial chain, vectorized over rows: column i is
+    Binomial(remaining, p_i / (p_i + ... + p_k)), O(k) per row whatever h
+    is. Callers bound rows x k through sample_counts_chunks; rounds at
+    k > h take the modes from draw ids instead (sample_draw_chunks and
+    mode_of_draws).
     """
     probs = np.asarray(coerce_probs(p), dtype=np.float64)
     if h < 0:
@@ -136,39 +116,24 @@ def sample_counts_matrix(
     if rows < 0:
         raise InvalidProbError(f"rows must be >= 0, got {rows}")
     k = probs.size
-    if method == "auto":
-        method = "chain" if k <= h else "categorical"
-    if method == "chain":
-        if rows * k > MAX_BATCH_CELLS:
-            raise InvalidProbError("batch too large; chunk the rows")
-        out = np.zeros((rows, k), dtype=np.int64)
-        remaining = np.full(rows, int(h), dtype=np.int64)
-        rem_p = 1.0
-        for i in range(k - 1):
-            pi = float(probs[i])
-            if pi <= 0.0:
-                continue
-            if rem_p <= pi:
-                out[:, i] = remaining
-                remaining = np.zeros(rows, dtype=np.int64)
-                rem_p = 0.0
-                continue
-            x = rng.gen.binomial(remaining, pi / rem_p)
-            out[:, i] = x
-            remaining = remaining - x
-            rem_p -= pi
-        out[:, k - 1] += remaining
-        return out
-    if method == "categorical":
-        if rows * max(h, 1) > MAX_BATCH_CELLS:
-            raise InvalidProbError("batch too large; chunk the rows")
-        if h == 0:
-            return np.zeros((rows, k), dtype=np.int64)
-        ids = AliasTable(probs).draw_ids(rng, (rows, h))
-        flat = ids + (np.arange(rows, dtype=np.int64) * k)[:, None]
-        counts = np.bincount(flat.ravel(), minlength=rows * k)
-        return counts.reshape(rows, k).astype(np.int64)
-    raise InvalidProbError(f"unknown sampling method {method!r}")
+    out = np.zeros((rows, k), dtype=np.int64)
+    remaining = np.full(rows, int(h), dtype=np.int64)
+    rem_p = 1.0
+    for i in range(k - 1):
+        pi = float(probs[i])
+        if pi <= 0.0:
+            continue
+        if rem_p <= pi:
+            out[:, i] = remaining
+            remaining = np.zeros(rows, dtype=np.int64)
+            rem_p = 0.0
+            continue
+        x = rng.gen.binomial(remaining, pi / rem_p)
+        out[:, i] = x
+        remaining = remaining - x
+        rem_p -= pi
+    out[:, k - 1] += remaining
+    return out
 
 
 def _block_rows(width: int, n: int):
@@ -183,15 +148,14 @@ def _block_rows(width: int, n: int):
 
 
 def sample_counts_chunks(h: int, p, rng: RngHandle, n: int):
-    """Yield sample_counts_matrix blocks ("auto" method) whose rows total n.
+    """Yield (rows, k) sample_counts_matrix blocks whose rows total n.
 
-    Blocks have _block_rows(min(k, h), n) rows, so rows x min(k, h), the
-    sampler's per-row work, stays within CHUNK_CELLS; each block is a
-    (rows, k) count matrix. Blocks are drawn from rng in order, so the
-    stream depends only on (h, p, n).
+    Blocks have _block_rows(k, n) rows, so each holds at most CHUNK_CELLS
+    counts whatever h is. Blocks are drawn from rng in order, so the stream
+    depends only on (h, p, n).
     """
     probs = np.asarray(coerce_probs(p), dtype=np.float64)
-    for rows in _block_rows(min(probs.size, h), n):
+    for rows in _block_rows(probs.size, n):
         yield sample_counts_matrix(h, probs, rng, rows)
 
 

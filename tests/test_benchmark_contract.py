@@ -1,0 +1,50 @@
+"""The traced benchmark (benchmark/spans.py) wraps package functions by
+name from outside the package. Installing its tracer here makes a rename or
+deletion that would break the traced benchmark fail the test suite too."""
+
+import importlib.util
+from pathlib import Path
+
+import hmajority
+from hmajority import dynamics, verify
+from hmajority.core import Configuration
+from hmajority.oracle import win_distribution
+from hmajority.sampler import RngHandle
+
+SPANS = Path(__file__).resolve().parent.parent / "benchmark" / "spans.py"
+
+
+def load_spans():
+    spec = importlib.util.spec_from_file_location("benchmark_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_resolves_every_target_and_restores_the_package():
+    spans = load_spans()
+    step = dynamics.step
+    suites = dict(verify.ALL_SUITES)
+    tracer = spans.Tracer()
+    # install looks up every TARGETS, THEORY_FUNCTIONS and suite name, and
+    # raises AttributeError on one the package no longer has
+    tracer.install()
+    try:
+        patched = {key for _, key, _ in tracer._patches}
+        names = [fn for _, fn, _, _ in spans.TARGETS]
+        names += list(spans.THEORY_FUNCTIONS)
+        names += [f"suite_{s}" for s in spans.VERIFY_SUITES]
+        assert set(names) <= patched, set(names) - patched
+        # a chain round (k <= h): 100 rows; an oracle-level round: one row
+        rng = RngHandle(3)
+        cfg = Configuration.from_counts((40, 30, 30))
+        dynamics.step(cfg, 4, rng)
+        dynamics.oracle_step(cfg, win_distribution(3, (0.4, 0.3, 0.3)), rng)
+        assert tracer.counts["sampler.chain_rows"] == 101
+        assert tracer.counts["sampler.cells"] == 303
+        assert {"dynamics.step", "sampler.sample_counts_matrix",
+                "sampler.draw_multinomial"} <= set(tracer.self_times())
+    finally:
+        tracer.uninstall()
+    assert dynamics.step is step and hmajority.step is step
+    assert verify.ALL_SUITES == suites

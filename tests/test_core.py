@@ -7,7 +7,6 @@ from hmajority.core import (
     SumMismatchError,
     bias_stats,
     is_consensus,
-    normalize,
     validate,
 )
 
@@ -29,22 +28,6 @@ def test_validate_empty_system():
 def test_validate_negative_count():
     with pytest.raises(SumMismatchError):
         validate(Configuration(counts=(6, -1), n=5))
-
-
-def test_normalize_basic():
-    p = normalize(Configuration(counts=(600, 400), n=1000))
-    assert p.probs == (0.6, 0.4)
-    assert p.n == 1000
-
-
-def test_normalize_consensus():
-    p = normalize(Configuration(counts=(1000, 0), n=1000))
-    assert p.probs == (1.0, 0.0)
-
-
-def test_normalize_uniform():
-    p = normalize(Configuration(counts=(1, 1, 1), n=3))
-    assert p.probs == (1 / 3, 1 / 3, 1 / 3)
 
 
 def test_bias_stats_basic():

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -238,6 +239,29 @@ def test_rare_outsample_rejects_leader():
     cfg = Configuration.from_counts((48, 20, 20, 12))
     with pytest.raises(SweepSpecError):
         rare_outsample_audit(cfg, rare_opinion=1, rounds=5, seed=1, h=10)
+
+
+@pytest.mark.parametrize("rare_opinion", [0, 5])
+def test_rare_outsample_rejects_opinion_out_of_range(rare_opinion):
+    # opinions are 1..k: 0 must not wrap round to opinion k
+    cfg = Configuration.from_counts((48, 20, 20, 12))
+    with pytest.raises(SweepSpecError, match="1..4"):
+        rare_outsample_audit(cfg, rare_opinion=rare_opinion, rounds=5, seed=1, h=10)
+
+
+def test_rare_outsample_memory_independent_of_k():
+    # each agent's sample is a (leader, rare, rest) count triple, so a
+    # block holds rows x 3 counts, never a rows x k matrix
+    n, k = 65_536, 128
+    cfg = Configuration.from_counts([n // k] * k)
+    tracemalloc.start()
+    try:
+        report = rare_outsample_audit(cfg, rare_opinion=k, rounds=1, seed=41, h=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.rounds == 1 and report.k == k
+    assert peak < 16 * 2**20, peak
 
 
 def test_summaries_and_scaling():

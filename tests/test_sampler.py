@@ -1,6 +1,7 @@
 import itertools
 import math
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from scipy.stats import chi2
 
 from hmajority.core import SumMismatchError
-from hmajority.oracle import multinomial_pmf
 from hmajority.sampler import (
     CHUNK_CELLS,
     AliasTable,
@@ -21,6 +21,8 @@ from hmajority.sampler import (
     sample_counts_matrix,
     sample_draw_chunks,
 )
+
+from oracles import exact_multinomial_pmf_fraction
 
 
 def test_rng_streams_are_reproducible():
@@ -35,37 +37,53 @@ def test_rng_streams_differ_across_stream_ids():
     assert a.tobytes() != b.tobytes()
 
 
+def count_draw_ids(h, p, rng, rows):
+    """(rows, k) count matrix of the ids sample_draw_chunks draws: the
+    categorical sampler, counted row by row."""
+    k = len(p)
+    blocks = []
+    for ids in sample_draw_chunks(h, np.asarray(p), rng, rows):
+        flat = ids + (np.arange(ids.shape[0]) * k)[:, None]
+        counts = np.bincount(flat.ravel(), minlength=ids.shape[0] * k)
+        blocks.append(counts.reshape(-1, k))
+    return np.concatenate(blocks)
+
+
+# Both samplers of one row's counts: the chain and the counted draw ids.
+SAMPLERS = {"chain": sample_counts_matrix, "categorical": count_draw_ids}
+
+
 # With k = 2 the chain sampler's first column is one Binomial(h, p_1) draw.
 
 
 def test_draw_binomial_degenerate():
     rng = RngHandle(1)
-    for method in ("chain", "categorical"):
-        assert np.all(sample_counts_matrix(5, (0.0, 1.0), rng, 8, method)[:, 0] == 0)
-        assert np.all(sample_counts_matrix(5, (1.0, 0.0), rng, 8, method)[:, 0] == 5)
-        assert np.all(sample_counts_matrix(0, (0.3, 0.7), rng, 8, method) == 0)
+    for sampler in SAMPLERS.values():
+        assert np.all(sampler(5, (0.0, 1.0), rng, 8)[:, 0] == 0)
+        assert np.all(sampler(5, (1.0, 0.0), rng, 8)[:, 0] == 5)
+        assert np.all(sampler(0, (0.3, 0.7), rng, 8) == 0)
 
 
 def test_draw_binomial_invalid_prob():
     rng = RngHandle(1)
     with pytest.raises(SumMismatchError):
-        sample_counts_matrix(5, (1.5, -0.5), rng, 1, "chain")
+        sample_counts_matrix(5, (1.5, -0.5), rng, 1)
     with pytest.raises(InvalidProbError):
-        sample_counts_matrix(-1, (0.5, 0.5), rng, 1, "chain")
+        sample_counts_matrix(-1, (0.5, 0.5), rng, 1)
 
 
 def test_draw_binomial_mean_large_trials():
     # Bin(1e5, 0.3): sample mean over 1e4 draws within 3 sigma/100 of 3e4
     rng = RngHandle(12345)
-    draws = sample_counts_matrix(10**5, (0.3, 0.7), rng, 10**4, "chain")[:, 0]
+    draws = sample_counts_matrix(10**5, (0.3, 0.7), rng, 10**4)[:, 0]
     sigma = math.sqrt(10**5 * 0.3 * 0.7)
     assert abs(np.mean(draws) - 3 * 10**4) < 3 * sigma / 100
 
 
 def test_draw_multinomial_trivial():
     rng = RngHandle(2)
-    assert draw_multinomial(0, (0.5, 0.5), rng).counts == (0, 0)
-    assert draw_multinomial(4, (1.0,), rng).counts == (4,)
+    assert draw_multinomial(0, (0.5, 0.5), rng) == (0, 0)
+    assert draw_multinomial(4, (1.0,), rng) == (4,)
 
 
 def test_draw_multinomial_means():
@@ -73,7 +91,7 @@ def test_draw_multinomial_means():
     total = np.zeros(3)
     reps = 10**5
     for _ in range(reps):
-        total += draw_multinomial(6, (0.5, 0.3, 0.2), rng).counts
+        total += draw_multinomial(6, (0.5, 0.3, 0.2), rng)
     means = total / reps
     for mean, p in zip(means, (0.5, 0.3, 0.2)):
         sigma = math.sqrt(6 * p * (1 - p))
@@ -82,9 +100,9 @@ def test_draw_multinomial_means():
 
 def test_draw_categorical_trivial():
     rng = RngHandle(3)
-    empty = sample_counts_matrix(0, (0.5, 0.5), rng, 4, "categorical")
+    empty = count_draw_ids(0, (0.5, 0.5), rng, 4)
     assert empty.tolist() == [[0, 0]] * 4
-    point = sample_counts_matrix(1, (0.0, 1.0, 0.0), rng, 4, "categorical")
+    point = count_draw_ids(1, (0.0, 1.0, 0.0), rng, 4)
     assert point.tolist() == [[0, 1, 0]] * 4
 
 
@@ -106,10 +124,10 @@ def test_multinomial_vs_categorical_same_law():
     draws = 10**5
     outcomes_a = {}
     outcomes_b = {}
-    for row in sample_counts_matrix(3, probs, rng, draws, "chain").tolist():
+    for row in sample_counts_matrix(3, probs, rng, draws).tolist():
         key = tuple(row)
         outcomes_a[key] = outcomes_a.get(key, 0) + 1
-    for row in sample_counts_matrix(3, probs, rng, draws, "categorical").tolist():
+    for row in count_draw_ids(3, probs, rng, draws).tolist():
         key = tuple(row)
         outcomes_b[key] = outcomes_b.get(key, 0) + 1
     keys = sorted(set(outcomes_a) | set(outcomes_b))
@@ -120,13 +138,14 @@ def test_multinomial_vs_categorical_same_law():
     assert pvalue > 1e-3
 
 
-@pytest.mark.parametrize("method", ["chain", "categorical"])
-def test_counts_matrix_matches_exact_pmf(method):
+@pytest.mark.parametrize("name", SAMPLERS)
+def test_counts_matrix_matches_exact_pmf(name):
     # goodness of fit of each batched sampler against the exact pmf (alpha 1e-3)
     rng = RngHandle(5150)
-    h, probs = 4, (0.5, 0.3, 0.2)
+    h, fracs = 4, (Fraction(1, 2), Fraction(3, 10), Fraction(1, 5))
+    probs = tuple(float(f) for f in fracs)
     rows = 10**6
-    matrix = sample_counts_matrix(h, probs, rng, rows, method=method)
+    matrix = SAMPLERS[name](h, probs, rng, rows)
     assert matrix.sum(axis=1).min() == h and matrix.sum(axis=1).max() == h
     observed = {}
     key = matrix[:, 0] * 25 + matrix[:, 1] * 5 + matrix[:, 2]
@@ -137,7 +156,8 @@ def test_counts_matrix_matches_exact_pmf(method):
     for x0 in range(h + 1):
         for x1 in range(h + 1 - x0):
             x2 = h - x0 - x1
-            expect = multinomial_pmf((x0, x1, x2), h, probs) * rows
+            exact = exact_multinomial_pmf_fraction((x0, x1, x2), h, fracs)
+            expect = float(exact) * rows
             seen = observed.get(x0 * 25 + x1 * 5 + x2, 0)
             stat += (seen - expect) ** 2 / expect
             cells += 1
@@ -190,24 +210,27 @@ def test_multinomial_sums_to_h(h, weights, seed):
     probs[-1] += 1.0 - sum(probs)
     rng = RngHandle(seed)
     vec = draw_multinomial(h, tuple(probs), rng)
-    assert sum(vec.counts) == h
-    assert all(c >= 0 for c in vec.counts)
-    row = sample_counts_matrix(h, tuple(probs), rng, 1, "categorical")[0]
+    assert sum(vec) == h
+    assert all(c >= 0 for c in vec)
+    row = count_draw_ids(h, tuple(probs), rng, 1)[0]
     assert row.sum() == h
     assert row.min() >= 0
 
 
-@pytest.mark.parametrize("k, h, n", [(2, 3, 70_000), (3000, 2000, 5000)])
+@pytest.mark.parametrize(
+    "k, h, n", [(2, 3, 70_000), (3000, 2000, 5000), (2000, 0, 5000)]
+)
 def test_count_chunks_cap_cells(k, h, n):
     rng = RngHandle(8)
     rows = []
     for block in sample_counts_chunks(h, np.full(k, 1.0 / k), rng, n):
-        assert block.shape[0] * min(k, h) <= CHUNK_CELLS
+        assert block.shape == (block.shape[0], k)
+        assert block.shape[0] * k <= CHUNK_CELLS
         assert np.all(block.sum(axis=1) == h)
         rows.append(block.shape[0])
     assert sum(rows) == n
-    # blocks shrink below 65 536 rows only when min(k, h) > 64
-    assert rows[0] == min(65_536, CHUNK_CELLS // min(k, h))
+    # blocks shrink below 65 536 rows only when k > 64
+    assert rows[0] == min(65_536, CHUNK_CELLS // k)
 
 
 # Each multiset is fed to mode_of_draws in every distinct order. Given its

@@ -8,7 +8,6 @@ from .core import (
     Configuration,
     EmptySystemError,
     HMajorityError,
-    NormalizedConfig,
     SumMismatchError,
     bias_stats,
     is_consensus,
@@ -21,7 +20,6 @@ from .montecarlo import (
     TrialRecord,
     bias_growth_audit,
     check_w1_lower_bound,
-    estimate_win_probs,
     run_sweep,
 )
 from .oracle import (
@@ -56,7 +54,6 @@ __all__ = [
     "Estimate",
     "EventReport",
     "HMajorityError",
-    "NormalizedConfig",
     "RngHandle",
     "RunParams",
     "SumMismatchError",
@@ -69,7 +66,6 @@ __all__ = [
     "binomial_pair_report",
     "check_w1_lower_bound",
     "draw_multinomial",
-    "estimate_win_probs",
     "event_report",
     "g_function",
     "is_consensus",

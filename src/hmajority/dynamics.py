@@ -23,7 +23,6 @@ from .core import (
     HMajorityError,
     bias_stats,
     is_consensus,
-    validate,
 )
 from .oracle import WinDistribution, win_distribution
 from .sampler import (
@@ -150,7 +149,6 @@ def step(config: Configuration, h: int, rng: RngHandle) -> Configuration:
     Consensus is absorbing: every sample then consists of the consensus
     opinion only, so the input is returned as is.
     """
-    validate(config)
     if h < 1:
         raise ValueError(f"h must be >= 1, got {h}")
     if is_consensus(config) is not None:
@@ -166,7 +164,7 @@ def step(config: Configuration, h: int, rng: RngHandle) -> Configuration:
         for matrix in sample_counts_chunks(h, probs, rng, config.n):
             winners = argmax_rows_with_tiebreak(matrix, rng)
             new_counts += np.bincount(winners, minlength=k)
-    return Configuration(counts=tuple(int(c) for c in new_counts), n=config.n)
+    return Configuration(counts=tuple(new_counts.tolist()), n=config.n)
 
 
 def oracle_step(
@@ -179,7 +177,6 @@ def oracle_step(
     distributionally identical to step. win must have been computed for
     exactly this configuration's (h, counts/n).
     """
-    validate(config)
     if win.k != config.k:
         raise DimensionMismatchError(
             f"win distribution has k={win.k}, configuration has k={config.k}"
@@ -202,16 +199,15 @@ def run(config0: Configuration, params: RunParams) -> Trajectory:
     max_rounds_only all rounds are executed and the terminal status reflects
     the final configuration.
     """
-    validate(config0)
     rng = RngHandle(params.seed, stream_id=0)
     traj = Trajectory()
-    stats0 = bias_stats(config0)
-    traj.initial_plurality = stats0.plurality_opinion
+    summary0 = summarize_round(0, config0)
+    traj.rounds.append(summary0)
+    traj.initial_plurality = summary0.plurality
     target = params.target_opinion
     if params.stop_rule == STOP_PLURALITY and target is None:
-        target = stats0.plurality_opinion
+        target = summary0.plurality
 
-    traj.rounds.append(summarize_round(0, config0))
     winner0 = is_consensus(config0)
     if winner0 is not None:
         traj.consensus_round = 0

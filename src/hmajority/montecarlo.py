@@ -145,21 +145,6 @@ def sample_win_events(h: int, p, trials: int, rng: RngHandle) -> WinEventCounts:
     )
 
 
-def estimate_win_probs(
-    h: int,
-    p,
-    trials: int,
-    seed: int,
-    confidence: float = DEFAULT_CONFIDENCE,
-) -> list[Estimate]:
-    """Per-opinion adoption probability estimates; deterministic given seed."""
-    if trials < 1:
-        raise SweepSpecError(f"trials must be >= 1, got {trials}")
-    rng = RngHandle(seed, stream_id=0)
-    counts = sample_win_events(h, p, trials, rng)
-    return [Estimate.from_counts(c, trials, confidence) for c in counts.win]
-
-
 @dataclass(frozen=True)
 class W1BoundReport:
     """Monte Carlo check of the plurality-opinion lower bounds.
@@ -724,6 +709,8 @@ def rare_outsample_audit(
     counts, whatever k is. The comparison bound is 1 - 1/n^(c3 - 2).
     """
     n, counts = config.n, config.counts
+    if rounds < 1:
+        raise SweepSpecError(f"rounds must be >= 1, got {rounds}")
     if not 1 <= rare_opinion <= config.k:
         raise SweepSpecError(
             f"rare_opinion must be in 1..{config.k}, got {rare_opinion}"

@@ -28,14 +28,7 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-from .core import (
-    Configuration,
-    HMajorityError,
-    NormalizedConfig,
-    coerce_probs,
-    require_sorted,
-    validate,
-)
+from .core import Configuration, HMajorityError, coerce_probs, require_sorted
 from .oracle import ABS_TOL, g_function
 
 
@@ -207,8 +200,6 @@ def classify_opinions(
     when some opinion satisfies none, in which case the growth claim's
     hypotheses do not hold.
     """
-    validate(before)
-    validate(after)
     if before.k != after.k or before.n != after.n:
         raise UnclassifiedOpinionError("configurations must share n and k")
     if before.k < 2:
@@ -263,14 +254,13 @@ def large_bias_boundary(p1: float, c6: float = DEFAULT_C6) -> float:
     return (1.0 - 1.0 / (1.0 + c6)) * p1
 
 
-def regime_classifier(
-    p: NormalizedConfig, h: int, j: int, c6: float = DEFAULT_C6
-) -> str:
+def regime_classifier(p, h: int, j: int, c6: float = DEFAULT_C6) -> str:
     """Classify the gap delta(j) = p_1 - p_j into its analysis regime.
 
-    p must be sorted in non-increasing order and j is a 1-based opinion id
-    with j >= 2. Boundary points go to the higher regime, and the large
-    check takes precedence so the classification is monotone in delta(j).
+    p is a probability sequence sorted in non-increasing order and j is a
+    1-based opinion id with j >= 2. Boundary points go to the higher regime,
+    and the large check takes precedence so the classification is monotone
+    in delta(j).
     """
     probs = coerce_probs(p)
     if j < 2 or j > len(probs):

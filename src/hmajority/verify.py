@@ -39,7 +39,6 @@ from .theory import (
     VERDICT_INCONCLUSIVE,
     VERDICT_PASS,
     UnclassifiedOpinionError,
-    classify_opinions,
     p1_growth_audit,
     verdict_report,
 )
@@ -244,12 +243,12 @@ def suite_growth_claim(seed: int = 7, random_instances: int = 300) -> SuiteResul
         before = Configuration(counts=before_counts, n=n)
         after = Configuration(counts=after_counts, n=n)
         try:
-            labels = classify_opinions(before, after)
+            outcome = p1_growth_audit(before, after)
         except UnclassifiedOpinionError:
             return
         classified += 1
         result.checks += 1
-        if p1_growth_audit(before, after, labels) != "pass":
+        if outcome != "pass":
             result.add_failure(f"before={before_counts} after={after_counts}")
 
     # exhaustive over every pair of 3-opinion configurations with n = 6

@@ -48,3 +48,17 @@ def test_tracer_resolves_every_target_and_restores_the_package():
         tracer.uninstall()
     assert dynamics.step is step and hmajority.step is step
     assert verify.ALL_SUITES == suites
+
+
+def test_tracer_counts_one_validate_per_configuration():
+    # Configuration checks itself through the module-global validate, so the
+    # tracer's wrapper sees exactly one call per configuration built
+    tracer = load_spans().Tracer()
+    tracer.install()
+    try:
+        cfg = Configuration.from_counts((40, 30, 30))
+        assert tracer.counts["core.validate.calls"] == 1
+        dynamics.step(cfg, 3, RngHandle(3))
+        assert tracer.counts["core.validate.calls"] == 2
+    finally:
+        tracer.uninstall()

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from hmajority import core
 from hmajority.core import (
     Configuration,
     EmptySystemError,
@@ -9,6 +10,7 @@ from hmajority.core import (
     is_consensus,
     validate,
 )
+from hmajority.dynamics import STOP_MAX_ROUNDS, RunParams, run
 
 
 def test_validate_ok():
@@ -35,7 +37,6 @@ def test_bias_stats_basic():
     assert b.plurality_opinion == 1
     assert b.additive_bias == 200
     assert b.normalized_bias == 0.2
-    assert b.pairwise_gap == (0.0, 0.2)
 
 
 def test_bias_stats_tied():
@@ -64,6 +65,28 @@ def test_is_consensus():
     assert is_consensus(Configuration(counts=(0, 7, 0), n=7)) == 2
     assert is_consensus(Configuration(counts=(6, 1, 0), n=7)) is None
     assert is_consensus(Configuration(counts=(1,), n=1)) == 1
+
+
+@pytest.mark.parametrize(
+    "counts, n, error",
+    [((3, 2), 6, SumMismatchError), ((6, -1), 5, SumMismatchError),
+     ((), 0, EmptySystemError)],
+)
+def test_configuration_is_valid_by_construction(counts, n, error):
+    with pytest.raises(error):
+        Configuration(counts=counts, n=n)
+
+
+def test_run_validates_once_per_configuration(monkeypatch):
+    # each configuration checks itself when built; nothing checks it again
+    calls = []
+    real = core.validate
+    monkeypatch.setattr(core, "validate", lambda cfg: calls.append(cfg) or real(cfg))
+    rounds = 20
+    config0 = Configuration.from_counts((40, 30, 30))
+    run(config0, RunParams(h=3, max_rounds=rounds, stop_rule=STOP_MAX_ROUNDS, seed=5))
+    assert 1 <= len(calls) <= rounds + 1, len(calls)
+    assert len({id(cfg) for cfg in calls}) == len(calls)
 
 
 def test_from_counts_validates():

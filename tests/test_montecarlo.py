@@ -15,16 +15,17 @@ from hmajority.montecarlo import (
     bias_growth_audit,
     check_w1_lower_bound,
     derive_trial_seed,
-    estimate_win_probs,
     rare_outsample_audit,
     read_records_jsonl,
     run_sweep,
+    sample_win_events,
     scaling_fit,
     summarize_cells,
     wilson_interval,
     write_records_jsonl,
 )
 from hmajority.oracle import win_distribution
+from hmajority.sampler import RngHandle
 
 
 def test_wilson_interval_orders():
@@ -51,14 +52,20 @@ def test_estimate_invariants():
     assert est.wilson_low <= est.point <= est.wilson_high
 
 
+def win_estimates(h, p, trials, seed):
+    """Per-opinion adoption estimates from one seeded sample_win_events."""
+    counts = sample_win_events(h, p, trials, RngHandle(seed, stream_id=0))
+    return [Estimate.from_counts(c, trials) for c in counts.win]
+
+
 def test_estimate_win_probs_point_mass():
-    estimates = estimate_win_probs(4, (1.0, 0.0), trials=500, seed=1)
+    estimates = win_estimates(4, (1.0, 0.0), trials=500, seed=1)
     assert estimates[0].point == 1.0
     assert estimates[1].point == 0.0
 
 
 def test_estimate_win_probs_uniform_symmetric():
-    estimates = estimate_win_probs(2, (1 / 3, 1 / 3, 1 / 3), trials=10**5, seed=2)
+    estimates = win_estimates(2, (1 / 3, 1 / 3, 1 / 3), trials=10**5, seed=2)
     for est in estimates:
         assert est.wilson_low <= 1 / 3 <= est.wilson_high
 
@@ -68,14 +75,14 @@ def test_estimates_contain_exact_oracle_values():
     cases = [(3, (0.6, 0.4)), (2, (1 / 3, 1 / 3, 1 / 3)), (4, (0.5, 0.3, 0.2))]
     for seed, (h, probs) in enumerate(cases):
         exact = win_distribution(h, probs)
-        estimates = estimate_win_probs(h, probs, trials=10**6, seed=8000 + seed)
+        estimates = win_estimates(h, probs, trials=10**6, seed=8000 + seed)
         for est, q in zip(estimates, exact.q):
             assert est.wilson_low <= q <= est.wilson_high
 
 
 def test_estimate_win_probs_deterministic():
-    a = estimate_win_probs(3, (0.6, 0.4), trials=10**4, seed=77)
-    b = estimate_win_probs(3, (0.6, 0.4), trials=10**4, seed=77)
+    a = win_estimates(3, (0.6, 0.4), trials=10**4, seed=77)
+    b = win_estimates(3, (0.6, 0.4), trials=10**4, seed=77)
     assert a == b
 
 
@@ -233,6 +240,14 @@ def test_rare_outsample_audit_smoke():
     assert report.rounds == 20
     assert 0.0 <= report.fraction <= 1.0
     assert report.bound == pytest.approx(1 - 1 / 100)
+
+
+@pytest.mark.parametrize("rounds", [0, -1])
+def test_rare_outsample_rejects_rounds_below_one(rounds):
+    # the report's fraction is clean rounds / rounds
+    cfg = Configuration.from_counts((48, 20, 20, 12))
+    with pytest.raises(SweepSpecError, match="rounds"):
+        rare_outsample_audit(cfg, rare_opinion=4, rounds=rounds, seed=1, h=10)
 
 
 def test_rare_outsample_rejects_leader():

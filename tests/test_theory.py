@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hmajority.core import Configuration, NormalizedConfig
+from hmajority.core import Configuration
 from hmajority.montecarlo import Estimate
 from hmajority.theory import (
     BOUND_CATALOG,
@@ -139,7 +139,7 @@ def test_growth_audit_randomized(k, n, pyrandom):
 
 
 def _sorted_config(probs):
-    return NormalizedConfig.from_probs(probs)
+    return tuple(probs)
 
 
 def test_regime_zero_gap_is_small():

@@ -17,19 +17,17 @@ import sys
 from dataclasses import asdict
 
 from .core import Configuration, HMajorityError
-from .dynamics import RunParams, run
+from .dynamics import RunParams, require_target, run
 from .montecarlo import (
     SCHEMA_VERSION,
+    RecordFileError,
     SweepSpec,
-    drop_torn_line,
     read_mean_timings_csv,
     read_records_jsonl,
-    run_sweep,
     scaling_fit,
     summarize_cells,
-    timings_row,
+    write_sweep,
     SUMMARY_HEADER,
-    TIMINGS_HEADER,
 )
 from .oracle import event_report, tie_map_audit, win_distribution
 from .verify import ALL_SUITES, run_suites
@@ -48,6 +46,7 @@ _SIM_FIELDS = {
 
 class ConfigError(HMajorityError, ValueError):
     pass
+
 
 
 def _load_json(path: str) -> dict:
@@ -101,6 +100,7 @@ def _cmd_simulate(args) -> int:
             seed=int(seed),
             step_mode=data.get("step_mode", "agent_level"),
         )
+        require_target(params.target_opinion, config.k)
     except (ValueError, HMajorityError) as exc:
         raise ConfigError(str(exc))
     out_path = os.path.join(args.out, "trajectory.json")
@@ -132,60 +132,15 @@ def _cmd_sweep(args) -> int:
     data = _load_json(args.spec)
     try:
         spec = SweepSpec.from_json_dict(data)
-        cells = spec.cells()
+        spec.cells()  # grid errors too exit 2, before the clobber check
     except HMajorityError as exc:
         raise ConfigError(str(exc))
-    os.makedirs(args.out, exist_ok=True)
     records_path = os.path.join(args.out, "records.jsonl")
-    timings_path = os.path.join(args.out, "timings.csv")
-    resume = os.path.exists(records_path)
-    if resume and not args.append:
+    if os.path.exists(records_path) and not args.append:
         raise ConfigError(f"{records_path} exists; pass --append to extend it")
-    done = set()
-    if resume:
-        # skip the (cell, trial) pairs this master seed already wrote: trial
-        # seeds depend only on (master seed, cell, trial), so the resumed
-        # file is byte-equal to an uninterrupted run
-        drop_torn_line(records_path)
-        done = {
-            (r["cell_id"], r["trial"])
-            for r in _read_records(records_path)
-            if r["master_seed"] == spec.master_seed
-        }
-    # timings.csv keeps one row per record line, old and new
-    keep_timings = (
-        resume and os.path.exists(timings_path) and drop_torn_line(timings_path) > 0
-    )
-    written = 0
-    with open(records_path, "a", encoding="utf-8") as fh, open(
-        timings_path, "a" if keep_timings else "w", encoding="utf-8"
-    ) as timings:
-        if not keep_timings:
-            timings.write(TIMINGS_HEADER)
-        for record in run_sweep(spec, workers=args.workers, skip=done):
-            fh.write(record.to_json_line())
-            fh.write("\n")
-            fh.flush()  # records survive a mid-sweep crash
-            timings.write(timings_row(record))
-            timings.flush()
-            written += 1
-    meta = {
-        "schema_version": SCHEMA_VERSION,
-        "master_seed": spec.master_seed,
-        "cells": [c.cell_id for c in cells],
-        "trials": spec.trials,
-    }
-    with open(os.path.join(args.out, "sweep_meta.json"), "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2)
-    print(f"wrote {written} records to {records_path} ({len(done)} already there)")
+    written, done = write_sweep(spec, args.out, workers=args.workers)
+    print(f"wrote {written} records to {records_path} ({done} already there)")
     return 0
-
-
-def _read_records(path: str) -> list[dict]:
-    try:
-        return read_records_jsonl(path)
-    except ValueError as exc:  # a line that is not JSON, or not UTF-8
-        raise ConfigError(f"{path} holds a line that is not a JSON record: {exc}")
 
 
 def _cmd_oracle(args) -> int:
@@ -257,7 +212,7 @@ def _cmd_report(args) -> int:
         raise ConfigError(f"no .jsonl record files in {args.in_dir}")
     records = []
     for path in record_files:
-        records.extend(_read_records(path))
+        records.extend(read_records_jsonl(path))
     timings_path = os.path.join(args.in_dir, "timings.csv")
     try:
         timings = read_mean_timings_csv(timings_path)
@@ -340,7 +295,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, RecordFileError) as exc:  # bad inputs, not a bad run
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except HMajorityError as exc:

@@ -57,11 +57,13 @@ class Configuration:
 
 
 def coerce_probs(p) -> tuple[float, ...]:
-    """p as a tuple of floats, checked to be non-empty, non-negative and
-    summing to 1 (within PROB_SUM_TOL)."""
+    """p as a tuple of floats, checked to be non-empty, finite, non-negative
+    and summing to 1 (within PROB_SUM_TOL)."""
     probs = tuple(float(v) for v in p)
     if not probs:
         raise EmptySystemError("no opinions")
+    if not all(map(math.isfinite, probs)):  # a NaN fails no comparison below
+        raise SumMismatchError(f"non-finite probability in {probs}")
     if any(v < 0.0 for v in probs):
         raise SumMismatchError(f"negative probability in {probs}")
     # fsum: counts/n vectors sum to 1 within one rounding at any k

@@ -190,6 +190,12 @@ def _renormalized(q) -> tuple[float, ...]:
     return tuple(v / total for v in q)
 
 
+def require_target(target: int | None, k: int, error=ValueError) -> None:
+    """Raise error unless target is None or an opinion id in 1..k."""
+    if target is not None and not (isinstance(target, int) and 1 <= target <= k):
+        raise error(f"target_opinion must be in 1..{k}, got {target!r}")
+
+
 def run(config0: Configuration, params: RunParams) -> Trajectory:
     """Iterate rounds until the stop rule fires or max_rounds is reached.
 
@@ -197,8 +203,9 @@ def run(config0: Configuration, params: RunParams) -> Trajectory:
     than the target terminates with status plurality_lost (consensus is
     absorbing, so the target can never be reached afterwards). Under
     max_rounds_only all rounds are executed and the terminal status reflects
-    the final configuration.
+    the final configuration. A target_opinion outside 1..k raises ValueError.
     """
+    require_target(params.target_opinion, config0.k)
     rng = RngHandle(params.seed, stream_id=0)
     traj = Trajectory()
     summary0 = summarize_round(0, config0)

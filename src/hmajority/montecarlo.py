@@ -6,9 +6,11 @@ where the normal approximation is unreliable. Sweep trials derive their
 seeds as hash(master_seed, cell_index, trial_index), so any trial can be
 re-run in isolation and worker count never changes the emitted records.
 
-Record streams serialize to JSON-lines with a fixed key order. Wall-clock
-timings are kept out of the record lines (they would break byte-for-byte
-reproducibility of repeated runs) and travel in a separate timings table.
+Record streams serialize to JSON-lines with a fixed key order, and
+write_sweep is the one writer of a sweep's files, for the CLI and the
+library alike. Wall-clock timings are kept out of the record lines (they
+would break byte-for-byte reproducibility of repeated runs) and travel in a
+separate timings table.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .dynamics import (
     STOP_CONSENSUS,
     STOP_RULES,
     RunParams,
+    require_target,
     run,
 )
 from .sampler import (
@@ -59,6 +62,10 @@ DEFAULT_CONFIDENCE = 0.999
 
 class SweepSpecError(HMajorityError, ValueError):
     """A sweep specification violates its schema."""
+
+
+class RecordFileError(HMajorityError, ValueError):
+    """A record file holds a line that is not a JSON record."""
 
 
 def wilson_interval(
@@ -340,27 +347,40 @@ class SweepSpec:
                 f"unsupported schema_version {data.get('schema_version')!r}"
             )
 
-        def as_list(name, default=()):
-            v = data.get(name, default)
+        def as_ints(name):
+            v = data.get(name)
+            if v is None:
+                return ()
             if isinstance(v, (int, float)):
                 v = [v]
-            return tuple(int(x) for x in v)
+            if isinstance(v, list):  # a JSON string is not a list of ints
+                try:
+                    return tuple(int(x) for x in v)
+                except (TypeError, ValueError):
+                    pass
+            raise SweepSpecError(f"'{name}' must be an integer or a list of "
+                                 f"integers, got {v!r}")
+
+        def number(name, default, kind=int):
+            v = data.get(name, default)
+            try:
+                return v if v is None else kind(v)
+            except (TypeError, ValueError):
+                raise SweepSpecError(f"'{name}' must be a number, got {v!r}") from None
 
         return cls(
-            ns=as_list("n"),
-            ks=as_list("k"),
-            hs=as_list("h"),
-            h_rule_c4=data.get("h_rule_c4"),
+            ns=as_ints("n"),
+            ks=as_ints("k"),
+            hs=as_ints("h"),
+            h_rule_c4=number("h_rule_c4", None, float),
             pattern=data.get("pattern", PATTERN_BALANCED_BIAS),
-            bias_multiplier=float(data.get("bias_multiplier", 10.0)),
-            custom_counts=tuple(data["custom_counts"])
-            if data.get("custom_counts")
-            else None,
-            trials=int(data.get("trials", 100)),
-            master_seed=int(data.get("master_seed", 0)),
+            bias_multiplier=number("bias_multiplier", 10.0, float),
+            custom_counts=as_ints("custom_counts") or None,
+            trials=number("trials", 100),
+            master_seed=number("master_seed", 0),
             stop_rule=data.get("stop_rule", STOP_CONSENSUS),
-            max_rounds=int(data.get("max_rounds", 1000)),
-            target_opinion=data.get("target_opinion"),
+            max_rounds=number("max_rounds", 1000),
+            target_opinion=number("target_opinion", None),
         )
 
     def cells(self) -> list[SweepCell]:
@@ -377,11 +397,16 @@ class SweepSpec:
         cells = []
         for counts, b0 in starts:
             n, k = sum(counts), len(counts)
+            require_target(self.target_opinion, k, SweepSpecError)
             for h in self._hs_for(n, counts):
+                cell_id = f"n{n}-k{k}-h{h}-{self.pattern}"
+                if any(c.cell_id == cell_id for c in cells):
+                    # resume and report key on cell_id, so it must be unique
+                    raise SweepSpecError(f"the spec lists cell {cell_id} twice")
                 cells.append(
                     SweepCell(
                         index=len(cells),
-                        cell_id=f"n{n}-k{k}-h{h}-{self.pattern}",
+                        cell_id=cell_id,
                         n=n,
                         k=k,
                         h=h,
@@ -411,39 +436,16 @@ def derive_trial_seed(master_seed: int, cell_index: int, trial_index: int) -> in
     return int.from_bytes(digest[:8], "big")
 
 
-# JSON-lines field order is part of the on-disk contract.
-_RECORD_FIELDS = (
-    "schema_version",
-    "master_seed",
-    "cell_id",
-    "cell_index",
-    "trial",
-    "seed",
-    "n",
-    "k",
-    "h",
-    "b0",
-    "pattern",
-    "status",
-    "consensus_round",
-    "winner",
-    "initial_plurality",
-    "plurality_preserved",
-    "rounds_run",
-    "bias_trace",
-    "lead_trace",
-)
-
-
 @dataclass
 class TrialRecord:
     """Outcome of one simulated run inside a sweep cell.
 
     bias_trace holds (round, normalized bias) pairs; lead_trace holds
     (round, p1, p2) with the two largest opinion fractions, which the growth
-    audit needs to evaluate its per-round regime boundaries. wall_time_ms is
-    intentionally not serialized into the record line. The outcome fields
-    default to those of an error record, which ran no round.
+    audit needs to evaluate its per-round regime boundaries. The field order
+    is the on-disk key order of a record line; wall_time_ms is intentionally
+    not serialized into it. The outcome fields default to those of an error
+    record, which ran no round.
     """
 
     schema_version: int
@@ -468,12 +470,9 @@ class TrialRecord:
     wall_time_ms: float = 0.0
 
     def to_json_line(self) -> str:
-        data = {name: getattr(self, name) for name in _RECORD_FIELDS}
+        data = dict(vars(self))
+        del data["wall_time_ms"]
         return json.dumps(data, separators=(",", ":"), allow_nan=False)
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "TrialRecord":
-        return cls(**{name: data[name] for name in _RECORD_FIELDS})
 
 
 def _top_two_fracs(summary, n: int) -> tuple[float, float]:
@@ -571,16 +570,54 @@ def run_sweep(spec: SweepSpec, workers: int = 1, skip=frozenset()):
         yield from pool.map(_safe_trial, jobs, chunksize=4)
 
 
-def write_records_jsonl(records, path: str, append: bool = False) -> int:
-    """Stream records to a JSON-lines file; refuses to overwrite silently."""
-    mode = "a" if append else "x"
-    count = 0
-    with open(path, mode, encoding="utf-8") as fh:
-        for record in records:
-            fh.write(record.to_json_line())
-            fh.write("\n")
-            count += 1
-    return count
+def write_sweep(spec: SweepSpec, out_dir: str, workers: int = 1) -> tuple[int, int]:
+    """Run a sweep into out_dir: records.jsonl, timings.csv, sweep_meta.json.
+
+    An existing records.jsonl is resumed: a torn last line is cut and the
+    (cell_id, trial) pairs it holds under this master seed are skipped.
+    Trial seeds depend only on (master seed, cell, trial), so the resumed
+    file is byte-equal to an uninterrupted run. Every line is flushed as it
+    is written, so records survive a mid-sweep crash, and timings.csv keeps
+    one row per record line. Spec errors raise SweepSpecError before
+    out_dir is created. Returns (records written, records already there).
+    """
+    cells = spec.cells()
+    os.makedirs(out_dir, exist_ok=True)
+    records_path = os.path.join(out_dir, "records.jsonl")
+    timings_path = os.path.join(out_dir, "timings.csv")
+    resume = os.path.exists(records_path)
+    done = set()
+    if resume:
+        _drop_torn_line(records_path)
+        done = {
+            (r["cell_id"], r["trial"])
+            for r in read_records_jsonl(records_path)
+            if r["master_seed"] == spec.master_seed
+        }
+    keep_timings = (
+        resume and os.path.exists(timings_path) and _drop_torn_line(timings_path) > 0
+    )
+    written = 0
+    with open(records_path, "a", encoding="utf-8") as fh, open(
+        timings_path, "a" if keep_timings else "w", encoding="utf-8"
+    ) as timings:
+        if not keep_timings:
+            timings.write("cell_id,trial,wall_time_ms\n")
+        for record in run_sweep(spec, workers=workers, skip=done):
+            fh.write(record.to_json_line() + "\n")
+            fh.flush()
+            timings.write(f"{record.cell_id},{record.trial},{record.wall_time_ms:.3f}\n")
+            timings.flush()
+            written += 1
+    meta = {
+        "schema_version": SCHEMA_VERSION,
+        "master_seed": spec.master_seed,
+        "cells": [c.cell_id for c in cells],
+        "trials": spec.trials,
+    }
+    with open(os.path.join(out_dir, "sweep_meta.json"), "w", encoding="utf-8") as fh:
+        json.dump(meta, fh, indent=2)
+    return written, len(done)
 
 
 def _read_complete(path: str) -> bytes:
@@ -592,7 +629,7 @@ def _read_complete(path: str) -> bytes:
     return data[: data.rfind(b"\n") + 1]
 
 
-def drop_torn_line(path: str) -> int:
+def _drop_torn_line(path: str) -> int:
     """Cut a torn last line off the file; returns the remaining size in bytes."""
     size = len(_read_complete(path))
     os.truncate(path, size)
@@ -601,9 +638,14 @@ def drop_torn_line(path: str) -> int:
 
 def read_records_jsonl(path: str) -> list[dict]:
     """The records of a JSON-lines file, without a torn last line; a line
-    that is not JSON raises ValueError."""
-    lines = _read_complete(path).decode("utf-8").split("\n")
-    return [json.loads(line) for line in lines if line.strip()]
+    that is not JSON, or not UTF-8, raises RecordFileError."""
+    try:
+        lines = _read_complete(path).decode("utf-8").split("\n")
+        return [json.loads(line) for line in lines if line.strip()]
+    except ValueError as exc:
+        raise RecordFileError(
+            f"{path} holds a line that is not a JSON record: {exc}"
+        ) from None
 
 
 # ---------------------------------------------------------------------------
@@ -837,15 +879,6 @@ def scaling_fit(summary_rows) -> list[dict]:
             }
         )
     return out
-
-
-# Sidecar per-trial wall times (non-deterministic, kept out of records).
-TIMINGS_HEADER = "cell_id,trial,wall_time_ms\n"
-
-
-def timings_row(record: TrialRecord) -> str:
-    """The timings.csv line of one record."""
-    return f"{record.cell_id},{record.trial},{record.wall_time_ms:.3f}\n"
 
 
 def read_mean_timings_csv(path: str) -> dict[str, float]:

@@ -8,6 +8,7 @@ from pathlib import Path
 import hmajority
 from hmajority import dynamics, verify
 from hmajority.core import Configuration
+from hmajority.montecarlo import SweepSpec, write_sweep
 from hmajority.oracle import win_distribution
 from hmajority.sampler import RngHandle
 
@@ -62,3 +63,19 @@ def test_tracer_counts_one_validate_per_configuration():
         assert tracer.counts["core.validate.calls"] == 2
     finally:
         tracer.uninstall()
+
+
+def test_traced_sweep_goes_through_the_wrapped_names(tmp_path):
+    # the sweep_small_h per-layer metrics read run_trial and to_json_line
+    # spans; a writer that bypassed either would leave them at 0
+    spec = SweepSpec(ns=(40,), ks=(2,), hs=(3,), bias_multiplier=2.0,
+                     trials=2, master_seed=7, max_rounds=100)
+    tracer = load_spans().Tracer()
+    tracer.install()
+    try:
+        assert write_sweep(spec, str(tmp_path)) == (2, 0)
+    finally:
+        tracer.uninstall()
+    names = [span[0] for span in tracer.spans]
+    assert names.count("montecarlo.run_trial") == 2
+    assert names.count("montecarlo.to_json_line") == 2

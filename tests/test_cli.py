@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import hmajority.cli
+import hmajority.montecarlo
 from hmajority.cli import main, trajectory_summary_line
 
 
@@ -87,6 +88,21 @@ def test_simulate_malformed_config(tmp_path, capsys):
     assert "counts" in err
 
 
+@pytest.mark.parametrize("target", [0, 3, 7, "1"])
+def test_simulate_rejects_target_outside_opinions(tmp_path, capsys, target):
+    config = tmp_path / "config.json"
+    out = tmp_path / "o"
+    _write_json(config, {
+        "schema_version": 1, "counts": [6, 4], "h": 3, "max_rounds": 50,
+        "stop_rule": "plurality_consensus_on", "target_opinion": target,
+    })
+    code = main(["simulate", "--config", str(config), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error:") and "target_opinion" in err
+    assert not out.exists()
+
+
 def test_simulate_unknown_field(tmp_path, capsys):
     config = tmp_path / "config.json"
     _write_json(config, {
@@ -104,6 +120,14 @@ def test_oracle_win_report(capsys):
     assert code == 0
     doc = json.loads(out)
     assert abs(doc["q"][0] - 0.648) < 1e-12
+
+
+def test_oracle_rejects_nan_probability(capsys):
+    code = main(["oracle", "--h", "3", "--p", "nan,1.0", "--report", "win"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("config error:")
+    assert captured.out == ""
 
 
 def test_oracle_event_report_unsorted(capsys):
@@ -187,7 +211,7 @@ def test_sweep_append_resumes_interrupted_sweep(tmp_path, capsys, monkeypatch):
     lines = expected.splitlines(keepends=True)
     assert len(lines) == 6
 
-    real_run_sweep = hmajority.cli.run_sweep
+    real_run_sweep = hmajority.montecarlo.run_sweep
 
     def interrupted(*args, **kwargs):
         for i, record in enumerate(real_run_sweep(*args, **kwargs)):
@@ -196,7 +220,7 @@ def test_sweep_append_resumes_interrupted_sweep(tmp_path, capsys, monkeypatch):
             yield record
 
     part = tmp_path / "part"
-    monkeypatch.setattr(hmajority.cli, "run_sweep", interrupted)
+    monkeypatch.setattr(hmajority.montecarlo, "run_sweep", interrupted)
     with pytest.raises(KeyboardInterrupt):
         main(["sweep", "--spec", str(spec), "--out", str(part)])
     monkeypatch.undo()
@@ -232,6 +256,47 @@ def _small_sweep(tmp_path, capsys):
     assert main(["sweep", "--spec", str(spec), "--out", str(out)]) == 0
     capsys.readouterr()
     return out
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n", ["12x"]),
+    ("k", "23"),  # a string, not the list [2, 3]
+    ("custom_counts", [5, "a"]),
+    ("h", [3, 3]),  # two cells with one cell_id
+    ("target_opinion", 7),
+])
+def test_sweep_rejects_malformed_spec(tmp_path, capsys, field, value):
+    spec = tmp_path / "spec.json"
+    data = {"schema_version": 1, "n": [40], "k": [2], "h": [3],
+            "bias_multiplier": 2.0, "trials": 2,
+            "stop_rule": "plurality_consensus_on"}
+    if field == "custom_counts":
+        data["pattern"] = "custom"
+    _write_json(spec, {**data, field: value})
+    out = tmp_path / "sweep"
+    code = main(["sweep", "--spec", str(spec), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error:")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_sweep_append_refuses_record_line_not_json(tmp_path, capsys):
+    out = _small_sweep(tmp_path, capsys)
+    lines = (out / "records.jsonl").read_bytes().splitlines(keepends=True)
+    lines[1] = lines[1][:20] + b"\n"
+    corrupt = b"".join(lines)
+    (out / "records.jsonl").write_bytes(corrupt)
+    timings = (out / "timings.csv").read_bytes()
+    spec = str(tmp_path / "spec.json")
+    code = main(["sweep", "--spec", spec, "--out", str(out), "--append"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error:") and "records.jsonl" in err
+    assert "Traceback" not in err
+    assert (out / "records.jsonl").read_bytes() == corrupt
+    assert (out / "timings.csv").read_bytes() == timings
 
 
 def test_report_skips_torn_last_line(tmp_path, capsys):

@@ -32,6 +32,16 @@ def test_validate_negative_count():
         validate(Configuration(counts=(6, -1), n=5))
 
 
+@pytest.mark.parametrize("p", [
+    (float("nan"), 1.0),
+    (0.5, float("nan"), 0.5),
+    (float("inf"), 1.0),
+])
+def test_coerce_probs_rejects_non_finite(p):
+    with pytest.raises(SumMismatchError, match="non-finite"):
+        core.coerce_probs(p)
+
+
 def test_bias_stats_basic():
     b = bias_stats(Configuration(counts=(600, 400), n=1000))
     assert b.plurality_opinion == 1

@@ -10,7 +10,7 @@ import hashlib
 import json
 
 from hmajority.cli import main
-from hmajority.montecarlo import SweepSpec, run_sweep, write_records_jsonl
+from hmajority.montecarlo import SweepSpec, write_sweep
 
 GOLDEN = {
     "sweep_categorical":
@@ -42,9 +42,9 @@ def test_sweep_records_bytes(tmp_path):
         ns=(2000,), ks=(8, 64), hs=(3,), bias_multiplier=2.0,
         trials=2, master_seed=20260417, max_rounds=300,
     )
-    path = tmp_path / "records.jsonl"
-    assert write_records_jsonl(run_sweep(spec), str(path)) == 4
-    assert _sha256(path) == GOLDEN["sweep_categorical"]
+    # the writer that `hmajority sweep` runs
+    assert write_sweep(spec, str(tmp_path)) == (4, 0)
+    assert _sha256(tmp_path / "records.jsonl") == GOLDEN["sweep_categorical"]
 
 
 def test_trajectory_bytes(tmp_path, capsys):

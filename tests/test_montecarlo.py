@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -10,7 +11,6 @@ from hmajority.montecarlo import (
     Estimate,
     SweepSpec,
     SweepSpecError,
-    TrialRecord,
     balanced_plus_bias_counts,
     bias_growth_audit,
     check_w1_lower_bound,
@@ -22,7 +22,7 @@ from hmajority.montecarlo import (
     scaling_fit,
     summarize_cells,
     wilson_interval,
-    write_records_jsonl,
+    write_sweep,
 )
 from hmajority.oracle import win_distribution
 from hmajority.sampler import RngHandle
@@ -144,6 +144,41 @@ def test_sweep_spec_validation():
         SweepSpec.from_json_dict({"n": [10], "k": [2], "h": [3], "trials": 5})
 
 
+@pytest.mark.parametrize("field, value", [
+    ("n", ["12x"]),
+    ("n", "100"),  # a string is not a list of sizes
+    ("k", [None]),
+    ("custom_counts", [5, "a"]),
+    ("trials", "many"),
+])
+def test_sweep_spec_rejects_malformed_values(field, value):
+    data = {"schema_version": 1, "n": [40], "k": [2], "h": [3], "trials": 2,
+            "pattern": "custom", "custom_counts": [30, 10]}
+    data[field] = value
+    with pytest.raises(SweepSpecError, match=field):
+        SweepSpec.from_json_dict(data).cells()
+
+
+def test_sweep_spec_rejects_repeated_cells():
+    with pytest.raises(SweepSpecError, match="twice"):
+        SweepSpec(ns=(40,), ks=(2,), hs=(3, 3), bias_multiplier=2.0).cells()
+    # an h_rule_c4 that derives an h the spec already lists
+    (derived,) = SweepSpec(ns=(40,), ks=(2,), h_rule_c4=1.0,
+                           bias_multiplier=2.0).cells()
+    with pytest.raises(SweepSpecError, match="twice"):
+        SweepSpec(ns=(40,), ks=(2,), hs=(derived.h,), h_rule_c4=1.0,
+                  bias_multiplier=2.0).cells()
+
+
+@pytest.mark.parametrize("target", [0, 3, 7])
+def test_sweep_spec_rejects_target_outside_opinions(target):
+    spec = SweepSpec(ns=(40,), ks=(2,), hs=(3,), bias_multiplier=2.0,
+                     stop_rule="plurality_consensus_on", target_opinion=target)
+    with pytest.raises(SweepSpecError, match="target_opinion"):
+        spec.cells()
+    assert len(dataclasses.replace(spec, target_opinion=2).cells()) == 1
+
+
 def test_sweep_single_trial_consensus_start():
     spec = SweepSpec(
         ns=(),
@@ -182,9 +217,9 @@ def test_sweep_error_records_worker_invariant(tmp_path):
     )
     digests = []
     for workers in (1, 2):
-        path = tmp_path / f"records{workers}.jsonl"
-        assert write_records_jsonl(run_sweep(spec, workers=workers), str(path)) == 6
-        digests.append(path.read_bytes())
+        out = tmp_path / f"workers{workers}"
+        assert write_sweep(spec, str(out), workers=workers) == (6, 0)
+        digests.append((out / "records.jsonl").read_bytes())
     assert digests[0] == digests[1]
     statuses = {json.loads(line)["status"] for line in digests[0].splitlines()}
     assert statuses == {"error:SumMismatchError"}
@@ -196,16 +231,13 @@ def test_record_jsonl_roundtrip(tmp_path):
         trials=2, master_seed=1, max_rounds=100,
     )
     records = list(run_sweep(spec))
-    path = tmp_path / "records.jsonl"
-    write_records_jsonl(records, str(path))
-    with pytest.raises(FileExistsError):
-        write_records_jsonl(records, str(path))
-    write_records_jsonl(records, str(path), append=True)
-    loaded = read_records_jsonl(str(path))
-    assert len(loaded) == 4
-    rebuilt = TrialRecord.from_json_dict(loaded[0])
-    assert rebuilt.cell_id == records[0].cell_id
+    assert write_sweep(spec, str(tmp_path)) == (2, 0)
+    loaded = read_records_jsonl(str(tmp_path / "records.jsonl"))
+    assert loaded == [json.loads(r.to_json_line()) for r in records]
     assert "wall_time_ms" not in loaded[0]
+    # a second call resumes: nothing is left to write
+    assert write_sweep(spec, str(tmp_path)) == (0, 2)
+    assert read_records_jsonl(str(tmp_path / "records.jsonl")) == loaded
 
 
 def test_bias_growth_audit_zero_trace():

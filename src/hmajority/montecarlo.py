@@ -20,12 +20,13 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from statistics import NormalDist
 from time import perf_counter
 
 import numpy as np
 
+from . import sampler
 from .core import Configuration, HMajorityError, coerce_probs, require_sorted
 from .dynamics import (
     STOP_CONSENSUS,
@@ -351,36 +352,38 @@ class SweepSpec:
             v = data.get(name)
             if v is None:
                 return ()
-            if isinstance(v, (int, float)):
+            if not isinstance(v, list):  # a JSON string is not a list of ints
                 v = [v]
-            if isinstance(v, list):  # a JSON string is not a list of ints
-                try:
-                    return tuple(int(x) for x in v)
-                except (TypeError, ValueError):
-                    pass
+            if all(map(_is_integral, v)):
+                return tuple(int(x) for x in v)
             raise SweepSpecError(f"'{name}' must be an integer or a list of "
-                                 f"integers, got {v!r}")
+                                 f"integers, got {data[name]!r}")
 
-        def number(name, default, kind=int):
+        def integer(name, default):
             v = data.get(name, default)
-            try:
-                return v if v is None else kind(v)
-            except (TypeError, ValueError):
-                raise SweepSpecError(f"'{name}' must be a number, got {v!r}") from None
+            if v is None or _is_integral(v):
+                return v if v is None else int(v)
+            raise SweepSpecError(f"'{name}' must be an integer, got {v!r}")
+
+        def number(name, default):
+            v = data.get(name, default)
+            if v is None or (isinstance(v, (int, float)) and not isinstance(v, bool)):
+                return v if v is None else float(v)
+            raise SweepSpecError(f"'{name}' must be a number, got {v!r}")
 
         return cls(
             ns=as_ints("n"),
             ks=as_ints("k"),
             hs=as_ints("h"),
-            h_rule_c4=number("h_rule_c4", None, float),
+            h_rule_c4=number("h_rule_c4", None),
             pattern=data.get("pattern", PATTERN_BALANCED_BIAS),
-            bias_multiplier=number("bias_multiplier", 10.0, float),
+            bias_multiplier=number("bias_multiplier", 10.0),
             custom_counts=as_ints("custom_counts") or None,
-            trials=number("trials", 100),
-            master_seed=number("master_seed", 0),
+            trials=integer("trials", 100),
+            master_seed=integer("master_seed", 0),
             stop_rule=data.get("stop_rule", STOP_CONSENSUS),
-            max_rounds=number("max_rounds", 1000),
-            target_opinion=number("target_opinion", None),
+            max_rounds=integer("max_rounds", 1000),
+            target_opinion=integer("target_opinion", None),
         )
 
     def cells(self) -> list[SweepCell]:
@@ -428,6 +431,14 @@ class SweepSpec:
         return out
 
 
+def _is_integral(v) -> bool:
+    """v is a JSON integer, or a number without a fractional part (1e6);
+    a bool, a string or 3.7 is not."""
+    if isinstance(v, bool):
+        return False
+    return isinstance(v, int) or (isinstance(v, float) and v.is_integer())
+
+
 def derive_trial_seed(master_seed: int, cell_index: int, trial_index: int) -> int:
     """Stable 64-bit per-trial seed from the master seed and grid position."""
     digest = hashlib.sha256(
@@ -473,6 +484,10 @@ class TrialRecord:
         data = dict(vars(self))
         del data["wall_time_ms"]
         return json.dumps(data, separators=(",", ":"), allow_nan=False)
+
+
+# every record line holds these keys; to_json_line drops wall_time_ms
+_RECORD_KEYS = frozenset(f.name for f in fields(TrialRecord)) - {"wall_time_ms"}
 
 
 def _top_two_fracs(summary, n: int) -> tuple[float, float]:
@@ -554,8 +569,10 @@ def run_sweep(spec: SweepSpec, workers: int = 1, skip=frozenset()):
 
     Per-trial failures are captured into the record stream as status
     "error:<Type>" rather than aborting the sweep. Worker count never
-    changes the emitted sequence. (cell_id, trial) pairs in skip are left
-    out, which is how an interrupted sweep resumes.
+    changes the emitted sequence. Each worker process draws on one thread
+    (sampler.MAX_THREADS = 1), so the workers do not multiply the threads.
+    (cell_id, trial) pairs in skip are left out, which is how an
+    interrupted sweep resumes.
     """
     jobs = [
         (spec, cell, t)
@@ -566,8 +583,14 @@ def run_sweep(spec: SweepSpec, workers: int = 1, skip=frozenset()):
     if workers <= 1:
         yield from map(_safe_trial, jobs)
         return
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=workers, initializer=_one_thread) as pool:
         yield from pool.map(_safe_trial, jobs, chunksize=4)
+
+
+def _one_thread() -> None:
+    """Worker-process initializer: the workers already share the cores, so
+    each draws its chain sub-blocks on its own thread."""
+    sampler.MAX_THREADS = 1
 
 
 def write_sweep(spec: SweepSpec, out_dir: str, workers: int = 1) -> tuple[int, int]:
@@ -638,14 +661,21 @@ def _drop_torn_line(path: str) -> int:
 
 def read_records_jsonl(path: str) -> list[dict]:
     """The records of a JSON-lines file, without a torn last line; a line
-    that is not JSON, or not UTF-8, raises RecordFileError."""
+    that is not JSON, not UTF-8, or not an object holding every record
+    field raises RecordFileError."""
     try:
         lines = _read_complete(path).decode("utf-8").split("\n")
-        return [json.loads(line) for line in lines if line.strip()]
+        records = [json.loads(line) for line in lines if line.strip()]
     except ValueError as exc:
         raise RecordFileError(
             f"{path} holds a line that is not a JSON record: {exc}"
         ) from None
+    for record in records:
+        if not (isinstance(record, dict) and _RECORD_KEYS <= record.keys()):
+            raise RecordFileError(
+                f"{path} holds a line that is not a record: {str(record)[:80]}"
+            )
+    return records
 
 
 # ---------------------------------------------------------------------------

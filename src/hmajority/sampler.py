@@ -7,9 +7,18 @@ All randomness flows through RngHandle, a counter-based Philox stream keyed
 by (master_seed, stream_id): identical keys give byte-identical draw
 sequences regardless of thread schedule, which is what makes sweeps
 reproducible under parallelism.
+
+The chain splits a call of more than SUB_BLOCK_ROWS rows into sub-blocks
+of that many rows and draws them on a thread pool that lives for the call
+only. The stream rule does not depend on the thread count: a call of at
+most one sub-block draws from the caller's generator; a larger one takes a
+single 63-bit key from it, and sub-block j draws from RngHandle(key, j).
 """
 
 from __future__ import annotations
+
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -19,6 +28,14 @@ _MASK64 = (1 << 64) - 1
 
 # Cell budget of one block: rows x k counts or rows x h draw ids.
 CHUNK_CELLS = 1 << 22
+
+# Rows of one chain sub-block: the unit of the stream rule and of the work
+# a thread takes.
+SUB_BLOCK_ROWS = 1 << 14
+
+# Threads a chain call may use; None means the usable cores. Sweep worker
+# processes set it to 1.
+MAX_THREADS: int | None = None
 
 
 class InvalidProbError(HMajorityError, ValueError):
@@ -109,14 +126,44 @@ def sample_counts_matrix(h: int, p, rng: RngHandle, rows: int) -> np.ndarray:
     is. Callers bound rows x k through sample_counts_chunks; rounds at
     k > h take the modes from draw ids instead (sample_draw_chunks and
     mode_of_draws).
+
+    At most SUB_BLOCK_ROWS rows are drawn from rng itself. More rows are
+    split into sub-blocks of SUB_BLOCK_ROWS rows (the last one fewer): one
+    63-bit key is drawn from rng, and sub-block j fills its own row slice
+    of the result from RngHandle(key, j), on up to min(usable cores,
+    sub-blocks) threads of a pool that is shut down before the call
+    returns. The result does not depend on the thread count.
     """
     probs = np.asarray(coerce_probs(p), dtype=np.float64)
     if h < 0:
         raise InvalidProbError(f"h must be >= 0, got {h}")
     if rows < 0:
         raise InvalidProbError(f"rows must be >= 0, got {rows}")
-    k = probs.size
-    out = np.zeros((rows, k), dtype=np.int64)
+    out = np.zeros((rows, probs.size), dtype=np.int64)
+    if rows <= SUB_BLOCK_ROWS:
+        _chain_fill(out, h, probs, rng.gen)
+        return out
+    key = int(rng.gen.integers(0, 1 << 63))
+    sub_blocks = range(-(-rows // SUB_BLOCK_ROWS))
+
+    def fill(j: int) -> None:
+        block = out[j * SUB_BLOCK_ROWS : (j + 1) * SUB_BLOCK_ROWS]
+        _chain_fill(block, h, probs, RngHandle(key, stream_id=j).gen)
+
+    threads = min(MAX_THREADS or _usable_cores(), len(sub_blocks))
+    if threads <= 1:
+        for j in sub_blocks:
+            fill(j)
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            list(pool.map(fill, sub_blocks))  # re-raises a worker's error
+    return out
+
+
+def _chain_fill(out: np.ndarray, h: int, probs: np.ndarray, gen) -> None:
+    """Fill the zeroed (rows, k) out with the chain's Multinomial(h, probs)
+    rows, drawn from the numpy generator gen."""
+    rows, k = out.shape
     remaining = np.full(rows, int(h), dtype=np.int64)
     rem_p = 1.0
     for i in range(k - 1):
@@ -128,12 +175,18 @@ def sample_counts_matrix(h: int, p, rng: RngHandle, rows: int) -> np.ndarray:
             remaining = np.zeros(rows, dtype=np.int64)
             rem_p = 0.0
             continue
-        x = rng.gen.binomial(remaining, pi / rem_p)
+        x = gen.binomial(remaining, pi / rem_p)
         out[:, i] = x
         remaining = remaining - x
         rem_p -= pi
     out[:, k - 1] += remaining
-    return out
+
+
+def _usable_cores() -> int:
+    """Cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _block_rows(width: int, n: int):

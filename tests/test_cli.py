@@ -7,6 +7,7 @@ import pytest
 
 import hmajority.cli
 import hmajority.montecarlo
+from hmajority import sampler
 from hmajority.cli import main, trajectory_summary_line
 
 
@@ -33,6 +34,24 @@ def test_simulate_consensus_start(tmp_path, capsys):
     assert doc["trajectory"]["winner"] == 2
     # round trip: the printed line is reproducible from the file alone
     assert printed == trajectory_summary_line(doc)
+
+
+def test_simulate_trajectory_does_not_depend_on_thread_count(
+    tmp_path, capsys, monkeypatch
+):
+    # k = 4 <= h = 5 at n = 70 000: chain calls of four sub-blocks
+    config = tmp_path / "config.json"
+    _write_json(config, {
+        "schema_version": 1, "counts": [20000, 18000, 17000, 15000], "h": 5,
+        "max_rounds": 3, "seed": 41,
+    })
+    docs = []
+    for threads in (1, 2):
+        monkeypatch.setattr(sampler, "MAX_THREADS", threads)
+        out = tmp_path / f"threads{threads}"
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+        docs.append((out / "trajectory.json").read_bytes())
+    assert docs[0] == docs[1]
 
 
 def test_simulate_refuses_overwrite(tmp_path, capsys):
@@ -264,6 +283,9 @@ def _small_sweep(tmp_path, capsys):
     ("custom_counts", [5, "a"]),
     ("h", [3, 3]),  # two cells with one cell_id
     ("target_opinion", 7),
+    ("h", [3.7]),  # not truncated to 3
+    ("trials", 2.5),
+    ("master_seed", True),
 ])
 def test_sweep_rejects_malformed_spec(tmp_path, capsys, field, value):
     spec = tmp_path / "spec.json"
@@ -297,6 +319,26 @@ def test_sweep_append_refuses_record_line_not_json(tmp_path, capsys):
     assert "Traceback" not in err
     assert (out / "records.jsonl").read_bytes() == corrupt
     assert (out / "timings.csv").read_bytes() == timings
+
+
+@pytest.mark.parametrize("line", [b"{}\n", b"[1, 2]\n", b'{"cell_id": "x"}\n'])
+def test_sweep_append_and_report_refuse_json_line_not_a_record(
+    tmp_path, capsys, line
+):
+    out = _small_sweep(tmp_path, capsys)
+    with open(out / "records.jsonl", "ab") as fh:
+        fh.write(line)
+    corrupt = (out / "records.jsonl").read_bytes()
+    spec = str(tmp_path / "spec.json")
+    for argv in (["sweep", "--spec", spec, "--out", str(out), "--append"],
+                 ["report", "--in", str(out), "--out", str(tmp_path / "rep")]):
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2, argv[0]
+        assert err.startswith("config error:") and "records.jsonl" in err
+        assert "Traceback" not in err
+    assert (out / "records.jsonl").read_bytes() == corrupt
+    assert not (tmp_path / "rep").exists()
 
 
 def test_report_skips_torn_last_line(tmp_path, capsys):

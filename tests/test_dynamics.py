@@ -134,6 +134,20 @@ def test_step_and_oracle_step_same_marginal_law():
         assert chi2.sf(stat, keep.sum() - 1) > 1e-3, (len(counts), h)
 
 
+def test_step_over_sub_blocks_matches_adoption_law():
+    # k <= h at n = 50 000: each step's rows span four chain sub-blocks.
+    # Given the configuration the next one is Multinomial(n, q); ten steps
+    # from it sum to Multinomial(10 n, q). Chi-square, alpha 1e-3.
+    cfg = Configuration.from_counts((20_000, 15_000, 10_000, 5_000))
+    h, steps = 5, 10
+    q = np.array(win_distribution(h, tuple(c / cfg.n for c in cfg.counts)).q)
+    rng = RngHandle(8080)
+    total = sum(np.array(step(cfg, h, rng).counts) for _ in range(steps))
+    expect = q * cfg.n * steps
+    stat = ((total - expect) ** 2 / expect).sum()
+    assert chi2.sf(stat, cfg.k - 1) > 1e-3
+
+
 @pytest.mark.parametrize("counts, h, seed", [
     ((30, 20, 20, 15, 10, 5, 0, 0), 3, 505),
     ((40, 30, 0, 20, 10), 4, 606),

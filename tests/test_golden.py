@@ -16,7 +16,7 @@ GOLDEN = {
     "sweep_categorical":
         "fe6ec65806726968d4ed98848e8d3c3ce175617ae0a347ee1aaf80e50abc7087",
     "simulate_chain_two_chunks":
-        "da9f1f23710faa61d5b5cc38245aa7fdc73fa2bbb81a4f9ff758bfd4296f4d72",
+        "596ae47a7993b71356b8e30e2e29e065a474d1a29c34c8403a75a9c4e55ad9be",
     "simulate_oracle_level":
         "67f85864282bcb293c70f4762d3419cc0f99e018e12357da2aa348c0502f3075",
     "simulate_top_counts":
@@ -49,7 +49,8 @@ def test_sweep_records_bytes(tmp_path):
 
 def test_trajectory_bytes(tmp_path, capsys):
     digests = {
-        # k = 4 <= h = 5: the chain path, n = 70 000 rows in two chunks
+        # k = 4 <= h = 5: the chain path, n = 70 000 rows in two chunks, the
+        # first of four chain sub-blocks
         "simulate_chain_two_chunks": _simulate(tmp_path, "chain", {
             "counts": [20000, 18000, 17000, 15000], "h": 5, "max_rounds": 6,
             "seed": 41,

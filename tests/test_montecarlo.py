@@ -1,12 +1,16 @@
 import dataclasses
 import json
 import math
+import multiprocessing
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import hmajority.montecarlo
+from hmajority import sampler
 from hmajority.core import Configuration, NotSortedError
+from hmajority.dynamics import step
 from hmajority.montecarlo import (
     Estimate,
     SweepSpec,
@@ -150,6 +154,17 @@ def test_sweep_spec_validation():
     ("k", [None]),
     ("custom_counts", [5, "a"]),
     ("trials", "many"),
+    # a fraction or a bool in an integer field is not truncated to an int
+    ("h", [3.7]),
+    ("n", [40, 40.5]),
+    ("k", [True]),
+    ("custom_counts", [30, 10.25]),
+    ("trials", 2.5),
+    ("trials", True),
+    ("master_seed", 1.5),
+    ("max_rounds", 300.5),
+    ("target_opinion", 1.5),
+    ("bias_multiplier", True),
 ])
 def test_sweep_spec_rejects_malformed_values(field, value):
     data = {"schema_version": 1, "n": [40], "k": [2], "h": [3], "trials": 2,
@@ -157,6 +172,17 @@ def test_sweep_spec_rejects_malformed_values(field, value):
     data[field] = value
     with pytest.raises(SweepSpecError, match=field):
         SweepSpec.from_json_dict(data).cells()
+
+
+def test_sweep_spec_reads_integral_numbers():
+    # 4e1 and 2.0 are integers written as JSON numbers with a fraction part
+    spec = SweepSpec.from_json_dict({
+        "schema_version": 1, "n": 4e1, "k": [2.0], "h": [3], "trials": 2.0,
+        "master_seed": 7.0, "bias_multiplier": 2,
+    })
+    assert (spec.ns, spec.ks, spec.trials, spec.master_seed) == ((40,), (2,), 2, 7)
+    assert all(type(v) is int for v in (*spec.ns, *spec.ks, spec.trials))
+    assert spec.bias_multiplier == 2.0
 
 
 def test_sweep_spec_rejects_repeated_cells():
@@ -207,6 +233,42 @@ def test_sweep_deterministic_and_worker_invariant():
     assert lines_a == lines_b
     lines_c = [r.to_json_line() for r in run_sweep(spec, workers=2)]
     assert lines_a == lines_c
+
+
+def test_sweep_workers_after_threaded_chain_step(tmp_path, monkeypatch):
+    # a step whose chain call ran on a thread pool, then worker processes
+    # forked from this process: the sweep finishes and the worker count
+    # does not change its records
+    monkeypatch.setattr(sampler, "MAX_THREADS", 2)
+    cfg = Configuration.from_counts((30_000, 20_000))
+    assert sum(step(cfg, 3, RngHandle(3)).counts) == cfg.n
+    # n = 20 000, k = 2 <= h = 3: every round's chain call spans two sub-blocks
+    spec = SweepSpec(
+        ns=(20_000,), ks=(2,), hs=(3,), bias_multiplier=4.0,
+        trials=3, master_seed=11, max_rounds=60,
+    )
+    digests = []
+    for workers in (2, 1):
+        out = tmp_path / f"workers{workers}"
+        assert write_sweep(spec, str(out), workers=workers) == (3, 0)
+        digests.append((out / "records.jsonl").read_bytes())
+    assert digests[0] == digests[1]
+    assert b'"status":"consensus"' in digests[0]
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the patched run_trial reaches workers only by fork")
+def test_sweep_workers_draw_on_one_thread(tmp_path, monkeypatch):
+    monkeypatch.setattr(sampler, "MAX_THREADS", 2)
+
+    def report_threads(cell, trial_index, spec):
+        return hmajority.montecarlo._cell_record(
+            spec, cell, trial_index, f"threads:{sampler.MAX_THREADS}")
+
+    monkeypatch.setattr(hmajority.montecarlo, "run_trial", report_threads)
+    spec = SweepSpec(ns=(40,), ks=(2,), hs=(3,), bias_multiplier=2.0, trials=4)
+    assert {r.status for r in run_sweep(spec, workers=2)} == {"threads:1"}
+    assert {r.status for r in run_sweep(spec, workers=1)} == {"threads:2"}
 
 
 def test_sweep_error_records_worker_invariant(tmp_path):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 from collections import Counter
@@ -6,11 +7,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.stats import chi2
+from scipy.stats import binom, chi2
 
+from hmajority import sampler
 from hmajority.core import SumMismatchError
 from hmajority.sampler import (
     CHUNK_CELLS,
+    SUB_BLOCK_ROWS,
     AliasTable,
     InvalidProbError,
     RngHandle,
@@ -162,6 +165,56 @@ def test_counts_matrix_matches_exact_pmf(name):
             stat += (seen - expect) ** 2 / expect
             cells += 1
     assert chi2.sf(stat, cells - 1) > 1e-3
+
+
+def test_chain_sub_blocks_do_not_depend_on_thread_count(monkeypatch):
+    # four sub-blocks, the last one short
+    rows = 3 * SUB_BLOCK_ROWS + 5
+    probs = (0.4, 0.3, 0.2, 0.1)
+    results = []
+    for threads in (1, 2):
+        monkeypatch.setattr(sampler, "MAX_THREADS", threads)
+        rng = RngHandle(77, 3)
+        matrix = sample_counts_matrix(9, probs, rng, rows)
+        results.append((matrix.tobytes(), rng.gen.integers(0, 2**32, 4).tobytes()))
+    assert results[0] == results[1]
+    assert np.all(matrix.sum(axis=1) == 9)
+    # one key from the caller's generator; sub-block j draws from (key, j)
+    key_rng = RngHandle(77, 3)
+    key = int(key_rng.gen.integers(0, 1 << 63))
+    assert results[0][1] == key_rng.gen.integers(0, 2**32, 4).tobytes()
+    for j in range(4):
+        block = matrix[j * SUB_BLOCK_ROWS : (j + 1) * SUB_BLOCK_ROWS]
+        own = sample_counts_matrix(9, probs, RngHandle(key, j), block.shape[0])
+        assert block.tobytes() == own.tobytes()
+
+
+def test_chain_call_of_one_sub_block_keeps_its_bytes():
+    # drawn from the caller's generator as before sub-blocks were introduced
+    rng = RngHandle(20261018, 5)
+    a = sample_counts_matrix(7, (0.4, 0.3, 0.2, 0.1), rng, SUB_BLOCK_ROWS)
+    b = sample_counts_matrix(200, (0.5, 0.25, 0.25), rng, 3)
+    assert hashlib.sha256(a.tobytes() + b.tobytes()).hexdigest() == (
+        "df45ca1ce45a95657db775b6d7ec5d944a2d5711c3ddad82ee1d4e36be71825c"
+    )
+
+
+def test_chain_column_marginals_match_binomial_laws():
+    # column i of Multinomial(h, p) rows is Binomial(h, p_i); chi-square per
+    # column, cells with fewer than 5 expected rows pooled, alpha 1e-3
+    h, probs, rows = 12, (0.4, 0.3, 0.2, 0.1), 50_000
+    matrix = sample_counts_matrix(h, probs, RngHandle(4242, 1), rows)
+    assert rows > 3 * SUB_BLOCK_ROWS
+    assert np.all(matrix.sum(axis=1) == h)
+    for i, pi in enumerate(probs):
+        expect = binom.pmf(np.arange(h + 1), h, pi) * rows
+        seen = np.bincount(matrix[:, i], minlength=h + 1).astype(float)
+        small = expect < 5
+        if small.any():
+            expect = np.append(expect[~small], expect[small].sum())
+            seen = np.append(seen[~small], seen[small].sum())
+        stat = ((seen - expect) ** 2 / expect).sum()
+        assert chi2.sf(stat, expect.size - 1) > 1e-3, i
 
 
 def test_mode_with_tiebreak_unique_max():

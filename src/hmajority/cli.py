@@ -14,9 +14,9 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
-from .core import Configuration, HMajorityError
+from .core import Configuration, HMajorityError, integer, json_object
 from .dynamics import RunParams, require_target, run
 from .montecarlo import (
     SCHEMA_VERSION,
@@ -32,21 +32,9 @@ from .montecarlo import (
 from .oracle import event_report, tie_map_audit, win_distribution
 from .verify import ALL_SUITES, run_suites
 
-_SIM_FIELDS = {
-    "schema_version",
-    "counts",
-    "h",
-    "max_rounds",
-    "stop_rule",
-    "target_opinion",
-    "step_mode",
-    "seed",
-}
-
 
 class ConfigError(HMajorityError, ValueError):
     pass
-
 
 
 def _load_json(path: str) -> dict:
@@ -57,12 +45,6 @@ def _load_json(path: str) -> dict:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}")
-
-
-def _require(data: dict, name: str):
-    if name not in data:
-        raise ConfigError(f"missing field '{name}'")
-    return data[name]
 
 
 def trajectory_summary_line(doc: dict) -> str:
@@ -80,25 +62,19 @@ def trajectory_summary_line(doc: dict) -> str:
 
 
 def _cmd_simulate(args) -> int:
-    data = _load_json(args.config)
-    unknown = set(data) - _SIM_FIELDS
-    if unknown:
-        raise ConfigError(f"unknown fields: {sorted(unknown)}")
-    if data.get("schema_version") != SCHEMA_VERSION:
-        raise ConfigError(f"unsupported schema_version {data.get('schema_version')!r}")
-    counts = _require(data, "counts")
-    h = _require(data, "h")
-    max_rounds = _require(data, "max_rounds")
-    seed = args.seed if args.seed is not None else data.get("seed", 0)
+    names = ("schema_version", "counts", *(f.name for f in fields(RunParams)))
+    data = json_object(_load_json(args.config), names, SCHEMA_VERSION, ConfigError)
+    get, err = data.get, ConfigError
+    seed = integer(get("seed", 0) if args.seed is None else args.seed, "seed", err)
     try:
-        config = Configuration.from_counts(counts)
+        config = Configuration.from_counts(get("counts"))
         params = RunParams(
-            h=int(h),
-            max_rounds=int(max_rounds),
-            stop_rule=data.get("stop_rule", "consensus"),
-            target_opinion=data.get("target_opinion"),
-            seed=int(seed),
-            step_mode=data.get("step_mode", "agent_level"),
+            h=integer(get("h"), "h", err),
+            max_rounds=integer(get("max_rounds"), "max_rounds", err),
+            stop_rule=get("stop_rule", "consensus"),
+            target_opinion=integer(get("target_opinion"), "target_opinion", err, True),
+            seed=seed,
+            step_mode=get("step_mode", "agent_level"),
         )
         require_target(params.target_opinion, config.k)
     except (ValueError, HMajorityError) as exc:
@@ -111,14 +87,8 @@ def _cmd_simulate(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     doc = {
         "schema_version": SCHEMA_VERSION,
-        "master_seed": int(seed),
-        "params": {
-            "h": params.h,
-            "max_rounds": params.max_rounds,
-            "stop_rule": params.stop_rule,
-            "target_opinion": params.target_opinion,
-            "step_mode": params.step_mode,
-        },
+        "master_seed": seed,
+        "params": {k: v for k, v in asdict(params).items() if k != "seed"},
         "initial_counts": list(config.counts),
         "trajectory": asdict(traj),
     }
@@ -129,9 +99,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    data = _load_json(args.spec)
     try:
-        spec = SweepSpec.from_json_dict(data)
+        spec = SweepSpec.from_json_dict(_load_json(args.spec))
         spec.cells()  # grid errors too exit 2, before the clobber check
     except HMajorityError as exc:
         raise ConfigError(str(exc))
@@ -243,6 +212,13 @@ def _cmd_report(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of a count that must be at least 1."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hmajority",
@@ -260,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     swp = sub.add_parser("sweep", help="run a parameter sweep from a JSON spec")
     swp.add_argument("--spec", required=True)
-    swp.add_argument("--workers", type=int, default=1)
+    swp.add_argument("--workers", type=_positive_int, default=1)
     swp.add_argument("--out", required=True)
     swp.add_argument("--append", action="store_true")
     swp.set_defaults(func=_cmd_sweep)
@@ -277,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument(
         "--suite", action="append", default=None, help="suite name, repeatable"
     )
-    ver.add_argument("--trials", type=int, default=10**6)
+    ver.add_argument("--trials", type=_positive_int, default=10**6)
     ver.add_argument("--seed", type=int, default=20240501)
     ver.add_argument("--out", default=None)
     ver.set_defaults(func=_cmd_verify)

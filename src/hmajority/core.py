@@ -1,4 +1,4 @@
-"""Configurations, bias statistics, and validity checks shared by every module.
+"""Configurations, bias statistics, validity checks and JSON field readers.
 
 A configuration is the full state of the process at one round: how many of
 the n agents support each of the k opinions. It is valid by construction:
@@ -10,6 +10,7 @@ here are immutable values and safe to share across concurrent workers.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 
@@ -27,6 +28,10 @@ class EmptySystemError(HMajorityError, ValueError):
 
 class NotSortedError(HMajorityError, ValueError):
     """The probability vector must be sorted in non-increasing order."""
+
+
+class FieldError(HMajorityError, ValueError):
+    """An input field is missing or holds a value outside its type."""
 
 
 PROB_SUM_TOL = 1e-12
@@ -52,8 +57,57 @@ class Configuration:
 
     @classmethod
     def from_counts(cls, counts) -> "Configuration":
-        """Build a configuration with n inferred from the counts."""
-        return cls(counts=tuple(int(c) for c in counts), n=int(sum(counts)))
+        """Build a configuration with n inferred from the counts, which are
+        read as integers reads them (FieldError, not truncation)."""
+        counts = integers(counts, "counts")
+        return cls(counts=counts, n=sum(counts))
+
+
+# Field readers for every JSON input: the simulate config, the sweep spec
+# and record lines. Each raises the caller's error class, naming the field.
+
+
+def json_object(data, fields, schema_version, error) -> dict:
+    """data, checked to be an object with keys only from fields, at schema_version."""
+    if not isinstance(data, dict):
+        raise error(f"the top level must be a JSON object, got {data!r:.80}")
+    unknown = set(data) - set(fields)
+    if unknown:
+        raise error(f"unknown fields: {sorted(unknown)}")
+    if data.get("schema_version") != schema_version:
+        raise error(f"unsupported schema_version {data.get('schema_version')!r}")
+    return data
+
+
+def integer(value, name: str, error=FieldError, optional: bool = False) -> int | None:
+    """value read as an integer field: a Python or numpy integer, or a float
+    without a fractional part (2.0, 2e1); not a bool, a string or 3.7. A
+    missing field (None) is read only when optional."""
+    if type(value) is int or isinstance(value, float) and value.is_integer():
+        return int(value)
+    if optional and value is None:
+        return None
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise error(f"'{name}' must be an integer, got {value!r}")
+    return int(value)
+
+
+def integers(values, name: str, error=FieldError) -> tuple[int, ...]:
+    """values read as a list of integer fields, returned as a tuple."""
+    if isinstance(values, str) or not hasattr(values, "__iter__"):
+        raise error(f"'{name}' must be a list of integers, got {values!r}")
+    return tuple(v if type(v) is int else integer(v, name, error) for v in values)
+
+
+def number(value, name: str, error=FieldError, optional: bool = False) -> float | None:
+    """value read as a finite number field; a bool is not a number."""
+    if optional and value is None:
+        return None
+    if isinstance(value, bool) or not (
+        isinstance(value, numbers.Real) and math.isfinite(value)
+    ):
+        raise error(f"'{name}' must be a finite number, got {value!r}")
+    return float(value)
 
 
 def coerce_probs(p) -> tuple[float, ...]:

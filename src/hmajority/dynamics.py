@@ -191,8 +191,8 @@ def _renormalized(q) -> tuple[float, ...]:
 
 
 def require_target(target: int | None, k: int, error=ValueError) -> None:
-    """Raise error unless target is None or an opinion id in 1..k."""
-    if target is not None and not (isinstance(target, int) and 1 <= target <= k):
+    """Raise error unless target is None or an int opinion id in 1..k."""
+    if target is not None and not (type(target) is int and 1 <= target <= k):
         raise error(f"target_opinion must be in 1..{k}, got {target!r}")
 
 

@@ -27,7 +27,10 @@ from time import perf_counter
 import numpy as np
 
 from . import sampler
-from .core import Configuration, HMajorityError, coerce_probs, require_sorted
+from .core import (
+    Configuration, HMajorityError, coerce_probs, integer, integers, json_object,
+    number, require_sorted,
+)
 from .dynamics import (
     STOP_CONSENSUS,
     STOP_RULES,
@@ -322,68 +325,25 @@ class SweepSpec:
         if self.pattern == PATTERN_CUSTOM and not self.custom_counts:
             raise SweepSpecError("custom pattern requires custom_counts")
 
-    _JSON_FIELDS = (
-        "schema_version",
-        "n",
-        "k",
-        "h",
-        "h_rule_c4",
-        "pattern",
-        "bias_multiplier",
-        "custom_counts",
-        "trials",
-        "master_seed",
-        "stop_rule",
-        "max_rounds",
-        "target_opinion",
-    )
-
     @classmethod
-    def from_json_dict(cls, data: dict) -> "SweepSpec":
-        unknown = set(data) - set(cls._JSON_FIELDS)
-        if unknown:
-            raise SweepSpecError(f"unknown sweep spec fields: {sorted(unknown)}")
-        if data.get("schema_version") != SCHEMA_VERSION:
-            raise SweepSpecError(
-                f"unsupported schema_version {data.get('schema_version')!r}"
-            )
-
-        def as_ints(name):
-            v = data.get(name)
-            if v is None:
-                return ()
-            if not isinstance(v, list):  # a JSON string is not a list of ints
-                v = [v]
-            if all(map(_is_integral, v)):
-                return tuple(int(x) for x in v)
-            raise SweepSpecError(f"'{name}' must be an integer or a list of "
-                                 f"integers, got {data[name]!r}")
-
-        def integer(name, default):
-            v = data.get(name, default)
-            if v is None or _is_integral(v):
-                return v if v is None else int(v)
-            raise SweepSpecError(f"'{name}' must be an integer, got {v!r}")
-
-        def number(name, default):
-            v = data.get(name, default)
-            if v is None or (isinstance(v, (int, float)) and not isinstance(v, bool)):
-                return v if v is None else float(v)
-            raise SweepSpecError(f"'{name}' must be a number, got {v!r}")
-
+    def from_json_dict(cls, data) -> "SweepSpec":
+        # the grid lists are n, k and h in JSON and ns, ks and hs here
+        names = ("schema_version", "n", "k", "h", *(f.name for f in fields(cls)[3:]))
+        data = json_object(data, names, SCHEMA_VERSION, SweepSpecError)
+        get, err = data.get, SweepSpecError
         return cls(
-            ns=as_ints("n"),
-            ks=as_ints("k"),
-            hs=as_ints("h"),
-            h_rule_c4=number("h_rule_c4", None),
-            pattern=data.get("pattern", PATTERN_BALANCED_BIAS),
-            bias_multiplier=number("bias_multiplier", 10.0),
-            custom_counts=as_ints("custom_counts") or None,
-            trials=integer("trials", 100),
-            master_seed=integer("master_seed", 0),
-            stop_rule=data.get("stop_rule", STOP_CONSENSUS),
-            max_rounds=integer("max_rounds", 1000),
-            target_opinion=integer("target_opinion", None),
+            ns=_grid(get("n"), "n"),
+            ks=_grid(get("k"), "k"),
+            hs=_grid(get("h"), "h"),
+            h_rule_c4=number(get("h_rule_c4"), "h_rule_c4", err, True),
+            pattern=get("pattern", PATTERN_BALANCED_BIAS),
+            bias_multiplier=number(get("bias_multiplier", 10), "bias_multiplier", err),
+            custom_counts=_grid(get("custom_counts"), "custom_counts") or None,
+            trials=integer(get("trials", 100), "trials", err),
+            master_seed=integer(get("master_seed", 0), "master_seed", err),
+            stop_rule=get("stop_rule", STOP_CONSENSUS),
+            max_rounds=integer(get("max_rounds", 1000), "max_rounds", err),
+            target_opinion=integer(get("target_opinion"), "target_opinion", err, True),
         )
 
     def cells(self) -> list[SweepCell]:
@@ -431,12 +391,11 @@ class SweepSpec:
         return out
 
 
-def _is_integral(v) -> bool:
-    """v is a JSON integer, or a number without a fractional part (1e6);
-    a bool, a string or 3.7 is not."""
-    if isinstance(v, bool):
-        return False
-    return isinstance(v, int) or (isinstance(v, float) and v.is_integer())
+def _grid(value, name: str) -> tuple[int, ...]:
+    """A sweep spec list field: null is empty and one integer a list of one."""
+    if value is None or isinstance(value, list):
+        return integers(value or [], name, SweepSpecError)
+    return (integer(value, name, SweepSpecError),)
 
 
 def derive_trial_seed(master_seed: int, cell_index: int, trial_index: int) -> int:
@@ -486,8 +445,9 @@ class TrialRecord:
         return json.dumps(data, separators=(",", ":"), allow_nan=False)
 
 
-# every record line holds these keys; to_json_line drops wall_time_ms
-_RECORD_KEYS = frozenset(f.name for f in fields(TrialRecord)) - {"wall_time_ms"}
+# the declared type of every record line key: each field but the last,
+# wall_time_ms, which to_json_line drops
+_RECORD_TYPES = {f.name: f.type for f in fields(TrialRecord)[:-1]}
 
 
 def _top_two_fracs(summary, n: int) -> tuple[float, float]:
@@ -661,21 +621,28 @@ def _drop_torn_line(path: str) -> int:
 
 def read_records_jsonl(path: str) -> list[dict]:
     """The records of a JSON-lines file, without a torn last line; a line
-    that is not JSON, not UTF-8, or not an object holding every record
-    field raises RecordFileError."""
+    that is not JSON, not UTF-8, or not an object holding every record key
+    with its declared type raises RecordFileError."""
     try:
         lines = _read_complete(path).decode("utf-8").split("\n")
-        records = [json.loads(line) for line in lines if line.strip()]
-    except ValueError as exc:
+        return [_record(json.loads(line)) for line in lines if line.strip()]
+    except ValueError as exc:  # RecordFileError is one too
         raise RecordFileError(
             f"{path} holds a line that is not a JSON record: {exc}"
         ) from None
-    for record in records:
-        if not (isinstance(record, dict) and _RECORD_KEYS <= record.keys()):
-            raise RecordFileError(
-                f"{path} holds a line that is not a record: {str(record)[:80]}"
-            )
-    return records
+
+
+def _record(data) -> dict:
+    """A decoded record line, each key checked and read by its _RECORD_TYPES."""
+    json_object(data, _RECORD_TYPES, SCHEMA_VERSION, RecordFileError)
+    for key, kind in _RECORD_TYPES.items():
+        if key not in data:
+            raise RecordFileError(f"missing field '{key}'")
+        if kind.startswith("int"):
+            data[key] = integer(data[key], key, RecordFileError, kind != "int")
+        elif type(data[key]).__name__ != kind:  # a str, bool or list key
+            raise RecordFileError(f"'{key}' must be a {kind}, got {data[key]!r}")
+    return data
 
 
 # ---------------------------------------------------------------------------

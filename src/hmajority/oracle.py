@@ -44,6 +44,7 @@ from .core import (
     HMajorityError,
     NotSortedError,
     coerce_probs,
+    number,
     require_sorted,
 )
 
@@ -303,8 +304,9 @@ def event_report(h: int, p, rare_x: float = 0.25) -> EventReport:
     """Every EventReport field by exact enumeration; p must be pre-sorted.
 
     rare_set lists 1-based opinions with p_i <= rare_x * p_1; strong_set
-    lists those with p_i > p_1 / 2.
+    lists those with p_i > p_1 / 2. A non-finite rare_x raises FieldError.
     """
+    rare_x = number(rare_x, "rare_x")
     probs = coerce_probs(p)
     if len(probs) < 2:
         raise NotSortedError("event_report needs at least two opinions")
@@ -339,7 +341,7 @@ def event_report(h: int, p, rare_x: float = 0.25) -> EventReport:
     return EventReport(
         h=int(h),
         p=probs,
-        rare_x=float(rare_x),
+        rare_x=rare_x,
         cond_diff_majority=cond_maj,
         cond_diff_comparison=cond_cmp,
         sum_tail_conditional=cond_tail,

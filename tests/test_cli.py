@@ -107,7 +107,7 @@ def test_simulate_malformed_config(tmp_path, capsys):
     assert "counts" in err
 
 
-@pytest.mark.parametrize("target", [0, 3, 7, "1"])
+@pytest.mark.parametrize("target", [0, 3, 7, "1", True])
 def test_simulate_rejects_target_outside_opinions(tmp_path, capsys, target):
     config = tmp_path / "config.json"
     out = tmp_path / "o"
@@ -149,6 +149,16 @@ def test_oracle_rejects_nan_probability(capsys):
     assert captured.out == ""
 
 
+def test_oracle_rejects_nan_rare_x(capsys):
+    # json.dumps would print "rare_x": NaN, which is not JSON
+    argv = ["oracle", "--h", "3", "--p", "0.6,0.4", "--report", "event"]
+    code = main([*argv, "--rare-x", "nan"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("config error:") and "rare_x" in captured.err
+    assert captured.out == ""
+
+
 def test_oracle_event_report_unsorted(capsys):
     code = main(["oracle", "--h", "3", "--p", "0.4,0.6", "--report", "event"])
     assert code == 2
@@ -169,6 +179,22 @@ def test_oracle_negative_h_is_config_error(report, capsys):
     assert code == 2
     assert "h >= 0" in captured.err
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "monotonicity", "--suite", "bounds", "--trials", "0"],
+    ["sweep", "--spec", "spec.json", "--out", "OUT", "--workers", "0"],
+    ["sweep", "--spec", "spec.json", "--out", "OUT", "--workers", "-2"],
+])
+def test_counts_on_the_command_line_must_be_positive(tmp_path, capsys, argv):
+    argv = [str(tmp_path / a) if a in ("spec.json", "OUT") else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert "must be an integer >= 1" in captured.err
+    assert captured.out == ""  # no suite ran
+    assert not (tmp_path / "OUT").exists()
 
 
 def test_verify_single_suite(capsys):
@@ -304,6 +330,33 @@ def test_sweep_rejects_malformed_spec(tmp_path, capsys, field, value):
     assert not out.exists()
 
 
+_SIMULATE_CONFIG = {"schema_version": 1, "counts": [6, 4], "h": 3, "max_rounds": 5}
+_SWEEP_SPEC = {"schema_version": 1, "pattern": "custom", "custom_counts": [6, 4],
+               "h": [3], "trials": 2}
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+@pytest.mark.parametrize("field, value", [
+    *((field, v) for field in ("h", "counts") for v in (3.7, True, "3", [[1], 2])),
+    *((None, top) for top in (5, None, [1, 2])),  # a top level that is no object
+])
+def test_malformed_input_is_config_error(tmp_path, capsys, command, field, value):
+    if command == "simulate":
+        flag, data, key = "--config", _SIMULATE_CONFIG, field
+    else:
+        flag, data = "--spec", _SWEEP_SPEC
+        key = "custom_counts" if field == "counts" else field
+    path, out = tmp_path / "input.json", tmp_path / "out"
+    _write_json(path, value if field is None else {**data, key: value})
+    code = main([command, flag, str(path), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error:")
+    assert (f"'{key}'" if field else "JSON object") in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_sweep_append_refuses_record_line_not_json(tmp_path, capsys):
     out = _small_sweep(tmp_path, capsys)
     lines = (out / "records.jsonl").read_bytes().splitlines(keepends=True)
@@ -321,11 +374,20 @@ def test_sweep_append_refuses_record_line_not_json(tmp_path, capsys):
     assert (out / "timings.csv").read_bytes() == timings
 
 
-@pytest.mark.parametrize("line", [b"{}\n", b"[1, 2]\n", b'{"cell_id": "x"}\n'])
+@pytest.mark.parametrize("line", [
+    b"{}\n", b"[1, 2]\n", b'{"cell_id": "x"}\n',
+    # a complete record with one key of the wrong type
+    pytest.param({"consensus_round": "3"}, id="consensus_round-str"),
+    pytest.param({"cell_id": ["x"]}, id="cell_id-list"),
+    pytest.param({"trial": "0"}, id="trial-str"),
+])
 def test_sweep_append_and_report_refuse_json_line_not_a_record(
     tmp_path, capsys, line
 ):
     out = _small_sweep(tmp_path, capsys)
+    if isinstance(line, dict):
+        first = json.loads((out / "records.jsonl").read_bytes().splitlines()[0])
+        line = (json.dumps({**first, **line}) + "\n").encode()
     with open(out / "records.jsonl", "ab") as fh:
         fh.write(line)
     corrupt = (out / "records.jsonl").read_bytes()

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -5,6 +6,7 @@ from hmajority import core
 from hmajority.core import (
     Configuration,
     EmptySystemError,
+    FieldError,
     SumMismatchError,
     bias_stats,
     is_consensus,
@@ -104,6 +106,13 @@ def test_from_counts_validates():
     assert cfg.n == 5 and cfg.k == 2
     with pytest.raises(SumMismatchError):
         Configuration.from_counts([2, -3])
+    # integers are read, not truncated: numpy integers and 2.0 are counts
+    cfg = Configuration.from_counts(np.array([2.0, 3.0]))
+    assert Configuration.from_counts([np.int64(2), 3e0]) == cfg
+    assert all(type(c) is int for c in (*cfg.counts, cfg.n))
+    for counts in ([True, 3], [2, "3"], "23", [[2], 3], [2.5, 3], 5, [2, None]):
+        with pytest.raises(FieldError, match="counts"):
+            Configuration.from_counts(counts)
 
 
 counts_strategy = st.lists(st.integers(min_value=0, max_value=50), min_size=1, max_size=8).filter(

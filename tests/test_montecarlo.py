@@ -9,6 +9,7 @@ import pytest
 
 import hmajority.montecarlo
 from hmajority import sampler
+from hmajority.cli import main
 from hmajority.core import Configuration, NotSortedError
 from hmajority.dynamics import step
 from hmajority.montecarlo import (
@@ -174,7 +175,7 @@ def test_sweep_spec_rejects_malformed_values(field, value):
         SweepSpec.from_json_dict(data).cells()
 
 
-def test_sweep_spec_reads_integral_numbers():
+def test_sweep_spec_reads_integral_numbers(tmp_path, capsys):
     # 4e1 and 2.0 are integers written as JSON numbers with a fraction part
     spec = SweepSpec.from_json_dict({
         "schema_version": 1, "n": 4e1, "k": [2.0], "h": [3], "trials": 2.0,
@@ -183,6 +184,15 @@ def test_sweep_spec_reads_integral_numbers():
     assert (spec.ns, spec.ks, spec.trials, spec.master_seed) == ((40,), (2,), 2, 7)
     assert all(type(v) is int for v in (*spec.ns, *spec.ks, spec.trials))
     assert spec.bias_multiplier == 2.0
+    # the simulate config reads its integer fields the same way
+    config, out = tmp_path / "config.json", tmp_path / "out"
+    config.write_text(json.dumps({
+        "schema_version": 1, "counts": [30.0, 2e1], "h": 3.0, "max_rounds": 5,
+    }))
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+    doc = json.loads((out / "trajectory.json").read_text())
+    assert (doc["initial_counts"], doc["params"]["h"]) == ([30, 20], 3)
+    assert type(doc["params"]["h"]) is int
 
 
 def test_sweep_spec_rejects_repeated_cells():
@@ -196,7 +206,7 @@ def test_sweep_spec_rejects_repeated_cells():
                   bias_multiplier=2.0).cells()
 
 
-@pytest.mark.parametrize("target", [0, 3, 7])
+@pytest.mark.parametrize("target", [0, 3, 7, True])
 def test_sweep_spec_rejects_target_outside_opinions(target):
     spec = SweepSpec(ns=(40,), ks=(2,), hs=(3,), bias_multiplier=2.0,
                      stop_rule="plurality_consensus_on", target_opinion=target)

@@ -85,11 +85,18 @@ def integer(value, name: str, error=FieldError, optional: bool = False) -> int |
     missing field (None) is read only when optional."""
     if type(value) is int or isinstance(value, float) and value.is_integer():
         return int(value)
+    require_integer(value, name, error, optional)
+    return None if value is None else int(value)
+
+
+def require_integer(value, name: str, error=FieldError, optional: bool = False) -> None:
+    """Raise error unless value is a Python or numpy integer: the type check
+    of a dataclass's integer field, which takes no bool, string or float.
+    None passes only when optional."""
     if optional and value is None:
-        return None
+        return
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise error(f"'{name}' must be an integer, got {value!r}")
-    return int(value)
 
 
 def integers(values, name: str, error=FieldError) -> tuple[int, ...]:

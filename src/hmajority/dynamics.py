@@ -23,6 +23,7 @@ from .core import (
     HMajorityError,
     bias_stats,
     is_consensus,
+    require_integer,
 )
 from .oracle import WinDistribution, win_distribution
 from .sampler import (
@@ -71,6 +72,9 @@ class RunParams:
     step_mode: str = STEP_AGENT
 
     def __post_init__(self):
+        # target_opinion is checked against k by require_target
+        for name in ("h", "max_rounds", "seed"):
+            require_integer(getattr(self, name), name, ValueError)
         if self.h < 1:
             raise ValueError(f"h must be >= 1, got {self.h}")
         if self.max_rounds < 1:
@@ -191,8 +195,9 @@ def _renormalized(q) -> tuple[float, ...]:
 
 
 def require_target(target: int | None, k: int, error=ValueError) -> None:
-    """Raise error unless target is None or an int opinion id in 1..k."""
-    if target is not None and not (type(target) is int and 1 <= target <= k):
+    """Raise error unless target is None or an integer opinion id in 1..k."""
+    require_integer(target, "target_opinion", error, optional=True)
+    if target is not None and not 1 <= target <= k:
         raise error(f"target_opinion must be in 1..{k}, got {target!r}")
 
 

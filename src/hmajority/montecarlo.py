@@ -29,7 +29,7 @@ import numpy as np
 from . import sampler
 from .core import (
     Configuration, HMajorityError, coerce_probs, integer, integers, json_object,
-    number, require_sorted,
+    number, require_integer, require_sorted,
 )
 from .dynamics import (
     STOP_CONSENSUS,
@@ -312,6 +312,12 @@ class SweepSpec:
     target_opinion: int | None = None
 
     def __post_init__(self):
+        for name in ("ns", "ks", "hs", "custom_counts"):
+            for value in getattr(self, name) or ():
+                require_integer(value, name, SweepSpecError)
+        # target_opinion is checked against each cell's k by require_target
+        for name in ("trials", "master_seed", "max_rounds"):
+            require_integer(getattr(self, name), name, SweepSpecError)
         if self.trials < 1:
             raise SweepSpecError(f"trials must be >= 1, got {self.trials}")
         if self.max_rounds < 1:

@@ -13,6 +13,12 @@ of that many rows and draws them on a thread pool that lives for the call
 only. The stream rule does not depend on the thread count: a call of at
 most one sub-block draws from the caller's generator; a larger one takes a
 single 63-bit key from it, and sub-block j draws from RngHandle(key, j).
+
+The mode from the ids needs no random draw: among tied maxima the id drawn
+first wins. Rows of at most _PAIRWISE_MAX_H ids compare every pair of
+id columns once and count matches per draw position in bytes; longer rows
+sort each row's (id, position) keys. Both return the same winners, counts
+and tie sizes, in O(rows x h) memory.
 """
 
 from __future__ import annotations
@@ -32,6 +38,12 @@ CHUNK_CELLS = 1 << 22
 # Rows of one chain sub-block: the unit of the stream rule and of the work
 # a thread takes.
 SUB_BLOCK_ROWS = 1 << 14
+
+# Longest row whose mode comes from pairwise comparisons: h(h-1)/2 column
+# compares against the sort's O(h log h) a row. At 10 000 and 65 536 rows
+# the pairwise kernel is faster up to h = 24 for any id width (BENCH_13.json).
+# Counts and draw positions must fit in a byte, so it is at most 255.
+_PAIRWISE_MAX_H = 24
 
 # Threads a chain call may use; None means the usable cores. Sweep worker
 # processes set it to 1.
@@ -240,7 +252,8 @@ def sample_draw_chunks(h: int, weights, rng: RngHandle, n: int):
 
 
 def mode_of_draws(draws: np.ndarray):
-    """Per-row mode of a (rows, h) array of category ids, h >= 1.
+    """Per-row mode of a (rows, h) array of non-negative category ids,
+    h >= 1.
 
     Returns (winner, top, ties): the winning id, its count, and the number
     of ids that share that count. Among tied ids the winner is the one
@@ -249,10 +262,49 @@ def mode_of_draws(draws: np.ndarray):
     order of them is equally likely, and swapping two tied labels maps the
     orders where one wins onto those where the other wins.
 
+    Rows with h <= _PAIRWISE_MAX_H compare every pair of draws once
+    (_mode_pairwise); longer rows are sorted (_mode_sorted). Both give the
+    same result, in O(rows x h) memory: no (rows, k) array is built.
+    """
+    if draws.shape[1] <= _PAIRWISE_MAX_H:
+        return _mode_pairwise(draws)
+    return _mode_sorted(draws)
+
+
+def _mode_pairwise(draws: np.ndarray):
+    """mode_of_draws by pairwise comparison, for h <= 255.
+
+    Each draw position counts the positions holding its id: every pair of
+    id columns is compared once and a match adds one to both counts. The
+    winner is the id at the first position with the largest count, found
+    as the maximum of count << 8 | (255 - position). O(h^2) per row.
+    """
+    rows, h = draws.shape
+    hi = int(draws.max())
+    id_type = np.uint8 if hi <= 0xFF else np.uint16 if hi <= 0xFFFF else draws.dtype
+    cols = np.array(draws.T, dtype=id_type, order="C")
+    count = np.ones((h, rows), dtype=np.uint8)
+    for i in range(h - 1):
+        match = cols[i + 1 :] == cols[i]
+        count[i + 1 :] += match
+        count[i] += match.sum(axis=0, dtype=np.uint8)
+    score = count.astype(np.uint16)
+    score <<= 8
+    score |= (255 - np.arange(h, dtype=np.uint16))[:, None]
+    best = score.max(axis=0)
+    top = (best >> 8).astype(np.uint8)
+    winner = draws[np.arange(rows), 255 - (best & 255)]
+    # each tied id holds top positions at the top count
+    ties = (count == top).sum(axis=0) // top
+    return winner, top.astype(np.int64), ties
+
+
+def _mode_sorted(draws: np.ndarray):
+    """mode_of_draws by sorting each row.
+
     Each row is sorted by (id, position) keys, id << shift | position, in
     int32 when they fit; its runs of equal ids give every id's count and
-    first position. O(h log h) per row and O(rows x h) memory: no (rows, k)
-    array is built.
+    first position. O(h log h) per row.
     """
     rows, h = draws.shape
     cells = rows * h

@@ -229,6 +229,33 @@ def test_run_params_validation():
         RunParams(h=1, max_rounds=5, stop_rule="bogus")
 
 
+@pytest.mark.parametrize("field, value", [
+    ("h", 3.7), ("h", 3.0), ("h", True), ("h", "3"), ("max_rounds", 5.0),
+    ("max_rounds", False), ("seed", "1"), ("seed", 2.5),
+])
+def test_run_params_reject_non_integer_fields(field, value):
+    # a fractional h used to run the round law at int(h) without a word
+    params = dict(h=3, max_rounds=5)
+    params[field] = value
+    with pytest.raises(ValueError, match=field):
+        RunParams(**params)
+
+
+@pytest.mark.parametrize("target", [1.0, True, "1", 0, 3])
+def test_run_rejects_target_outside_opinions(target):
+    params = RunParams(h=3, max_rounds=5, stop_rule=STOP_PLURALITY,
+                       target_opinion=target)
+    with pytest.raises(ValueError, match="target_opinion"):
+        run(Configuration.from_counts([6, 4]), params)
+
+
+def test_run_params_take_python_and_numpy_integers():
+    params = RunParams(h=np.int64(3), max_rounds=np.int32(5), seed=np.uint64(7),
+                       target_opinion=np.int8(1))
+    traj = run(Configuration.from_counts([6, 4]), params)
+    assert traj.terminal_status in (STATUS_CONSENSUS, STATUS_ROUND_CAP)
+
+
 def test_run_round_cap():
     traj = run(
         Configuration.from_counts((500, 500)),

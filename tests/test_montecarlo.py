@@ -138,6 +138,27 @@ def test_derive_trial_seed_stable():
     assert derive_trial_seed(1, 2, 3) != derive_trial_seed(1, 3, 2)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("ns", (40.0,)), ("ks", (2.0,)), ("hs", (3.5,)), ("hs", (True,)),
+    ("custom_counts", (30, 10.0)), ("trials", 2.0), ("trials", "2"),
+    ("master_seed", True), ("max_rounds", 9.5),
+])
+def test_sweep_spec_rejects_non_integer_fields(field, value):
+    # a float n or h used to reach the cell ids, as n40.0-k2-h3.5
+    spec = dict(ns=(40,), ks=(2,), hs=(3,), bias_multiplier=2.0)
+    spec[field] = value
+    with pytest.raises(SweepSpecError, match=field):
+        SweepSpec(**spec)
+
+
+def test_sweep_spec_takes_python_and_numpy_integers():
+    spec = SweepSpec(ns=(np.int64(40),), ks=[np.int32(2)], hs=(3,),
+                     bias_multiplier=2.0, trials=np.int16(2),
+                     master_seed=np.uint64(5), max_rounds=10,
+                     stop_rule="plurality_consensus_on", target_opinion=np.int8(1))
+    assert [c.cell_id for c in spec.cells()] == ["n40-k2-h3-balanced_plus_bias"]
+
+
 def test_sweep_spec_validation():
     with pytest.raises(SweepSpecError):
         SweepSpec(ns=(10,), ks=(2,), hs=(3,), trials=0)
@@ -206,7 +227,7 @@ def test_sweep_spec_rejects_repeated_cells():
                   bias_multiplier=2.0).cells()
 
 
-@pytest.mark.parametrize("target", [0, 3, 7, True])
+@pytest.mark.parametrize("target", [0, 3, 7, True, 1.0])
 def test_sweep_spec_rejects_target_outside_opinions(target):
     spec = SweepSpec(ns=(40,), ks=(2,), hs=(3,), bias_multiplier=2.0,
                      stop_rule="plurality_consensus_on", target_opinion=target)

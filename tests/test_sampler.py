@@ -101,6 +101,18 @@ def test_draw_multinomial_means():
         assert abs(mean - 6 * p) < 3 * sigma / math.sqrt(reps)
 
 
+@pytest.mark.parametrize("p, expected", [
+    ((0.5, 0.5, 0.0), [(530, 470, 0), (492, 508, 0), (483, 517, 0)]),
+    ((0.3, 0.7, 0.0, 0.0), [(253, 747, 0, 0), (294, 706, 0, 0), (291, 709, 0, 0)]),
+])
+def test_draw_multinomial_stream_with_dead_trailing_opinions(p, expected):
+    # once the live mass is used up the chain draws nothing more, where
+    # Generator.multinomial draws a p = 1 binomial and uses up a uniform:
+    # from the same stream it gives (515, 485, 0) and (494, 506, 0) here
+    rng = RngHandle(3)
+    assert [draw_multinomial(1000, p, rng) for _ in expected] == expected
+
+
 def test_draw_categorical_trivial():
     rng = RngHandle(3)
     empty = count_draw_ids(0, (0.5, 0.5), rng, 4)
@@ -302,37 +314,80 @@ MULTISETS = [
 ]
 
 
+# mode_of_draws takes the pairwise kernel for h <= _PAIRWISE_MAX_H and the
+# sort above it; the kernel tests run each case through both
+KERNELS = [sampler._mode_pairwise, sampler._mode_sorted]
+
+
 @pytest.mark.parametrize("multiset", MULTISETS)
 def test_mode_of_draws_tie_rule_exact_over_orderings(multiset):
     orders = np.array(sorted(set(itertools.permutations(multiset))))
-    winner, top, ties = mode_of_draws(orders)
     counts = Counter(multiset)
     best = max(counts.values())
     tied = sorted(label for label, c in counts.items() if c == best)
-    assert np.all(top == best)
-    assert np.all(ties == len(tied))
-    wins = Counter(winner.tolist())
-    assert sorted(wins) == tied
-    assert set(wins.values()) == {len(orders) // len(tied)}
+    for kernel in KERNELS:
+        winner, top, ties = kernel(orders)
+        assert np.all(top == best)
+        assert np.all(ties == len(tied))
+        wins = Counter(winner.tolist())
+        assert sorted(wins) == tied
+        assert set(wins.values()) == {len(orders) // len(tied)}
 
 
 def test_mode_of_draws_matches_count_matrix_mode():
     # top, ties and the winner's count agree with a dense count of each row
     # the last case has one id drawn about 38 000 times out of 40 000: its
-    # count << shift outgrows int32 though the ids do not
+    # count << shift outgrows int32 though the ids do not; the pairwise
+    # kernel counts in bytes, so it takes rows of at most 255 draws
     rng = np.random.default_rng(17)
     cases = [rng.integers(0, k, size=(2000, h))
              for k, h in [(9, 3), (40, 12), (5, 4), (300, 30), (2, 1)]]
     cases.append((rng.random((4, 40_000)) < 0.05).astype(np.int64))
-    for draws in cases:
+    for draws, kernel in itertools.product(cases, KERNELS):
+        if kernel is sampler._mode_pairwise and draws.shape[1] > 255:
+            continue
         k = int(draws.max()) + 1
-        winner, top, ties = mode_of_draws(draws)
+        winner, top, ties = kernel(draws)
         dense = np.zeros((draws.shape[0], k), dtype=np.int64)
         np.add.at(dense, (np.arange(draws.shape[0])[:, None], draws), 1)
         rowmax = dense.max(axis=1)
         assert np.array_equal(top, rowmax)
         assert np.array_equal(ties, (dense == rowmax[:, None]).sum(axis=1))
         assert np.array_equal(dense[np.arange(draws.shape[0]), winner], rowmax)
+
+
+def test_mode_kernels_agree_on_random_arrays():
+    # identical (winner, top, ties) from both kernels, at h = 1, at the
+    # switch point H and at H + 1; ids narrow to uint8, to uint16 or not at
+    # all in the pairwise kernel; rows of all-distinct ids and rows of one
+    # id (top = h) in every case
+    H = sampler._PAIRWISE_MAX_H
+    assert 1 <= H <= 255
+    rng = np.random.default_rng(41)
+    for h in sorted({1, 2, 3, 5, 8, H - 1, H, H + 1}):
+        for k in (2, 3, h + 1, 250, 60_000, 10**6):
+            draws = rng.integers(0, k, size=(500, h))
+            distinct = rng.permuted(np.tile(np.arange(h), (50, 1)), axis=1)
+            same = np.repeat(rng.integers(0, k, size=(50, 1)), h, axis=1)
+            draws = np.concatenate([draws, k - 1 - distinct % k, same])
+            pairwise = sampler._mode_pairwise(draws)
+            ranked = sampler._mode_sorted(draws)
+            for a, b in zip(pairwise, ranked):
+                assert np.array_equal(a, b), (h, k)
+            assert np.all(pairwise[1][-50:] == h)
+            if k >= h:
+                assert np.all(pairwise[1][500:550] == 1)
+                assert np.all(pairwise[2][500:550] == h)
+
+
+def test_mode_of_draws_switches_kernel_at_pairwise_max_h(monkeypatch):
+    calls = []
+    monkeypatch.setattr(sampler, "_mode_pairwise", lambda d: calls.append("pairwise"))
+    monkeypatch.setattr(sampler, "_mode_sorted", lambda d: calls.append("sorted"))
+    H = sampler._PAIRWISE_MAX_H
+    for h in (1, H, H + 1):
+        mode_of_draws(np.zeros((3, h), dtype=np.int64))
+    assert calls == ["pairwise", "pairwise", "sorted"]
 
 
 def test_alias_table_reproduces_weights():

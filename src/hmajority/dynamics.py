@@ -8,8 +8,9 @@ aggregated outcome counts, so it samples the n agents in blocks of at most
 sampler.CHUNK_CELLS cells. With k > h a block holds each agent's h draw ids
 (rows x h cells, whatever k is) and the agent adopts the tied-maximum
 opinion drawn first, which is exactly uniform over the tied set (see
-sampler.mode_of_draws); with k <= h it is a rows x k count matrix from the
-binomial chain, and ties take one uniform draw.
+sampler.mode_of_draws). With k <= h each agent walks the binomial chain
+over the opinions in descending probability and stops once its leader is
+out of reach, and ties take one uniform draw (sampler.sample_chain_modes).
 """
 
 from __future__ import annotations
@@ -28,11 +29,10 @@ from .core import (
 from .oracle import WinDistribution, win_distribution
 from .sampler import (
     RngHandle,
-    argmax_rows_with_tiebreak,
     draw_multinomial,
     draws_take_ids,
     mode_of_draws,
-    sample_counts_chunks,
+    sample_chain_modes,
     sample_draw_chunks,
 )
 
@@ -149,7 +149,11 @@ def step(config: Configuration, h: int, rng: RngHandle) -> Configuration:
     u.a.r. tie-breaking; the n outcomes are aggregated into the next
     configuration. The path follows sampler.draws_take_ids: with k > h the
     modes come from the draw ids (an alias table over the live opinions,
-    exact from the integer counts), otherwise from chain count matrices.
+    exact from the integer counts), otherwise from the binomial chain over
+    the opinions in descending share. There an agent draws no further
+    opinion once its top count exceeds its remaining draws. That is exact:
+    every undrawn count is at most the remaining draws, so none can reach
+    the top, and the set of maxima, ties included, is already fixed.
     Consensus is absorbing: every sample then consists of the consensus
     opinion only, so the input is returned as is.
     """
@@ -165,8 +169,7 @@ def step(config: Configuration, h: int, rng: RngHandle) -> Configuration:
             new_counts += np.bincount(mode_of_draws(draws)[0], minlength=k)
     else:
         probs = np.asarray(config.counts, dtype=np.float64) / config.n
-        for matrix in sample_counts_chunks(h, probs, rng, config.n):
-            winners = argmax_rows_with_tiebreak(matrix, rng)
+        for winners, _, _, _ in sample_chain_modes(h, probs, rng, config.n):
             new_counts += np.bincount(winners, minlength=k)
     return Configuration(counts=tuple(new_counts.tolist()), n=config.n)
 

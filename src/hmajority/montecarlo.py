@@ -39,10 +39,11 @@ from .dynamics import (
     run,
 )
 from .sampler import (
+    InvalidProbError,
     RngHandle,
-    argmax_rows_with_tiebreak,
     draws_take_ids,
     mode_of_draws,
+    sample_chain_modes,
     sample_counts_chunks,
     sample_draw_chunks,
 )
@@ -126,24 +127,20 @@ class WinEventCounts:
 def sample_win_events(h: int, p, trials: int, rng: RngHandle) -> WinEventCounts:
     """Count winning events over repeated independent sample vectors."""
     probs = coerce_probs(p)
+    if trials < 0:
+        raise InvalidProbError(f"trials must be >= 0, got {trials}")
     k = len(probs)
     win = np.zeros(k, dtype=np.int64)
     strict_1 = 0
     ties_1 = 0
     strict_pair = 0
-    take_ids = draws_take_ids(k, h)
-    sample = sample_draw_chunks if take_ids else sample_counts_chunks
-    for block in sample(h, probs, rng, trials):
-        if take_ids:
-            winners, top, ties = mode_of_draws(block)
-            first_is_max = (block == 0).sum(axis=1) == top
-        else:
-            is_max = block == block.max(axis=1)[:, None]
-            ties = is_max.sum(axis=1)
-            first_is_max = is_max[:, 0]
-            winners = argmax_rows_with_tiebreak(block, rng)
+    if draws_take_ids(k, h):
+        blocks = map(_id_modes, sample_draw_chunks(h, probs, rng, trials))
+    else:
+        blocks = sample_chain_modes(h, probs, rng, trials)
+    for winners, _, ties, first_is_top in blocks:
         strict = ties == 1
-        ties_1 += int(first_is_max.sum())
+        ties_1 += int(first_is_top.sum())
         strict_1 += int((strict & (winners == 0)).sum())
         strict_pair += int((strict & (winners < 2)).sum())
         win += np.bincount(winners, minlength=k)
@@ -154,6 +151,13 @@ def sample_win_events(h: int, p, trials: int, rng: RngHandle) -> WinEventCounts:
         ties_1=ties_1,
         strict_pair_12=strict_pair,
     )
+
+
+def _id_modes(draws: np.ndarray):
+    """The blocks of sample_chain_modes from a block of draw ids:
+    mode_of_draws and whether opinion 1 holds the top count."""
+    winners, top, ties = mode_of_draws(draws)
+    return winners, top, ties, (draws == 0).sum(axis=1) == top
 
 
 @dataclass(frozen=True)

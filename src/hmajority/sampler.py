@@ -1,18 +1,25 @@
 """Bounded-cost random draws: multinomial count vectors from the
 conditional-binomial chain, memory-capped blocks of them or of raw category
 ids drawn through an alias table, and the row-wise mode with uniform
-tie-break, from a count matrix or straight from the ids.
+tie-break, from the chain, from a count matrix or straight from the ids.
 
 All randomness flows through RngHandle, a counter-based Philox stream keyed
 by (master_seed, stream_id): identical keys give byte-identical draw
 sequences regardless of thread schedule, which is what makes sweeps
 reproducible under parallelism.
 
-The chain splits a call of more than SUB_BLOCK_ROWS rows into sub-blocks
-of that many rows and draws them on a thread pool that lives for the call
-only. The stream rule does not depend on the thread count: a call of at
-most one sub-block draws from the caller's generator; a larger one takes a
-single 63-bit key from it, and sub-block j draws from RngHandle(key, j).
+Every chain call splits more than SUB_BLOCK_ROWS rows into sub-blocks of
+that many rows and draws them on a thread pool that lives for the call
+only (_run_sub_blocks). The stream rule does not depend on the thread
+count: a call of at most one sub-block draws from the caller's generator; a
+larger one takes a single 63-bit key from it, and sub-block j draws from
+RngHandle(key, j).
+
+The modes of k <= h rounds come from the chain without a count matrix
+(sample_chain_modes). It walks the opinions in descending probability, and
+a row leaves the chain once its top count exceeds its remaining draws: no
+undrawn count can then reach the top, so the set of maxima is fixed. A
+tied row takes one uniform draw.
 
 The mode from the ids needs no random draw: among tied maxima the id drawn
 first wins. Rows of at most _PAIRWISE_MAX_H ids compare every pair of
@@ -135,16 +142,12 @@ def sample_counts_matrix(h: int, p, rng: RngHandle, rows: int) -> np.ndarray:
 
     The conditional-binomial chain, vectorized over rows: column i is
     Binomial(remaining, p_i / (p_i + ... + p_k)), O(k) per row whatever h
-    is. Callers bound rows x k through sample_counts_chunks; rounds at
-    k > h take the modes from draw ids instead (sample_draw_chunks and
-    mode_of_draws).
+    is. Callers bound rows x k through sample_counts_chunks. Rounds take
+    their modes from sample_chain_modes (k <= h) or from draw ids (k > h)
+    and never build this matrix.
 
-    At most SUB_BLOCK_ROWS rows are drawn from rng itself. More rows are
-    split into sub-blocks of SUB_BLOCK_ROWS rows (the last one fewer): one
-    63-bit key is drawn from rng, and sub-block j fills its own row slice
-    of the result from RngHandle(key, j), on up to min(usable cores,
-    sub-blocks) threads of a pool that is shut down before the call
-    returns. The result does not depend on the thread count.
+    Sub-blocks follow the stream rule of _run_sub_blocks, so the result
+    does not depend on the thread count.
     """
     probs = np.asarray(coerce_probs(p), dtype=np.float64)
     if h < 0:
@@ -152,24 +155,41 @@ def sample_counts_matrix(h: int, p, rng: RngHandle, rows: int) -> np.ndarray:
     if rows < 0:
         raise InvalidProbError(f"rows must be >= 0, got {rows}")
     out = np.zeros((rows, probs.size), dtype=np.int64)
+    _run_sub_blocks(
+        rows, rng, lambda start, stop, gen: _chain_fill(out[start:stop], h, probs, gen)
+    )
+    return out
+
+
+def _run_sub_blocks(rows: int, rng: RngHandle, fill) -> None:
+    """Call fill(start, stop, gen) on the sub-blocks that cover rows rows:
+    the stream rule of every chain call.
+
+    At most SUB_BLOCK_ROWS rows are one sub-block drawn from rng itself.
+    More rows are split into sub-blocks of SUB_BLOCK_ROWS rows (the last one
+    fewer): one 63-bit key is drawn from rng, and sub-block j draws from
+    RngHandle(key, j), on up to min(usable cores, sub-blocks) threads of a
+    pool that is shut down before the call returns. Each fill writes only
+    its own rows, so the result does not depend on the thread count.
+    """
     if rows <= SUB_BLOCK_ROWS:
-        _chain_fill(out, h, probs, rng.gen)
-        return out
+        fill(0, rows, rng.gen)
+        return
     key = int(rng.gen.integers(0, 1 << 63))
     sub_blocks = range(-(-rows // SUB_BLOCK_ROWS))
 
-    def fill(j: int) -> None:
-        block = out[j * SUB_BLOCK_ROWS : (j + 1) * SUB_BLOCK_ROWS]
-        _chain_fill(block, h, probs, RngHandle(key, stream_id=j).gen)
+    def run(j: int) -> None:
+        start = j * SUB_BLOCK_ROWS
+        stop = min(rows, start + SUB_BLOCK_ROWS)
+        fill(start, stop, RngHandle(key, stream_id=j).gen)
 
     threads = min(MAX_THREADS or _usable_cores(), len(sub_blocks))
     if threads <= 1:
         for j in sub_blocks:
-            fill(j)
+            run(j)
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(fill, sub_blocks))  # re-raises a worker's error
-    return out
+            list(pool.map(run, sub_blocks))  # re-raises a worker's error
 
 
 def _chain_fill(out: np.ndarray, h: int, probs: np.ndarray, gen) -> None:
@@ -192,6 +212,79 @@ def _chain_fill(out: np.ndarray, h: int, probs: np.ndarray, gen) -> None:
         remaining = remaining - x
         rem_p -= pi
     out[:, k - 1] += remaining
+
+
+def sample_chain_modes(h: int, p, rng: RngHandle, n: int):
+    """Yield (winner, top, ties, first_is_top) blocks of n agents' modes
+    of Multinomial(h, p) samples, the rows of k <= h rounds.
+
+    winner, top and ties are those of mode_of_draws: the adopted opinion
+    (0-based), its count and the number of opinions at that count, with
+    one uniform draw among tied maxima. first_is_top tells whether opinion
+    1 holds the top count. Blocks have _block_rows(k, n) rows and follow
+    the stream rule of _run_sub_blocks.
+
+    Each sub-block walks the conditional-binomial chain over the live
+    opinions in descending probability (a stable sort), keeping each row's
+    running top count. A row whose top exceeds its remaining draws leaves
+    the chain: it draws no further binomial. This is exact, since every
+    undrawn count is at most remaining < top, so the set of maxima is
+    already fixed, and reading an undrawn count as 0 can neither make nor
+    undo a tie. Near consensus most rows leave after the first opinion.
+    """
+    probs = np.asarray(coerce_probs(p), dtype=np.float64)
+    if h < 0:
+        raise InvalidProbError(f"h must be >= 0, got {h}")
+    k = probs.size
+    order = np.argsort(-probs, kind="stable")
+    ranked = probs[order]
+    live = int(np.count_nonzero(ranked))
+    # p_i / (p_i + ... + p_last live), the tail summed from its small end
+    tail = np.cumsum(ranked[live - 1 :: -1])[::-1]
+    step_p = ranked[: live - 1] / tail[: live - 1]
+    first = int(np.flatnonzero(order == 0)[0])
+    for rows in _block_rows(k, n):
+        winner = np.empty(rows, dtype=np.int64)
+        top = np.empty(rows, dtype=np.int64)
+        ties = np.empty(rows, dtype=np.int64)
+        first_is_top = np.empty(rows, dtype=bool)
+
+        def fill(start: int, stop: int, gen) -> None:
+            counts, best = _chain_counts(stop - start, h, step_p, k, gen)
+            rank, tied = _argmax_tiebreak(counts.T, best, gen)
+            winner[start:stop] = order[rank]
+            top[start:stop] = best
+            ties[start:stop] = tied
+            first_is_top[start:stop] = counts[first] == best
+
+        _run_sub_blocks(rows, rng, fill)
+        yield winner, top, ties, first_is_top
+
+
+def _chain_counts(rows: int, h: int, step_p: np.ndarray, k: int, gen):
+    """(k, rows) chain counts in ranked opinion order and each row's top
+    count, with rows leaving the chain once their top exceeds their
+    remaining draws (sample_chain_modes). step_p holds the conditional
+    probabilities of all live opinions but the last, which takes the rest;
+    the counts of the dead opinions, ranked last, stay 0."""
+    counts = np.zeros((k, rows), dtype=np.int64)
+    top = np.zeros(rows, dtype=np.int64)
+    at = np.arange(rows)  # rows still in the chain
+    remaining = np.full(rows, int(h), dtype=np.int64)
+    best = np.zeros(rows, dtype=np.int64)
+    for i, pi in enumerate(step_p):
+        x = gen.binomial(remaining, pi)
+        counts[i, at] = x
+        remaining -= x
+        np.maximum(best, x, out=best)
+        out_of_reach = best > remaining
+        if out_of_reach.any():
+            top[at[out_of_reach]] = best[out_of_reach]
+            stay = ~out_of_reach
+            at, remaining, best = at[stay], remaining[stay], best[stay]
+    counts[step_p.size, at] = remaining
+    top[at] = np.maximum(best, remaining)
+    return counts, top
 
 
 def _usable_cores() -> int:
@@ -227,8 +320,8 @@ def sample_counts_chunks(h: int, p, rng: RngHandle, n: int):
 def draws_take_ids(k: int, h: int) -> bool:
     """The path rule: with 0 < h < k a row's h category ids are fewer than
     its k counts, so rounds take each agent's mode from its ids
-    (sample_draw_chunks + mode_of_draws); otherwise from the chain sampler's
-    count matrix (sample_counts_chunks + argmax_rows_with_tiebreak)."""
+    (sample_draw_chunks + mode_of_draws); otherwise from the binomial chain
+    (sample_chain_modes)."""
     return 0 < h < k
 
 
@@ -339,18 +432,22 @@ def _mode_sorted(draws: np.ndarray):
 
 
 def argmax_rows_with_tiebreak(counts: np.ndarray, rng: RngHandle) -> np.ndarray:
-    """Per-row argmax (0-based) with exact uniform tie-breaking.
+    """Per-row argmax (0-based) of a (rows, k) count matrix with exact
+    uniform tie-breaking: rows with m tied maxima pick each with
+    probability 1/m using one uniform integer per tied row."""
+    return _argmax_tiebreak(counts, counts.max(axis=1), rng.gen)[0]
 
-    Rows with m tied maxima pick each with probability 1/m using one uniform
-    integer per tied row.
-    """
-    rowmax = counts.max(axis=1)
-    winners = counts.argmax(axis=1)
-    is_max = counts == rowmax[:, None]
-    m = is_max.sum(axis=1)
-    tied = np.nonzero(m > 1)[0]
+
+def _argmax_tiebreak(counts: np.ndarray, top: np.ndarray, gen):
+    """(winner, ties) of each row of the (rows, k) counts whose row maxima
+    are top: the number of columns at the maximum, and the first of them,
+    or for a tied row the u-th, u uniform from one draw of gen."""
+    is_max = counts == top[:, None]
+    ties = is_max.sum(axis=1)
+    winner = is_max.argmax(axis=1)
+    tied = np.flatnonzero(ties > 1)
     if tied.size:
-        u = rng.gen.integers(0, m[tied])
+        u = gen.integers(0, ties[tied])
         cumulative = np.cumsum(is_max[tied], axis=1)
-        winners[tied] = np.argmax(cumulative == (u + 1)[:, None], axis=1)
-    return winners
+        winner[tied] = np.argmax(cumulative == (u + 1)[:, None], axis=1)
+    return winner, ties

@@ -6,7 +6,7 @@ import importlib.util
 from pathlib import Path
 
 import hmajority
-from hmajority import dynamics, verify
+from hmajority import dynamics, sampler, verify
 from hmajority.core import Configuration
 from hmajority.montecarlo import SweepSpec, write_sweep
 from hmajority.oracle import win_distribution
@@ -36,9 +36,12 @@ def test_tracer_resolves_every_target_and_restores_the_package():
         names += list(spans.THEORY_FUNCTIONS)
         names += [f"suite_{s}" for s in spans.VERIFY_SUITES]
         assert set(names) <= patched, set(names) - patched
-        # a chain round (k <= h): 100 rows; an oracle-level round: one row
+        # 100 chain rows through the patched name; a chain round (k <= h)
+        # takes its modes from sample_chain_modes, not from count matrices;
+        # an oracle-level round: one chain row
         rng = RngHandle(3)
         cfg = Configuration.from_counts((40, 30, 30))
+        sampler.sample_counts_matrix(4, (0.4, 0.3, 0.3), rng, 100)
         dynamics.step(cfg, 4, rng)
         dynamics.oracle_step(cfg, win_distribution(3, (0.4, 0.3, 0.3)), rng)
         assert tracer.counts["sampler.chain_rows"] == 101

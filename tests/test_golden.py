@@ -16,7 +16,7 @@ GOLDEN = {
     "sweep_categorical":
         "fe6ec65806726968d4ed98848e8d3c3ce175617ae0a347ee1aaf80e50abc7087",
     "simulate_chain_two_chunks":
-        "596ae47a7993b71356b8e30e2e29e065a474d1a29c34c8403a75a9c4e55ad9be",
+        "a4777720aaefcae735db645c339035ab9e3e4a1920e6b4c308071e9559a51c7d",
     "simulate_oracle_level":
         "67f85864282bcb293c70f4762d3419cc0f99e018e12357da2aa348c0502f3075",
     "simulate_top_counts":
@@ -50,7 +50,8 @@ def test_sweep_records_bytes(tmp_path):
 def test_trajectory_bytes(tmp_path, capsys):
     digests = {
         # k = 4 <= h = 5: the chain path, n = 70 000 rows in two chunks, the
-        # first of four chain sub-blocks
+        # first of four chain sub-blocks; rows leave the chain once their
+        # leader is out of reach
         "simulate_chain_two_chunks": _simulate(tmp_path, "chain", {
             "counts": [20000, 18000, 17000, 15000], "h": 5, "max_rounds": 6,
             "seed": 41,

@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.stats import chi2
 
 import hmajority.montecarlo
 from hmajority import sampler
@@ -30,7 +31,7 @@ from hmajority.montecarlo import (
     write_sweep,
 )
 from hmajority.oracle import win_distribution
-from hmajority.sampler import RngHandle
+from hmajority.sampler import InvalidProbError, RngHandle
 
 
 def test_wilson_interval_orders():
@@ -83,6 +84,44 @@ def test_estimates_contain_exact_oracle_values():
         estimates = win_estimates(h, probs, trials=10**6, seed=8000 + seed)
         for est, q in zip(estimates, exact.q):
             assert est.wilson_low <= q <= est.wilson_high
+
+
+@pytest.mark.parametrize("h, p, seed", [
+    (12, (0.7, 0.1, 0.1, 0.1), 8101),  # dominant plurality: most rows leave early
+    (8, (0.1, 0.15, 0.15, 0.6), 8102),  # the plurality listed last
+    (6, (0.4, 0.0, 0.35, 0.0, 0.25), 8103),  # dead opinions in the middle
+    (4, (0.55, 0.45), 8104),  # even h at k = 2: 2-2 ties
+    (3, (0.5, 0.3, 0.2), 8105),  # h = k
+    (0, (0.5, 0.3, 0.2, 0.0), 8106),  # h = 0: every row ties all k opinions
+])
+def test_sample_win_events_chain_path_matches_win_distribution(h, p, seed):
+    # k <= h: modes from the early-exit chain. The winner law against q by
+    # chi-square (alpha 1e-3); the opinion-1 and pair events against
+    # q_strict[0], q_ties[0] and q_strict_pair_12 by 0.999 Wilson intervals
+    trials = 200_000
+    w = win_distribution(h, p)
+    counts = sample_win_events(h, p, trials, RngHandle(seed))
+    assert counts.trials == trials and sum(counts.win) == trials
+    q = np.array(w.q)
+    seen = np.array(counts.win)
+    assert np.all(seen[q == 0] == 0)
+    expect = trials * q[q > 0]
+    stat = ((seen[q > 0] - expect) ** 2 / expect).sum()
+    assert chi2.sf(stat, expect.size - 1) > 1e-3
+    for events, exact in [
+        (counts.strict_1, w.q_strict[0]),
+        (counts.ties_1, w.q_ties[0]),
+        (counts.strict_pair_12, w.q_strict_pair_12),
+    ]:
+        est = Estimate.from_counts(events, trials)
+        assert est.wilson_low <= exact <= est.wilson_high, (events, exact)
+
+
+def test_sample_win_events_rejects_negative_trials():
+    with pytest.raises(InvalidProbError):
+        sample_win_events(3, (0.5, 0.5), -1, RngHandle(1))
+    with pytest.raises(InvalidProbError):
+        sample_win_events(1, (0.5, 0.3, 0.2), -1, RngHandle(1))
 
 
 def test_estimate_win_probs_deterministic():

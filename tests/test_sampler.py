@@ -20,6 +20,7 @@ from hmajority.sampler import (
     argmax_rows_with_tiebreak,
     draw_multinomial,
     mode_of_draws,
+    sample_chain_modes,
     sample_counts_chunks,
     sample_counts_matrix,
     sample_draw_chunks,
@@ -209,6 +210,70 @@ def test_chain_call_of_one_sub_block_keeps_its_bytes():
     assert hashlib.sha256(a.tobytes() + b.tobytes()).hexdigest() == (
         "df45ca1ce45a95657db775b6d7ec5d944a2d5711c3ddad82ee1d4e36be71825c"
     )
+
+
+def _chain_modes(h, p, rng, rows):
+    """The (winner, top, ties, first_is_top) arrays of one sample_chain_modes
+    call of at most one block."""
+    (block,) = sample_chain_modes(h, p, rng, rows)
+    return block
+
+
+def test_chain_modes_do_not_depend_on_thread_count(monkeypatch):
+    # four sub-blocks, the last one short; unsorted p, so rows leave the
+    # chain at different opinions
+    rows = 3 * SUB_BLOCK_ROWS + 5
+    probs = (0.1, 0.4, 0.2, 0.3)
+    results = []
+    for threads in (1, 2):
+        monkeypatch.setattr(sampler, "MAX_THREADS", threads)
+        rng = RngHandle(78, 3)
+        modes = _chain_modes(9, probs, rng, rows)
+        after = rng.gen.integers(0, 2**32, 4).tobytes()
+        results.append((b"".join(a.tobytes() for a in modes), after))
+    assert results[0] == results[1]
+    # one key from the caller's generator; sub-block j draws from (key, j)
+    key_rng = RngHandle(78, 3)
+    key = int(key_rng.gen.integers(0, 1 << 63))
+    assert results[0][1] == key_rng.gen.integers(0, 2**32, 4).tobytes()
+    for j in range(4):
+        block = slice(j * SUB_BLOCK_ROWS, min(rows, (j + 1) * SUB_BLOCK_ROWS))
+        own = _chain_modes(9, probs, RngHandle(key, j), block.stop - block.start)
+        for a, b in zip(modes, own):
+            assert a[block].tobytes() == b.tobytes()
+
+
+class CountingGenerator:
+    """A numpy generator that counts the elements of its binomial calls."""
+
+    def __init__(self, gen):
+        self.gen = gen
+        self.binomials = 0
+
+    def binomial(self, n, p):
+        self.binomials += np.size(n)
+        return self.gen.binomial(n, p)
+
+    def __getattr__(self, name):
+        return getattr(self.gen, name)
+
+
+def test_chain_modes_rows_out_of_reach_draw_no_further_opinion():
+    # h = 1000, p_1 = 0.83: after its first binomial a row leads with about
+    # 830 against 170 left, so it draws none of the other 14 conditional
+    # binomials a full chain would (15 000 draws over 1000 rows)
+    rng = RngHandle(91)
+    rng.gen = CountingGenerator(rng.gen)
+    probs = (0.83,) + (0.17 / 15,) * 15
+    winner, top, ties, first_is_top = _chain_modes(1000, probs, rng, 1000)
+    assert rng.gen.binomials < 1100
+    assert np.all(winner == 0) and np.all(ties == 1) and np.all(first_is_top)
+    assert top.min() > 500
+
+
+def test_chain_modes_reject_negative_h():
+    with pytest.raises(InvalidProbError):
+        list(sample_chain_modes(-1, (0.5, 0.5), RngHandle(1), 4))
 
 
 def test_chain_column_marginals_match_binomial_laws():

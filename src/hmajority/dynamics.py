@@ -6,8 +6,9 @@ is exactly counts/n) and adopts the most frequent sampled opinion, breaking
 ties uniformly at random. Agents are anonymous; a round only needs the
 aggregated outcome counts, so it samples the n agents in blocks of at most
 sampler.CHUNK_CELLS cells. With k > h a block holds each agent's h draw ids
-(rows x h cells, whatever k is) and the agent adopts the tied-maximum
-opinion drawn first, which is exactly uniform over the tied set (see
+(rows x h cells, whatever k is), the opinions of h uniform agents (see
+sampler.sample_draw_chunks), and the agent adopts the tied-maximum opinion
+drawn first, which is exactly uniform over the tied set (see
 sampler.mode_of_draws). With k <= h each agent walks the binomial chain
 over the opinions in descending probability and stops once its leader is
 out of reach, and ties take one uniform draw (sampler.sample_chain_modes).
@@ -148,12 +149,12 @@ def step(config: Configuration, h: int, rng: RngHandle) -> Configuration:
     Every agent draws h opinions with law counts/n and adopts the mode with
     u.a.r. tie-breaking; the n outcomes are aggregated into the next
     configuration. The path follows sampler.draws_take_ids: with k > h the
-    modes come from the draw ids (an alias table over the live opinions,
-    exact from the integer counts), otherwise from the binomial chain over
-    the opinions in descending share. There an agent draws no further
-    opinion once its top count exceeds its remaining draws. That is exact:
-    every undrawn count is at most the remaining draws, so none can reach
-    the top, and the set of maxima, ties included, is already fixed.
+    modes come from the draw ids, the opinions of uniform agents
+    (sampler.sample_draw_chunks), otherwise from the binomial chain over the
+    opinions in descending share. There an agent draws no further opinion
+    once its top count exceeds its remaining draws. That is exact: every
+    undrawn count is at most the remaining draws, so none can reach the
+    top, and the set of maxima, ties included, is already fixed.
     Consensus is absorbing: every sample then consists of the consensus
     opinion only, so the input is returned as is.
     """

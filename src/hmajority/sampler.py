@@ -1,7 +1,7 @@
 """Bounded-cost random draws: multinomial count vectors from the
 conditional-binomial chain, memory-capped blocks of them or of raw category
-ids drawn through an alias table, and the row-wise mode with uniform
-tie-break, from the chain, from a count matrix or straight from the ids.
+ids, and the row-wise mode with uniform tie-break, from the chain, from a
+count matrix or straight from the ids.
 
 All randomness flows through RngHandle, a counter-based Philox stream keyed
 by (master_seed, stream_id): identical keys give byte-identical draw
@@ -21,6 +21,11 @@ a row leaves the chain once its top count exceeds its remaining draws: no
 undrawn count can then reach the top, so the set of maxima is fixed. A
 tied row takes one uniform draw.
 
+The ids of k > h rounds are the opinions of uniform agents, read from a
+table of the n agents' opinions: exact from the integer counts. Above
+CHUNK_CELLS agents, and for probabilities, an alias table draws them
+(sample_draw_chunks).
+
 The mode from the ids needs no random draw: among tied maxima the id drawn
 first wins. Rows of at most _PAIRWISE_MAX_H ids compare every pair of
 id columns once and count matches per draw position in bytes; longer rows
@@ -39,7 +44,8 @@ from .core import HMajorityError, coerce_probs
 
 _MASK64 = (1 << 64) - 1
 
-# Cell budget of one block: rows x k counts or rows x h draw ids.
+# Cell budget of one block: rows x k counts or rows x h draw ids. It also
+# caps the agents of a draw-id look-up table (sample_draw_chunks).
 CHUNK_CELLS = 1 << 22
 
 # Rows of one chain sub-block: the unit of the stream rule and of the work
@@ -88,18 +94,20 @@ def draw_multinomial(h: int, p, rng: RngHandle) -> tuple[int, ...]:
 
 
 class AliasTable:
-    """Walker alias table: O(k log k) setup, O(1) per categorical draw.
+    """Walker alias table: O(k log k) setup, O(1) per categorical draw, two
+    random draws per id.
 
-    weights are non-negative with a positive sum: probabilities, or integer
-    counts, whose table is exact up to one rounding per entry. The table is
-    built with array operations in the sweep order of the two-list
-    construction: light entries (k w_i below the total W) take their alias
-    from the heavy ones, both in index order, and a heavy entry whose
-    remaining mass falls to W or below becomes light and takes its alias
-    from the next heavy one. With D the running sum of the light deficits
-    and S that of the heavy surpluses, light entry i goes to the first heavy
-    entry j with S_j > D_(i-1), and heavy entry j keeps W + S_j - D_(i_j),
-    where i_j light entries go to heavy entries 1..j.
+    weights are non-negative with a positive sum. sample_draw_chunks uses it
+    for probabilities and for integer counts whose sum exceeds CHUNK_CELLS;
+    smaller counts read the agents' look-up table there. The table is built
+    with array operations in the sweep order of the two-list construction:
+    light entries (k w_i below the total W) take their alias from the heavy
+    ones, both in index order, and a heavy entry whose remaining mass falls
+    to W or below becomes light and takes its alias from the next heavy
+    one. With D the running sum of the light deficits and S that of the
+    heavy surpluses, light entry i goes to the first heavy entry j with
+    S_j > D_(i-1), and heavy entry j keeps W + S_j - D_(i_j), where i_j
+    light entries go to heavy entries 1..j.
     """
 
     __slots__ = ("k", "accept", "alias")
@@ -330,13 +338,25 @@ def sample_draw_chunks(h: int, weights, rng: RngHandle, n: int):
     row, whose rows total n.
 
     Opinion i is drawn with probability weights_i / sum(weights); weights
-    are validated probabilities or counts (counts give an exact table). The
-    draws come from an alias table over the live opinions (weight > 0),
-    whose ids are mapped back to opinion indices, so a dead opinion is
-    never drawn. Blocks have _block_rows(h, n) rows: at most CHUNK_CELLS ids
-    each, whatever k is.
+    are validated probabilities or non-negative integer counts. A dead
+    opinion (weight 0) is never drawn. Blocks have _block_rows(h, n) rows:
+    at most CHUNK_CELLS ids each, whatever k is.
+
+    Integer counts that sum to at most CHUNK_CELLS take the table look-up:
+    each id is one uniform agent index in [0, sum(counts)) read from
+    lut = repeat(arange(k), counts), so the law is exactly counts / n with
+    one random draw per id. The table holds sum(counts) entries in the
+    narrowest unsigned type that holds k - 1, and the ids arrive in that
+    type. Larger counts and probabilities draw from an AliasTable over the
+    live opinions, whose ids are mapped back to opinion indices. Both run
+    on the caller's generator on one thread.
     """
     w = np.asarray(weights)
+    if w.dtype.kind in "iu" and w.sum() <= CHUNK_CELLS:
+        lut = np.repeat(np.arange(w.size, dtype=np.min_scalar_type(w.size - 1)), w)
+        for rows in _block_rows(h, n):
+            yield lut[rng.gen.integers(0, lut.size, size=(rows, h))]
+        return
     live = np.flatnonzero(w > 0)
     table = AliasTable(w[live])
     for rows in _block_rows(h, n):

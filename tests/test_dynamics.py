@@ -172,11 +172,30 @@ def test_step_law_matches_sequence_enumeration_when_k_exceeds_h(counts, h, seed)
     assert chi2.sf(stat, live.sum() - 1) > 1e-3
 
 
+def test_step_law_matches_win_distribution_when_k_exceeds_h():
+    # k > h: agents read the opinions of uniform agents from the look-up
+    # table. 200 steps from one configuration sum to Multinomial(200 n, q),
+    # q from the adoption-law DP; dead opinions in the middle and at the
+    # end are never adopted. Chi-square over the live opinions, alpha 1e-3.
+    counts = (400, 0, 300, 200, 0, 100, 0, 0)
+    cfg = Configuration.from_counts(counts)
+    h, steps = 3, 200
+    q = np.array(win_distribution(h, tuple(c / cfg.n for c in counts)).q)
+    rng = RngHandle(909)
+    total = sum(np.array(step(cfg, h, rng).counts) for _ in range(steps))
+    live = np.array(counts) > 0
+    assert np.all(total[~live] == 0)
+    expect = q[live] * cfg.n * steps
+    stat = ((total[live] - expect) ** 2 / expect).sum()
+    assert chi2.sf(stat, live.sum() - 1) > 1e-3
+
+
 @pytest.mark.parametrize("n, k", [(65_536, 128), (10**5, 10**5)])
 def test_step_memory_bounded_by_rows_times_h(n, k):
     # with k > h a block holds rows x h draw ids, never a rows x k count
     # matrix: 128 bytes a cell of the largest block, plus 128 bytes an
-    # opinion for the configuration and the alias table
+    # opinion for the configuration; the agents' look-up table takes at
+    # most 4 bytes an agent
     h = 3
     counts = [n // k] * k
     counts[0] += n - sum(counts)

@@ -14,13 +14,13 @@ from hmajority.montecarlo import SweepSpec, write_sweep
 
 GOLDEN = {
     "sweep_categorical":
-        "fe6ec65806726968d4ed98848e8d3c3ce175617ae0a347ee1aaf80e50abc7087",
+        "3c4d1d1b3b00ffb1d28f6ae636372b92876ac921b22a4d037d9ff8e0bbd7860c",
     "simulate_chain_two_chunks":
         "a4777720aaefcae735db645c339035ab9e3e4a1920e6b4c308071e9559a51c7d",
     "simulate_oracle_level":
         "67f85864282bcb293c70f4762d3419cc0f99e018e12357da2aa348c0502f3075",
     "simulate_top_counts":
-        "496161bad693e217e75d0b465e3d880cced5ef0e4ff347ea3cae6a4d8ff79ad8",
+        "aeb86d9218eb780856e632034a079255872252f690fd01d546692b27e6629c57",
 }
 
 

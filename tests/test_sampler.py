@@ -476,6 +476,7 @@ def test_alias_table_reproduces_weights():
 
 
 def test_sample_draw_chunks_live_opinions_only():
+    # integer counts: ids come from the agents' look-up table
     rng = RngHandle(29)
     weights = np.array([0, 5, 0, 3, 2, 0])
     blocks = list(sample_draw_chunks(3, weights, rng, 70_000))
@@ -485,3 +486,39 @@ def test_sample_draw_chunks_live_opinions_only():
     freq = np.bincount(draws, minlength=6)[[1, 3, 4]] / draws.size
     sigma = np.sqrt(0.25 / draws.size)
     assert np.all(np.abs(freq - [0.5, 0.3, 0.2]) < 4 * sigma)
+
+
+@pytest.mark.parametrize("k, id_type", [
+    (1, np.uint8), (256, np.uint8), (257, np.uint16), (65_536, np.uint16),
+    (65_537, np.uint32),
+])
+def test_sample_draw_chunks_counts_arrive_in_narrowest_id_type(k, id_type):
+    counts = np.ones(k, dtype=np.int64)
+    (ids,) = sample_draw_chunks(3, counts, RngHandle(30), 50)
+    assert ids.dtype == id_type and ids.shape == (50, 3)
+    assert ids.max() < k
+
+
+def test_sample_draw_chunks_counts_draw_agents_up_to_the_cell_budget():
+    # a table of CHUNK_CELLS agents is the largest the look-up builds: each
+    # id is one uniform agent index read from the table
+    counts = np.array([CHUNK_CELLS // 2, 0, CHUNK_CELLS // 4, CHUNK_CELLS // 4, 0])
+    assert counts.sum() == CHUNK_CELLS
+    (ids,) = sample_draw_chunks(3, counts, RngHandle(31), 6)
+    agents = RngHandle(31).gen.integers(0, CHUNK_CELLS, size=(6, 3))
+    assert ids.dtype == np.uint8
+    assert ids.tolist() == np.repeat(np.arange(5), counts)[agents].tolist()
+
+
+@pytest.mark.parametrize("weights", [
+    # one agent more than the cell budget: no look-up table
+    np.array([CHUNK_CELLS // 2 + 1, 0, CHUNK_CELLS // 4, CHUNK_CELLS // 4, 0]),
+    np.array([0.5, 0.0, 0.25, 0.25, 0.0]),
+])
+def test_sample_draw_chunks_take_the_alias_table_otherwise(weights):
+    # the ids are those of an alias table over the live opinions, drawn
+    # from the same stream and mapped back to opinion indices
+    (ids,) = sample_draw_chunks(3, weights, RngHandle(32), 6)
+    live = np.flatnonzero(weights)
+    alias = AliasTable(weights[live]).draw_ids(RngHandle(32), (6, 3))
+    assert ids.tolist() == live[alias].tolist()

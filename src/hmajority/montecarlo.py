@@ -760,6 +760,9 @@ def rare_outsample_audit(
     n, counts = config.n, config.counts
     if rounds < 1:
         raise SweepSpecError(f"rounds must be >= 1, got {rounds}")
+    require_integer(h, "h", SweepSpecError, optional=True)
+    if h is not None and h < 1:
+        raise SweepSpecError(f"h must be >= 1, got {h}")
     if not 1 <= rare_opinion <= config.k:
         raise SweepSpecError(
             f"rare_opinion must be in 1..{config.k}, got {rare_opinion}"

@@ -1,25 +1,25 @@
-"""Bounded-cost random draws: multinomial count vectors from the
-conditional-binomial chain, memory-capped blocks of them or of raw category
-ids, and the row-wise mode with uniform tie-break, from the chain, from a
-count matrix or straight from the ids.
+"""Bounded-cost random draws: multinomial count vectors from numpy's own
+multinomial kernel, memory-capped blocks of them or of raw category ids,
+and the row-wise mode with uniform tie-break of the rounds' samples, from
+the conditional-binomial chain or straight from the ids.
 
 All randomness flows through RngHandle, a counter-based Philox stream keyed
 by (master_seed, stream_id): identical keys give byte-identical draw
 sequences regardless of thread schedule, which is what makes sweeps
 reproducible under parallelism.
 
-Every chain call splits more than SUB_BLOCK_ROWS rows into sub-blocks of
-that many rows and draws them on a thread pool that lives for the call
-only (_run_sub_blocks). The stream rule does not depend on the thread
-count: a call of at most one sub-block draws from the caller's generator; a
-larger one takes a single 63-bit key from it, and sub-block j draws from
-RngHandle(key, j).
-
 The modes of k <= h rounds come from the chain without a count matrix
 (sample_chain_modes). It walks the opinions in descending probability, and
 a row leaves the chain once its top count exceeds its remaining draws: no
 undrawn count can then reach the top, so the set of maxima is fixed. A
 tied row takes one uniform draw.
+
+A chain call splits more than SUB_BLOCK_ROWS rows into sub-blocks of that
+many rows and draws them on a thread pool that lives for the call only
+(_run_sub_blocks), the only threaded path here. The stream rule does not
+depend on the thread count: a call of at most one sub-block draws from the
+caller's generator; a larger one takes a single 63-bit key from it, and
+sub-block j draws from RngHandle(key, j).
 
 The ids of k > h rounds are the opinions of uniform agents, read from a
 table of the n agents' opinions: exact from the integer counts. Above
@@ -58,8 +58,8 @@ SUB_BLOCK_ROWS = 1 << 14
 # Counts and draw positions must fit in a byte, so it is at most 255.
 _PAIRWISE_MAX_H = 24
 
-# Threads a chain call may use; None means the usable cores. Sweep worker
-# processes set it to 1.
+# Threads a sample_chain_modes call may use; None means the usable cores.
+# Sweep worker processes set it to 1.
 MAX_THREADS: int | None = None
 
 
@@ -89,7 +89,7 @@ class RngHandle:
 
 def draw_multinomial(h: int, p, rng: RngHandle) -> tuple[int, ...]:
     """One exact Multinomial(h, p) draw as a counts tuple: a single row of
-    the chain sampler, so its cost is O(k) whatever h is."""
+    sample_counts_matrix, so its cost is O(k) whatever h is."""
     return tuple(int(c) for c in sample_counts_matrix(h, p, rng, 1)[0])
 
 
@@ -148,30 +148,25 @@ class AliasTable:
 def sample_counts_matrix(h: int, p, rng: RngHandle, rows: int) -> np.ndarray:
     """(rows, k) matrix of independent Multinomial(h, p) draws.
 
-    The conditional-binomial chain, vectorized over rows: column i is
-    Binomial(remaining, p_i / (p_i + ... + p_k)), O(k) per row whatever h
-    is. Callers bound rows x k through sample_counts_chunks. Rounds take
-    their modes from sample_chain_modes (k <= h) or from draw ids (k > h)
-    and never build this matrix.
-
-    Sub-blocks follow the stream rule of _run_sub_blocks, so the result
-    does not depend on the thread count.
+    One Generator.multinomial call on the caller's generator, on one
+    thread: numpy's kernel runs the conditional-binomial chain row by row,
+    O(k) per row whatever h is. Callers bound rows x k through
+    sample_counts_chunks. Rounds take their modes from sample_chain_modes
+    (k <= h) or from draw ids (k > h) and never build this matrix.
     """
     probs = np.asarray(coerce_probs(p), dtype=np.float64)
     if h < 0:
         raise InvalidProbError(f"h must be >= 0, got {h}")
     if rows < 0:
         raise InvalidProbError(f"rows must be >= 0, got {rows}")
-    out = np.zeros((rows, probs.size), dtype=np.int64)
-    _run_sub_blocks(
-        rows, rng, lambda start, stop, gen: _chain_fill(out[start:stop], h, probs, gen)
-    )
-    return out
+    # coerce_probs lets an entry exceed 1 by its sum tolerance; numpy does not
+    np.minimum(probs, 1.0, out=probs)
+    return rng.gen.multinomial(h, probs, size=rows)
 
 
 def _run_sub_blocks(rows: int, rng: RngHandle, fill) -> None:
     """Call fill(start, stop, gen) on the sub-blocks that cover rows rows:
-    the stream rule of every chain call.
+    the stream rule of every sample_chain_modes block.
 
     At most SUB_BLOCK_ROWS rows are one sub-block drawn from rng itself.
     More rows are split into sub-blocks of SUB_BLOCK_ROWS rows (the last one
@@ -198,28 +193,6 @@ def _run_sub_blocks(rows: int, rng: RngHandle, fill) -> None:
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(run, sub_blocks))  # re-raises a worker's error
-
-
-def _chain_fill(out: np.ndarray, h: int, probs: np.ndarray, gen) -> None:
-    """Fill the zeroed (rows, k) out with the chain's Multinomial(h, probs)
-    rows, drawn from the numpy generator gen."""
-    rows, k = out.shape
-    remaining = np.full(rows, int(h), dtype=np.int64)
-    rem_p = 1.0
-    for i in range(k - 1):
-        pi = float(probs[i])
-        if pi <= 0.0:
-            continue
-        if rem_p <= pi:
-            out[:, i] = remaining
-            remaining = np.zeros(rows, dtype=np.int64)
-            rem_p = 0.0
-            continue
-        x = gen.binomial(remaining, pi / rem_p)
-        out[:, i] = x
-        remaining = remaining - x
-        rem_p -= pi
-    out[:, k - 1] += remaining
 
 
 def sample_chain_modes(h: int, p, rng: RngHandle, n: int):
@@ -317,8 +290,9 @@ def sample_counts_chunks(h: int, p, rng: RngHandle, n: int):
     """Yield (rows, k) sample_counts_matrix blocks whose rows total n.
 
     Blocks have _block_rows(k, n) rows, so each holds at most CHUNK_CELLS
-    counts whatever h is. Blocks are drawn from rng in order, so the stream
-    depends only on (h, p, n).
+    counts whatever h is: numpy's multinomial kernel does not split a call,
+    so this bound is the only cap on its memory. Blocks are drawn from rng
+    in order, so the stream depends only on (h, p, n).
     """
     probs = np.asarray(coerce_probs(p), dtype=np.float64)
     for rows in _block_rows(probs.size, n):

@@ -414,6 +414,14 @@ def test_rare_outsample_rejects_rounds_below_one(rounds):
         rare_outsample_audit(cfg, rare_opinion=4, rounds=rounds, seed=1, h=10)
 
 
+@pytest.mark.parametrize("h", [0, -1, 2.5, True, "3"])
+def test_rare_outsample_rejects_h_not_a_positive_integer(h):
+    # a float or bool h used to run and report int(h)
+    cfg = Configuration.from_counts((48, 20, 20, 12))
+    with pytest.raises(SweepSpecError, match=r"\bh'? must be"):
+        rare_outsample_audit(cfg, rare_opinion=4, rounds=5, seed=1, h=h)
+
+
 def test_rare_outsample_rejects_leader():
     cfg = Configuration.from_counts((48, 20, 20, 12))
     with pytest.raises(SweepSpecError):

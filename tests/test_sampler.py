@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.stats import binom, chi2
 
 from hmajority import sampler
-from hmajority.core import SumMismatchError
+from hmajority.core import PROB_SUM_TOL, SumMismatchError, coerce_probs
 from hmajority.sampler import (
     CHUNK_CELLS,
     SUB_BLOCK_ROWS,
@@ -53,7 +53,8 @@ def count_draw_ids(h, p, rng, rows):
     return np.concatenate(blocks)
 
 
-# Both samplers of one row's counts: the chain and the counted draw ids.
+# Both samplers of one row's counts: sample_counts_matrix, whose numpy
+# kernel runs the conditional-binomial chain, and the counted draw ids.
 SAMPLERS = {"chain": sample_counts_matrix, "categorical": count_draw_ids}
 
 
@@ -103,15 +104,16 @@ def test_draw_multinomial_means():
 
 
 @pytest.mark.parametrize("p, expected", [
-    ((0.5, 0.5, 0.0), [(530, 470, 0), (492, 508, 0), (483, 517, 0)]),
-    ((0.3, 0.7, 0.0, 0.0), [(253, 747, 0, 0), (294, 706, 0, 0), (291, 709, 0, 0)]),
+    ((0.5, 0.5, 0.0), [(530, 470, 0), (515, 485, 0), (494, 506, 0)]),
+    ((0.3, 0.7, 0.0, 0.0), [(253, 747, 0, 0), (314, 686, 0, 0), (295, 705, 0, 0)]),
 ])
 def test_draw_multinomial_stream_with_dead_trailing_opinions(p, expected):
-    # once the live mass is used up the chain draws nothing more, where
-    # Generator.multinomial draws a p = 1 binomial and uses up a uniform:
-    # from the same stream it gives (515, 485, 0) and (494, 506, 0) here
-    rng = RngHandle(3)
-    assert [draw_multinomial(1000, p, rng) for _ in expected] == expected
+    # the stream is Generator.multinomial's: once the live mass is used up
+    # it still draws a p = 1 binomial, which uses up a uniform
+    rng, twin = RngHandle(3), RngHandle(3)
+    drawn = [draw_multinomial(1000, p, rng) for _ in expected]
+    assert drawn == expected
+    assert drawn == [tuple(twin.gen.multinomial(1000, p).tolist()) for _ in expected]
 
 
 def test_draw_categorical_trivial():
@@ -181,7 +183,10 @@ def test_counts_matrix_matches_exact_pmf(name):
 
 
 def test_chain_sub_blocks_do_not_depend_on_thread_count(monkeypatch):
-    # four sub-blocks, the last one short
+    # count matrices do not split into sub-blocks: more rows than four
+    # sub-blocks are one Generator.multinomial call on the caller's stream,
+    # whatever MAX_THREADS is (the sub-block rule of the chain modes is
+    # pinned by test_chain_modes_do_not_depend_on_thread_count)
     rows = 3 * SUB_BLOCK_ROWS + 5
     probs = (0.4, 0.3, 0.2, 0.1)
     results = []
@@ -191,25 +196,55 @@ def test_chain_sub_blocks_do_not_depend_on_thread_count(monkeypatch):
         matrix = sample_counts_matrix(9, probs, rng, rows)
         results.append((matrix.tobytes(), rng.gen.integers(0, 2**32, 4).tobytes()))
     assert results[0] == results[1]
-    assert np.all(matrix.sum(axis=1) == 9)
-    # one key from the caller's generator; sub-block j draws from (key, j)
-    key_rng = RngHandle(77, 3)
-    key = int(key_rng.gen.integers(0, 1 << 63))
-    assert results[0][1] == key_rng.gen.integers(0, 2**32, 4).tobytes()
-    for j in range(4):
-        block = matrix[j * SUB_BLOCK_ROWS : (j + 1) * SUB_BLOCK_ROWS]
-        own = sample_counts_matrix(9, probs, RngHandle(key, j), block.shape[0])
-        assert block.tobytes() == own.tobytes()
+    assert matrix.shape == (rows, 4) and np.all(matrix.sum(axis=1) == 9)
+    twin = RngHandle(77, 3).gen
+    assert results[0][0] == twin.multinomial(9, probs, size=rows).tobytes()
+    assert results[0][1] == twin.integers(0, 2**32, 4).tobytes()
 
 
 def test_chain_call_of_one_sub_block_keeps_its_bytes():
-    # drawn from the caller's generator as before sub-blocks were introduced
+    # the bytes of two successive count-matrix calls, pinned: numpy's
+    # multinomial kernel fixes them, so a change in it shows here
     rng = RngHandle(20261018, 5)
     a = sample_counts_matrix(7, (0.4, 0.3, 0.2, 0.1), rng, SUB_BLOCK_ROWS)
     b = sample_counts_matrix(200, (0.5, 0.25, 0.25), rng, 3)
     assert hashlib.sha256(a.tobytes() + b.tobytes()).hexdigest() == (
-        "df45ca1ce45a95657db775b6d7ec5d944a2d5711c3ddad82ee1d4e36be71825c"
+        "5e79983df58483b0db323fb88594b5b5993a0c48116c9e668e9a02c7670f4bc8"
     )
+
+
+def _largest_accepted(probs):
+    """probs with its largest entry raised ulp by ulp to the last value at
+    which coerce_probs still accepts the vector."""
+    probs = list(probs)
+    i = probs.index(max(probs))
+    while True:
+        bumped = probs.copy()
+        bumped[i] = math.nextafter(bumped[i], 2.0)
+        try:
+            coerce_probs(bumped)
+        except SumMismatchError:
+            return probs
+        probs = bumped
+
+
+def test_count_draws_take_every_vector_coerce_probs_accepts():
+    # numpy's multinomial refuses an entry above 1 and a sum of all but the
+    # last entry above 1 + 1e-12; coerce_probs allows a sum up to
+    # 1 + PROB_SUM_TOL, here reached with a dead last opinion
+    rng = np.random.default_rng(61)
+    vectors = [(1.0,), (1.0, 0.0), (0.0, 1.0), (0.5, 0.5, 0.0)]
+    for _ in range(2000):
+        k = int(rng.integers(2, 40))
+        w = rng.random(k - 1) ** 4
+        vectors.append(tuple(w / w.sum() * (1 + 0.999 * PROB_SUM_TOL)) + (0.0,))
+    draw = RngHandle(62)
+    for p in map(_largest_accepted, vectors):
+        assert math.fsum(p) > 1.0
+        matrix = sample_counts_matrix(50, p, draw, 2)
+        assert matrix.shape == (2, len(p)) and np.all(matrix.sum(axis=1) == 50)
+        assert sum(draw_multinomial(10**6, p, draw)) == 10**6
+    assert sample_counts_matrix(5, (0.5, 0.5, 0.0), draw, 0).shape == (0, 3)
 
 
 def _chain_modes(h, p, rng, rows):
@@ -281,7 +316,6 @@ def test_chain_column_marginals_match_binomial_laws():
     # column, cells with fewer than 5 expected rows pooled, alpha 1e-3
     h, probs, rows = 12, (0.4, 0.3, 0.2, 0.1), 50_000
     matrix = sample_counts_matrix(h, probs, RngHandle(4242, 1), rows)
-    assert rows > 3 * SUB_BLOCK_ROWS
     assert np.all(matrix.sum(axis=1) == h)
     for i, pi in enumerate(probs):
         expect = binom.pmf(np.arange(h + 1), h, pi) * rows

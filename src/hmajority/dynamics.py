@@ -158,6 +158,7 @@ def step(config: Configuration, h: int, rng: RngHandle) -> Configuration:
     Consensus is absorbing: every sample then consists of the consensus
     opinion only, so the input is returned as is.
     """
+    require_integer(h, "h", ValueError)
     if h < 1:
         raise ValueError(f"h must be >= 1, got {h}")
     if is_consensus(config) is not None:

@@ -51,12 +51,15 @@ from .theory import (
     DEFAULT_C3,
     DEFAULT_C4,
     DEFAULT_C6,
+    REGIME_SMALL,
     VERDICT_FAIL,
     VERDICT_INCONCLUSIVE,
     VERDICT_PASS,
-    large_bias_boundary,
-    small_bias_boundary,
+    bias_regime,
+    bias_threshold,
+    h_threshold,
     strict_pair_lower,
+    strict_vs_ties_lower,
     verdict_vs_value,
     w1_lower,
 )
@@ -127,6 +130,7 @@ class WinEventCounts:
 def sample_win_events(h: int, p, trials: int, rng: RngHandle) -> WinEventCounts:
     """Count winning events over repeated independent sample vectors."""
     probs = coerce_probs(p)
+    require_integer(h, "h", InvalidProbError)
     if trials < 0:
         raise InvalidProbError(f"trials must be >= 0, got {trials}")
     k = len(probs)
@@ -197,7 +201,7 @@ def check_w1_lower_bound(
     require_sorted(probs)
     p1 = probs[0]
     p2 = probs[1] if len(probs) > 1 else 0.0
-    h = math.ceil(c4 * math.log(n) / p1)
+    h = _h_rule(p1, n, c4)
     rng = RngHandle(seed, stream_id=0)
     counts = sample_win_events(h, probs, trials, rng)
     w1 = Estimate.from_counts(counts.win[0], trials)
@@ -209,7 +213,7 @@ def check_w1_lower_bound(
     pair_bound = strict_pair_lower(p1, p2)
     w1_verdict = verdict_vs_value(w1_bound, w1)
     pair_verdict = verdict_vs_value(pair_bound, pair)
-    ratio = 1.0 / 6.0
+    ratio = strict_vs_ties_lower()
     if strict_1.wilson_low >= ratio * ties_1.wilson_high:
         ratio_verdict = VERDICT_PASS
     elif strict_1.wilson_high < ratio * ties_1.wilson_low:
@@ -393,12 +397,21 @@ class SweepSpec:
     def _hs_for(self, n: int, counts: tuple[int, ...]) -> list[int]:
         out = list(self.hs)
         if self.h_rule_c4 is not None:
-            p1 = max(counts) / n
-            out.append(math.ceil(self.h_rule_c4 * math.log(n) / p1))
+            out.append(_h_rule(max(counts) / n, n, self.h_rule_c4))
         for h in out:
             if h < 1:
                 raise SweepSpecError(f"derived h={h} must be >= 1")
         return out
+
+
+def _h_rule(p1: float, n: int, c4: float) -> int:
+    """ceil(theory.h_threshold(p1, n, c4)), which must be at least 1."""
+    if n < 1:
+        raise SweepSpecError(f"the h rule needs n >= 1, got n={n}")
+    h = math.ceil(h_threshold(p1, n, c4))
+    if h < 1:
+        raise SweepSpecError(f"derived h={h} must be >= 1")
+    return h
 
 
 def _grid(value, name: str) -> tuple[int, ...]:
@@ -706,11 +719,9 @@ def bias_growth_audit(
             p1, p2 = lead[t]
             if delta_t <= 0.0 or p1 <= 0.0:
                 continue
-            if delta_t < bias_multiplier * math.sqrt(p1 / n):
+            if delta_t < bias_threshold(p1, n, bias_multiplier):
                 continue
-            if delta_t >= large_bias_boundary(p1, c6):
-                continue
-            if delta_t >= small_bias_boundary(p1, p2, h):
+            if bias_regime(delta_t, p1, p2, h, c6) != REGIME_SMALL:
                 continue
             factor = bias[t + 1] / delta_t
             factors.append(factor)
@@ -774,7 +785,7 @@ def rare_outsample_audit(
     c_lead, c_rare = counts[lead], counts[rare]
     marginal = (c_lead / n, c_rare / n, (n - c_lead - c_rare) / n)
     if h is None:
-        h = math.ceil(c4 * math.log(n) / marginal[0])
+        h = _h_rule(marginal[0], n, c4)
     rng = RngHandle(seed, stream_id=0)
     clean = 0
     for _ in range(rounds):

@@ -45,6 +45,7 @@ from .core import (
     NotSortedError,
     coerce_probs,
     number,
+    require_integer,
     require_sorted,
 )
 
@@ -106,6 +107,7 @@ def _outcome_table(h: int, probs) -> tuple[np.ndarray, np.ndarray]:
     table would exceed ENUMERATION_GUARD cells.
     """
     k = len(probs)
+    require_integer(h, "h", NegativeHError)
     if h < 0:
         raise NegativeHError(f"need h >= 0, got h={h}")
     if k < 1:
@@ -191,6 +193,7 @@ def win_distribution(h: int, p) -> WinDistribution:
     """
     probs = coerce_probs(p)
     k = len(probs)
+    require_integer(h, "h", NegativeHError)
     h = int(h)
     if h < 0:
         raise NegativeHError(f"need h >= 0, got h={h}")
@@ -361,8 +364,8 @@ class BinomialPairReport:
     diff_unconditional = Pr(Y1 > Y2) - Pr(Y2 > Y1) by direct pmf summation.
     diff_given_max_ge[i] conditions the same difference on
     M = max(Y1, Y2) >= thresholds[i], evaluated through the closed form for
-    Pr(Y1 > Y2 | M = j). lemma9_bound = sqrt(2m/pi) * g(2q-1, m), a lower
-    bound on diff_unconditional.
+    Pr(Y1 > Y2 | M = j). theory.lemma9_lower(m, 2q - 1) is the paper's
+    lower bound on diff_unconditional.
     """
 
     m: int
@@ -370,7 +373,6 @@ class BinomialPairReport:
     diff_unconditional: float
     thresholds: tuple[int, ...]
     diff_given_max_ge: tuple[float, ...]
-    lemma9_bound: float
 
 MAX_PAIR_M = 10**4
 
@@ -425,7 +427,6 @@ def binomial_pair_report(m: int, q: float) -> BinomialPairReport:
         diff_unconditional=float(diff[0]),
         thresholds=thresholds,
         diff_given_max_ge=tuple(float(v) for v in table[0]),
-        lemma9_bound=math.sqrt(2.0 * m / math.pi) * g_function(2.0 * q - 1.0, m),
     )
 
 

@@ -40,7 +40,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .core import HMajorityError, coerce_probs
+from .core import HMajorityError, coerce_probs, require_integer
 
 _MASK64 = (1 << 64) - 1
 
@@ -155,6 +155,7 @@ def sample_counts_matrix(h: int, p, rng: RngHandle, rows: int) -> np.ndarray:
     (k <= h) or from draw ids (k > h) and never build this matrix.
     """
     probs = np.asarray(coerce_probs(p), dtype=np.float64)
+    require_integer(h, "h", InvalidProbError)
     if h < 0:
         raise InvalidProbError(f"h must be >= 0, got {h}")
     if rows < 0:
@@ -214,6 +215,7 @@ def sample_chain_modes(h: int, p, rng: RngHandle, n: int):
     undo a tie. Near consensus most rows leave after the first opinion.
     """
     probs = np.asarray(coerce_probs(p), dtype=np.float64)
+    require_integer(h, "h", InvalidProbError)
     if h < 0:
         raise InvalidProbError(f"h must be >= 0, got {h}")
     k = probs.size

@@ -1,7 +1,8 @@
 """Closed-form bounds and thresholds, plus machine-checkable verdicts.
 
-Every lower bound used by the verification suites lives in BOUND_CATALOG
-under a stable name:
+Every bound, threshold and regime rule has its one implementation here, and
+the other modules read them from it. The bounds live in BOUND_CATALOG under
+a stable name:
 
     lemma9_lower(m, delta)            sqrt(2m/pi) * g(delta, m)
     reduction_lower(m, q, c1)         c1 * min(sqrt(m) * (2q - 1), 1)
@@ -254,23 +255,26 @@ def large_bias_boundary(p1: float, c6: float = DEFAULT_C6) -> float:
     return (1.0 - 1.0 / (1.0 + c6)) * p1
 
 
-def regime_classifier(p, h: int, j: int, c6: float = DEFAULT_C6) -> str:
-    """Classify the gap delta(j) = p_1 - p_j into its analysis regime.
+def bias_regime(
+    delta: float, p1: float, p2: float, h: int, c6: float = DEFAULT_C6
+) -> str:
+    """The analysis regime of a gap delta below the leader's share p1.
 
-    p is a probability sequence sorted in non-increasing order and j is a
-    1-based opinion id with j >= 2. Boundary points go to the higher regime,
-    and the large check takes precedence so the classification is monotone
-    in delta(j).
+    Boundary points go to the higher regime, and the large check takes
+    precedence so the classification is monotone in delta.
     """
+    if delta >= large_bias_boundary(p1, c6):
+        return REGIME_LARGE
+    if delta < small_bias_boundary(p1, p2, h):
+        return REGIME_SMALL
+    return REGIME_MID
+
+
+def regime_classifier(p, h: int, j: int, c6: float = DEFAULT_C6) -> str:
+    """The bias_regime of the gap delta(j) = p_1 - p_j, for p sorted in
+    non-increasing order and a 1-based opinion id j >= 2."""
     probs = coerce_probs(p)
     if j < 2 or j > len(probs):
         raise UnclassifiedOpinionError(f"j must be in 2..k, got {j}")
     require_sorted(probs)
-    p1 = probs[0]
-    p2 = probs[1] if len(probs) > 1 else 0.0
-    delta_j = p1 - probs[j - 1]
-    if delta_j >= large_bias_boundary(p1, c6):
-        return REGIME_LARGE
-    if delta_j < small_bias_boundary(p1, p2, h):
-        return REGIME_SMALL
-    return REGIME_MID
+    return bias_regime(probs[0] - probs[j - 1], probs[0], probs[1], h, c6)

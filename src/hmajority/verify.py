@@ -28,10 +28,10 @@ from .oracle import (
     binomial_pair_report,
     binomial_pair_table,
     event_report,
-    g_function,
     tie_map_audit,
     win_distribution,
 )
+from .sampler import RngHandle
 from .theory import (
     BOUND_CATALOG,
     DEFAULT_C4,
@@ -39,7 +39,12 @@ from .theory import (
     VERDICT_INCONCLUSIVE,
     VERDICT_PASS,
     UnclassifiedOpinionError,
+    cond_diff_lower,
+    lemma9_lower,
     p1_growth_audit,
+    reduction_lower,
+    strict_vs_ties_lower,
+    uncond_diff_lower,
     verdict_report,
 )
 
@@ -99,7 +104,7 @@ def suite_lemma9(m_max: int = 200, delta_step: float = 0.01) -> SuiteResult:
     even_violating_m: set[int] = set()
     for m in range(1, m_max + 1):
         diff, _, _ = binomial_pair_table(m, qs)
-        bound = math.sqrt(2.0 * m / math.pi) * g_function(deltas, m)
+        bound = lemma9_lower(m, deltas)
         margins = diff - bound
         min_margin = min(min_margin, float(margins.min()))
         if m % 2 == 1:
@@ -257,7 +262,7 @@ def suite_growth_claim(seed: int = 7, random_instances: int = 300) -> SuiteResul
         for after_counts in small:
             check(before_counts, after_counts)
 
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 1], dtype=np.uint64)))
+    rng = RngHandle(seed, stream_id=1).gen
     for _ in range(random_instances):
         k = int(rng.integers(2, 6))
         n = int(rng.integers(k, 40))
@@ -319,21 +324,10 @@ def suite_bounds(
         )
         # both sides of the strict/ties ratio are estimates; reuse the
         # report's interval-vs-interval verdict
-        result.checks += 1
-        exercised.add("strict_vs_ties_lower")
-        reports.append(
-            {
-                "bound": "strict_vs_ties_lower",
-                "params": {"k": k},
+        record({"bound": "strict_vs_ties_lower", "params": {"k": k},
                 "measured": asdict(report.strict_1),
-                "bound_value": report.ties_1.point / 6.0,
-                "verdict": report.strict_vs_ties_verdict,
-            }
-        )
-        if report.strict_vs_ties_verdict == VERDICT_FAIL:
-            result.add_failure(f"strict_vs_ties_lower k={k}: fail")
-        elif report.strict_vs_ties_verdict == VERDICT_INCONCLUSIVE:
-            result.inconclusive.append(f"strict_vs_ties_lower k={k}")
+                "bound_value": report.ties_1.point * strict_vs_ties_lower(),
+                "verdict": report.strict_vs_ties_verdict})
         record(
             verdict_report(
                 "h_threshold", {"p1": probs[0], "n": n, "c4": c4}, float(report.h)
@@ -353,7 +347,7 @@ def suite_bounds(
     for m in range(2, 101):
         _, thresholds, table = binomial_pair_table(m, qs)
         keep = [t for t, thr in enumerate(thresholds) if thr > m / 2]
-        base = np.minimum(math.sqrt(m) * (2 * qs - 1), 1.0)
+        base = np.array([reduction_lower(m, q, 1.0) for q in qs])
         ratios = table[:, keep] / base[:, None]
         qi, ti = np.unravel_index(np.argmin(ratios), ratios.shape)
         if ratios[qi, ti] < c1_min:
@@ -378,19 +372,16 @@ def suite_bounds(
         if p[0] <= p[1]:
             continue
         rep = event_report(h, p)
-        base = min((p[0] - p[1]) * math.sqrt(h) / math.sqrt(2 * (p[0] + p[1])), 1.0)
-        if base > 0:
-            ratio = rep.cond_diff_majority / base
-            if ratio < c_ema:
-                c_ema = ratio
-                ema_arg = (h, p)
-        delta = p[0] - p[1]
-        base5 = (p[0] + p[1]) * min(delta * math.sqrt(h / (2 * (p[0] + p[1]))), 1.0)
-        if base5 > 0:
-            ratio5 = rep.unconditional_diff / base5
-            if ratio5 < c5:
-                c5 = ratio5
-                c5_arg = (h, p)
+        # both bases are positive, as p[0] > p[1] and h >= 1
+        ratio = rep.cond_diff_majority / cond_diff_lower(p[0], p[1], h, 1.0)
+        if ratio < c_ema:
+            c_ema = ratio
+            ema_arg, rep_w = (h, p), rep
+        base5 = uncond_diff_lower(p[0] - p[1], h, p[0], p[1], 1.0)
+        ratio5 = rep.unconditional_diff / base5
+        if ratio5 < c5:
+            c5 = ratio5
+            c5_arg, rep5 = (h, p), rep
     result.stats["C_ema_empirical"] = c_ema
     result.stats["C_ema_argmin"] = ema_arg
     result.stats["C5_empirical"] = c5
@@ -401,7 +392,6 @@ def suite_bounds(
         result.add_failure("unconditional difference constant is not positive")
 
     h_w, p_w = ema_arg
-    rep_w = event_report(h_w, p_w)
     record(
         verdict_report(
             "cond_diff_lower",
@@ -410,7 +400,6 @@ def suite_bounds(
         )
     )
     h5, p5 = c5_arg
-    rep5 = event_report(h5, p5)
     record(
         verdict_report(
             "uncond_diff_lower",

@@ -212,6 +212,14 @@ def test_verify_reports_failing_suite(capsys):
     assert "FAIL lemma9" in out
 
 
+@pytest.mark.parametrize("seed", ["-1", str(1 << 64)])
+def test_verify_takes_any_integer_seed(capsys, seed):
+    # growth_claim's stream masks its seed to 64 bits like every other one
+    code = main(["verify", "--suite", "growth_claim", "--seed", seed])
+    assert code == 0
+    assert capsys.readouterr().out.startswith("PASS growth_claim")
+
+
 def test_sweep_report_roundtrip(tmp_path, capsys):
     spec = tmp_path / "spec.json"
     _write_json(spec, {

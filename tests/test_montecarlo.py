@@ -422,6 +422,21 @@ def test_rare_outsample_rejects_h_not_a_positive_integer(h):
         rare_outsample_audit(cfg, rare_opinion=4, rounds=5, seed=1, h=h)
 
 
+@pytest.mark.parametrize("n, message", [(1, "derived h=0 must be"), (0, "n >= 1")])
+def test_check_w1_rejects_h_rule_below_one(n, message):
+    # ln(1) = 0 derives h = 0, which used to run and pass W1; ln(0) raised a
+    # bare math domain error
+    with pytest.raises(SweepSpecError, match=message):
+        check_w1_lower_bound((0.6, 0.4), n=n, c4=324.0, trials=1000, seed=1)
+
+
+def test_rare_outsample_rejects_derived_h_below_one():
+    # n = 1 derives h = 0, which used to run and report no clean round
+    cfg = Configuration.from_counts((1, 0))
+    with pytest.raises(SweepSpecError, match="derived h=0 must be"):
+        rare_outsample_audit(cfg, rare_opinion=2, rounds=3, seed=1)
+
+
 def test_rare_outsample_rejects_leader():
     cfg = Configuration.from_counts((48, 20, 20, 12))
     with pytest.raises(SweepSpecError):

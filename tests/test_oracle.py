@@ -26,6 +26,7 @@ from hmajority.oracle import (
     win_distribution,
 )
 from hmajority.sampler import RngHandle
+from hmajority.theory import lemma9_lower
 
 from oracles import (
     exact_multinomial_pmf_fraction,
@@ -432,7 +433,8 @@ def test_lemma9_bound_holds_for_odd_m():
     for m in range(1, 120, 2):
         for delta in (0.01, 0.05, 0.2, 0.5, 0.9):
             report = binomial_pair_report(m, (1 + delta) / 2)
-            assert report.diff_unconditional >= report.lemma9_bound - 1e-12
+            bound = lemma9_lower(m, 2 * report.q - 1)
+            assert report.diff_unconditional >= bound - 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,10 @@ from hypothesis import given, settings, strategies as st
 from scipy.stats import binom, chi2
 
 from hmajority import sampler
-from hmajority.core import PROB_SUM_TOL, SumMismatchError, coerce_probs
+from hmajority.core import PROB_SUM_TOL, Configuration, SumMismatchError, coerce_probs
+from hmajority.dynamics import step
+from hmajority.montecarlo import sample_win_events
+from hmajority.oracle import event_report, win_distribution
 from hmajority.sampler import (
     CHUNK_CELLS,
     SUB_BLOCK_ROWS,
@@ -556,3 +559,31 @@ def test_sample_draw_chunks_take_the_alias_table_otherwise(weights):
     live = np.flatnonzero(weights)
     alias = AliasTable(weights[live]).draw_ids(RngHandle(32), (6, 3))
     assert ids.tolist() == live[alias].tolist()
+
+
+# every entry point that takes h; at h = 2.5, k = 2 takes the chain path and
+# k = 4 and 8 the draw-id path
+_H_CALLS = {
+    "step k=2": lambda h: step(Configuration.from_counts((6, 4)), h, RngHandle(1)),
+    "step k=8": lambda h: step(Configuration.from_counts((3,) * 8), h, RngHandle(1)),
+    "sample_win_events k=2": lambda h: sample_win_events(
+        h, (0.5, 0.5), 10, RngHandle(1)),
+    "sample_win_events k=4": lambda h: sample_win_events(
+        h, (0.25,) * 4, 10, RngHandle(1)),
+    "sample_chain_modes": lambda h: next(
+        sample_chain_modes(h, (0.5, 0.5), RngHandle(1), 10)),
+    "sample_counts_matrix": lambda h: sample_counts_matrix(
+        h, (0.5, 0.5), RngHandle(1), 3),
+    "draw_multinomial": lambda h: draw_multinomial(h, (0.5, 0.5), RngHandle(1)),
+    "win_distribution": lambda h: win_distribution(h, (0.5, 0.5)),
+    "event_report": lambda h: event_report(h, (0.5, 0.5)),
+}
+
+
+@pytest.mark.parametrize("h", [2.5, True])
+@pytest.mark.parametrize("call", list(_H_CALLS.values()), ids=list(_H_CALLS))
+def test_h_must_be_an_integer(call, h):
+    # a float h used to run as int(h) or die in numpy with a TypeError, and
+    # a bool h ran as 0 or 1
+    with pytest.raises(ValueError, match="'h' must be an integer"):
+        call(h)

@@ -1,16 +1,25 @@
 import math
+import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hmajority import theory
 from hmajority.core import Configuration
-from hmajority.montecarlo import Estimate
+from hmajority.montecarlo import (
+    Estimate,
+    SweepSpec,
+    check_w1_lower_bound,
+    rare_outsample_audit,
+)
 from hmajority.theory import (
     BOUND_CATALOG,
     DEFAULT_C4,
     REGIME_LARGE,
     REGIME_MID,
     REGIME_SMALL,
+    VERDICT_PASS,
     UnclassifiedOpinionError,
     UnknownBoundError,
     classify_opinions,
@@ -23,6 +32,7 @@ from hmajority.theory import (
     weak_opinion_c4,
 )
 from hmajority.oracle import g_function
+from hmajority.verify import _near_uniform, suite_bounds, suite_lemma9
 
 
 def test_lemma9_lower_single_draw():
@@ -201,3 +211,61 @@ def test_g_function_branch_continuity():
         boundary = 1.0 / math.sqrt(h)
         eps = 1e-9
         assert abs(g_function(boundary - eps, h) - g_function(boundary, h)) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the catalog's users read it, not copies of it
+# ---------------------------------------------------------------------------
+
+
+def _stub(monkeypatch, name, stub):
+    """Replace theory.<name> under every name the package holds it by: each
+    module attribute and each module-level dict entry (BOUND_CATALOG)."""
+    original = getattr(theory, name)
+    modules = [m for key, m in sys.modules.items() if key.split(".")[0] == "hmajority"]
+    namespaces = [vars(m) for m in modules]
+    namespaces += [v for ns in namespaces for v in ns.values() if isinstance(v, dict)]
+    for ns in namespaces:
+        for key, value in list(ns.items()):
+            if value is original:
+                monkeypatch.setitem(ns, key, stub)
+
+
+def test_w1_check_follows_strict_vs_ties_lower(monkeypatch):
+    def ratio_verdict():
+        return check_w1_lower_bound(
+            _near_uniform(4), n=20, c4=324.0, trials=2000, seed=3
+        ).strict_vs_ties_verdict
+
+    assert ratio_verdict() == VERDICT_PASS
+    # strict wins are a subset of tie-inclusive wins: a ratio of 1 never passes
+    _stub(monkeypatch, "strict_vs_ties_lower", lambda: 1.0)
+    assert ratio_verdict() != VERDICT_PASS
+
+
+def test_h_rule_users_follow_h_threshold(monkeypatch):
+    _stub(monkeypatch, "h_threshold", lambda p1, n, c4=DEFAULT_C4: 2.5)
+    report = check_w1_lower_bound((0.6, 0.4), n=20, c4=324.0, trials=100, seed=1)
+    assert report.h == 3
+    (cell,) = SweepSpec(ns=(40,), ks=(2,), h_rule_c4=1.0, bias_multiplier=1.0).cells()
+    assert cell.h == 3
+    cfg = Configuration.from_counts((48, 20, 20, 12))
+    assert rare_outsample_audit(cfg, rare_opinion=4, rounds=1, seed=1).h == 3
+
+
+def test_lemma9_suite_follows_lemma9_lower(monkeypatch):
+    assert suite_lemma9(m_max=30).failure_count > 0
+    _stub(monkeypatch, "lemma9_lower", lambda m, delta: np.zeros_like(delta))
+    assert suite_lemma9(m_max=30).failure_count == 0
+
+
+@pytest.mark.parametrize("name, stat", [
+    ("reduction_lower", "C1_empirical"),
+    ("cond_diff_lower", "C_ema_empirical"),
+    ("uncond_diff_lower", "C5_empirical"),
+])
+def test_constant_searches_follow_their_base_bound(monkeypatch, name, stat):
+    before = suite_bounds(trials=1000, seed=5).stats[stat]
+    original = getattr(theory, name)
+    _stub(monkeypatch, name, lambda *args, **kwargs: 0.5 * original(*args, **kwargs))
+    assert suite_bounds(trials=1000, seed=5).stats[stat] == pytest.approx(2 * before)

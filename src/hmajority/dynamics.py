@@ -12,6 +12,9 @@ drawn first, which is exactly uniform over the tied set (see
 sampler.mode_of_draws). With k <= h each agent walks the binomial chain
 over the opinions in descending probability and stops once its leader is
 out of reach, and ties take one uniform draw (sampler.sample_chain_modes).
+For h <= 255 each binomial of the chain is one uniform inverted through a
+guide table of its CDF, exact to about (h + 1) eps with less than 2^-53 of
+tail cut; larger h draws from numpy's binomial.
 """
 
 from __future__ import annotations

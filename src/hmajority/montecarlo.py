@@ -395,12 +395,12 @@ class SweepSpec:
         return cells
 
     def _hs_for(self, n: int, counts: tuple[int, ...]) -> list[int]:
+        for h in self.hs:
+            if h < 1:
+                raise SweepSpecError(f"listed h={h} must be >= 1")
         out = list(self.hs)
         if self.h_rule_c4 is not None:
             out.append(_h_rule(max(counts) / n, n, self.h_rule_c4))
-        for h in out:
-            if h < 1:
-                raise SweepSpecError(f"derived h={h} must be >= 1")
         return out
 
 

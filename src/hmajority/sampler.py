@@ -14,6 +14,15 @@ a row leaves the chain once its top count exceeds its remaining draws: no
 undrawn count can then reach the top, so the set of maxima is fixed. A
 tied row takes one uniform draw.
 
+Each chain step is a Binomial(remaining, q) draw. For h <= _TABLE_MAX_H
+(255) it is an inversion from per-call tables (_BinomialTables): the CDF
+of Binomial(r, q) for every r in 0..h from Pascal's rule, each entry
+within about (h + 1) eps of the exact one and less than 2^-53 of upper
+tail cut, and a byte guide table that makes a draw O(1): one uniform and
+fewer than 2 compares on average. Tables cover the steps whose cells fit
+_TABLE_CELLS; larger h and the other steps draw from numpy's binomial,
+whose inversion costs O(r q) steps while r min(q, 1 - q) <= 30.
+
 A chain call splits more than SUB_BLOCK_ROWS rows into sub-blocks of that
 many rows and draws them on a thread pool that lives for the call only
 (_run_sub_blocks), the only threaded path here. The stream rule does not
@@ -57,6 +66,18 @@ SUB_BLOCK_ROWS = 1 << 14
 # the pairwise kernel is faster up to h = 24 for any id width (BENCH_13.json).
 # Counts and draw positions must fit in a byte, so it is at most 255.
 _PAIRWISE_MAX_H = 24
+
+# Largest h whose chain steps draw from _BinomialTables: inversion from a
+# guide table, O(1) a draw, where numpy's binomial inverts from 0 up in
+# O(h q) steps while h min(q, 1 - q) <= 30; at h = 5..255 a table draw
+# took 20-60 ns against numpy's 31-136 ns (BENCH_19.json). Table columns
+# and guide entries must fit in a byte, so it is at most 255.
+_TABLE_MAX_H = 255
+
+# Cells of one call's _BinomialTables, 9 bytes each (a float64 CDF entry
+# and a guide byte): 4.5 MiB. At k = h = 255 the tables of all 254 steps
+# could take 143 MiB; steps past the budget draw from numpy instead.
+_TABLE_CELLS = 1 << 19
 
 # Threads a sample_chain_modes call may use; None means the usable cores.
 # Sweep worker processes set it to 1.
@@ -226,6 +247,7 @@ def sample_chain_modes(h: int, p, rng: RngHandle, n: int):
     tail = np.cumsum(ranked[live - 1 :: -1])[::-1]
     step_p = ranked[: live - 1] / tail[: live - 1]
     first = int(np.flatnonzero(order == 0)[0])
+    tables = _BinomialTables(h, step_p)
     for rows in _block_rows(k, n):
         winner = np.empty(rows, dtype=np.int64)
         top = np.empty(rows, dtype=np.int64)
@@ -233,7 +255,7 @@ def sample_chain_modes(h: int, p, rng: RngHandle, n: int):
         first_is_top = np.empty(rows, dtype=bool)
 
         def fill(start: int, stop: int, gen) -> None:
-            counts, best = _chain_counts(stop - start, h, step_p, k, gen)
+            counts, best = _chain_counts(stop - start, h, step_p, tables, k, gen)
             rank, tied = _argmax_tiebreak(counts.T, best, gen)
             winner[start:stop] = order[rank]
             top[start:stop] = best
@@ -244,19 +266,30 @@ def sample_chain_modes(h: int, p, rng: RngHandle, n: int):
         yield winner, top, ties, first_is_top
 
 
-def _chain_counts(rows: int, h: int, step_p: np.ndarray, k: int, gen):
+def _chain_counts(rows: int, h: int, step_p: np.ndarray, tables, k: int, gen):
     """(k, rows) chain counts in ranked opinion order and each row's top
     count, with rows leaving the chain once their top exceeds their
     remaining draws (sample_chain_modes). step_p holds the conditional
     probabilities of all live opinions but the last, which takes the rest;
-    the counts of the dead opinions, ranked last, stay 0."""
+    the counts of the dead opinions, ranked last, stay 0.
+
+    Step i draws Binomial(remaining, step_p[i]) from the guide table of
+    tables (_BinomialTables), one uniform a row, while i < tables.steps:
+    every step when h <= _TABLE_MAX_H, unless the tables would pass
+    _TABLE_CELLS. Its law is that of the exact binomial to about
+    (h + 1) eps in each CDF entry, with less than 2^-53 of upper tail cut.
+    Other steps draw from numpy's binomial (BTPE, or inversion from 0 up
+    while remaining x min(q, 1 - q) <= 30)."""
     counts = np.zeros((k, rows), dtype=np.int64)
     top = np.zeros(rows, dtype=np.int64)
     at = np.arange(rows)  # rows still in the chain
     remaining = np.full(rows, int(h), dtype=np.int64)
     best = np.zeros(rows, dtype=np.int64)
     for i, pi in enumerate(step_p):
-        x = gen.binomial(remaining, pi)
+        if i < tables.steps:
+            x = tables.draw(i, remaining, gen)
+        else:
+            x = gen.binomial(remaining, pi)
         counts[i, at] = x
         remaining -= x
         np.maximum(best, x, out=best)
@@ -268,6 +301,126 @@ def _chain_counts(rows: int, h: int, step_p: np.ndarray, k: int, gen):
     counts[step_p.size, at] = remaining
     top[at] = np.maximum(best, remaining)
     return counts, top
+
+
+class _BinomialTables:
+    """Guide-table inversion for the chain steps Binomial(r, q_i), r in
+    0..h, when h <= _TABLE_MAX_H: O(1) compares a draw (indexed search:
+    Chen and Asau 1974; Devroye, Non-Uniform Random Variate Generation,
+    III.2.4). Built once per sample_chain_modes call and only read after.
+
+    Step i holds the CDF F_r(x) = P(Binomial(r, q_i) <= x) of every r in
+    W_i columns, x in 0..W_i - 1. W_i - 1 is the first x at which
+    P(Binomial(h, q_i) > x) < 2^-53, and that column is set to 1.0: the law
+    grows stochastically with r, so no row cuts more than 2^-53 of mass.
+    F_r is 1 minus the upper tail of _binomial_tails, whose Pascal rule
+    keeps each entry within about (r + 1) eps, each row nondecreasing and
+    the entries with x >= r at 1.0, so a draw never exceeds r.
+
+    A draw takes one uniform u, starts at guide[r, floor(u W_i)], the
+    first x with floor(F_r(x) W_i) >= floor(u W_i), and steps forward
+    while F_r(x) <= u: fewer than 2 compares on average, since the W_i
+    slots split the W_i - 1 inner CDF points. Step i owns columns
+    offset[i]..offset[i] + W_i - 1 of the (h + 1, sum (W_i + 1)) float64
+    cdf and byte guide arrays, after a column that holds F_r(-1) = 0; a
+    guide entry is at most W_i - 1 <= h, hence the cap of 255.
+
+    Tables cover the first steps (the opinions of largest probability)
+    while their cells fit _TABLE_CELLS, so memory stays bounded at large
+    k; steps from tables.steps on, and all of them for h = 0 and
+    h > _TABLE_MAX_H, draw from numpy's binomial.
+    """
+
+    __slots__ = ("steps", "cdf", "guide", "width", "offset")
+
+    def __init__(self, h: int, step_p: np.ndarray):
+        self.steps = 0
+        if not 0 < h <= _TABLE_MAX_H or step_p.size == 0:
+            return  # at h = 0 numpy's binomial draws nothing
+        for tail in _binomial_tails(step_p, h, np.full(step_p.size, h + 1)):
+            pass  # up to row h, which is nonincreasing in x and 0 at x = h
+        beyond = tail.reshape(-1, h + 2)[:, 1:] >= 2.0**-53
+        width = np.count_nonzero(beyond, axis=1) + 1
+        m = int(np.count_nonzero(np.cumsum(width + 1) * (h + 1) <= _TABLE_CELLS))
+        if m == 0:
+            return
+        width = width[:m]
+        offset = np.cumsum(width + 1) - width
+        cdf = np.empty((h + 1, offset[-1] + width[-1]))
+        for r, tail in enumerate(_binomial_tails(step_p[:m], h, width)):
+            np.subtract(1.0, tail, out=cdf[r])
+        cdf[:, offset + width - 1] = 1.0
+        # guide[r, offset + j] counts the x of its step and row with
+        # floor(F_r(x) W) < j. Clipped to W - 1 and shifted by the step's
+        # offset, these slots are nondecreasing along a row, and the F_r(-1)
+        # column, shifted to itself, stays below its step's slots: so one
+        # histogram and one cumulative sum give every guide entry. Rows go
+        # 32 at a time, which keeps these passes in cache.
+        w = np.repeat(width, width + 1)
+        shift = np.repeat(offset, width + 1)
+        shift[offset - 1] -= 1
+        chunk = 32
+        shift = shift + np.arange(0, chunk * cdf.shape[1], cdf.shape[1])[:, None]
+        guide = np.empty(cdf.shape, dtype=np.uint8)
+        for r in range(0, h + 1, chunk):
+            f = cdf[r : r + chunk]
+            slot = (f * w).astype(np.intp)
+            np.minimum(slot, w - 1, out=slot)
+            slot += shift[: len(f)]
+            below = np.zeros(slot.size, dtype=np.intp)
+            np.cumsum(np.bincount(slot.ravel(), minlength=slot.size)[:-1], out=below[1:])
+            guide[r : r + chunk] = below.reshape(slot.shape) - shift[: len(f)]
+        self.steps = m
+        self.cdf = cdf
+        self.guide = guide
+        self.width = width
+        self.offset = offset
+
+    def draw(self, i: int, remaining: np.ndarray, gen) -> np.ndarray:
+        """One Binomial(remaining[j], q_i) draw for each j, from one
+        gen.random uniform each, for i < steps."""
+        u = gen.random(remaining.size)
+        width = int(self.width[i])
+        first = remaining * self.cdf.shape[1] + int(self.offset[i])
+        slot = (u * width).astype(np.intp)
+        np.minimum(slot, width - 1, out=slot)  # u W may round up to W
+        slot += first
+        at = first + self.guide.ravel()[slot]
+        cdf = self.cdf.ravel()
+        # the step's last column is 1.0 > u, so no search leaves its row
+        ahead = np.flatnonzero(cdf[at] <= u)
+        while ahead.size:
+            at[ahead] += 1
+            ahead = ahead[cdf[at[ahead]] <= u[ahead]]
+        at -= first
+        return at
+
+
+def _binomial_tails(step_p: np.ndarray, h: int, width: np.ndarray):
+    """Yield the upper tails P(Binomial(r, q_i) > x) for r = 0..h: one
+    array a row, overwritten by the next. Step i holds x = -1, where the
+    tail is 1, then x = 0..width[i] - 1.
+
+    Pascal's rule P_r(X > x) = (1 - q) P_(r-1)(X > x) + q P_(r-1)(X > x - 1)
+    takes convex combinations of non-negative numbers, so the tails neither
+    underflow nor lose relative precision: each is off by at most about
+    (r + 1) eps of itself, is nonincreasing in x and is exactly 0 for
+    x >= r. The x = -1 entries take q = 0 and stay 1, so a row is three
+    operations on one contiguous array.
+    """
+    q = np.repeat(step_p, width + 1)
+    starts = np.cumsum(width + 1) - width - 1
+    q[starts] = 0.0
+    keep = 1.0 - q
+    tail = np.zeros(q.size)
+    tail[starts] = 1.0
+    spill = np.empty(q.size - 1)
+    yield tail
+    for _ in range(h):
+        np.multiply(tail[:-1], q[1:], out=spill)
+        tail *= keep
+        tail[1:] += spill
+        yield tail
 
 
 def _usable_cores() -> int:
@@ -327,6 +480,9 @@ def sample_draw_chunks(h: int, weights, rng: RngHandle, n: int):
     live opinions, whose ids are mapped back to opinion indices. Both run
     on the caller's generator on one thread.
     """
+    require_integer(h, "h", InvalidProbError)
+    if h < 0:
+        raise InvalidProbError(f"h must be >= 0, got {h}")
     w = np.asarray(weights)
     if w.dtype.kind in "iu" and w.sum() <= CHUNK_CELLS:
         lut = np.repeat(np.arange(w.size, dtype=np.min_scalar_type(w.size - 1)), w)

@@ -3,7 +3,7 @@
 These deliberately avoid the library's code paths: the win distribution and
 the event-report quantities are computed by enumerating all k^h ordered
 sample sequences, pmfs come from
-exact Fraction arithmetic, and the conditional pair differences are summed
+exact Fraction or integer arithmetic, and the conditional pair differences are summed
 directly from scipy's binomial pmf with indicator events. The multi-round
 law comes from the absorbing Markov chain on whole configurations.
 """
@@ -54,6 +54,21 @@ def exact_multinomial_pmf_fraction(x, h, prob_fractions):
         value /= math.factorial(xi)
         value *= Fraction(pi) ** xi
     return value
+
+
+def exact_binomial_pmf(r, q, cols):
+    """P(Binomial(r, q) = x) for x in 0..cols - 1 and the upper tail
+    P(Binomial(r, q) >= cols), each correctly rounded to a float.
+
+    Integer arithmetic on the exact binary value a / d of the float q:
+    comb(r, x) a^x (d - a)^(r - x) / d^r, no Pascal rule and no logs.
+    """
+    exact = Fraction(q)
+    a, d = exact.numerator, exact.denominator
+    scale = d**r
+    terms = [math.comb(r, x) * a**x * (d - a) ** (r - x) for x in range(min(cols, r + 1))]
+    pmf = [t / scale for t in terms] + [0.0] * (cols - len(terms))
+    return pmf, (scale - sum(terms)) / scale
 
 
 def naive_pair_diffs(m, q):

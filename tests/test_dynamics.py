@@ -148,6 +148,22 @@ def test_step_over_sub_blocks_matches_adoption_law():
     assert chi2.sf(stat, cfg.k - 1) > 1e-3
 
 
+def test_step_law_matches_win_distribution_on_the_table_path():
+    # k = 16 <= h = 200 <= _TABLE_MAX_H at n = 1e5: the chain steps draw from
+    # the guide tables over seven sub-blocks. Three steps from the
+    # near-balanced start sum to Multinomial(3 n, q), q from the
+    # adoption-law DP; chi-square over the 16 opinions, alpha 1e-3
+    counts, _ = balanced_plus_bias_counts(100_000, 16, 10.0)
+    cfg = Configuration.from_counts(counts)
+    h, steps = 200, 3
+    q = np.array(win_distribution(h, tuple(c / cfg.n for c in counts)).q)
+    rng = RngHandle(1919)
+    total = sum(np.array(step(cfg, h, rng).counts) for _ in range(steps))
+    expect = q * cfg.n * steps
+    stat = ((total - expect) ** 2 / expect).sum()
+    assert chi2.sf(stat, cfg.k - 1) > 1e-3
+
+
 @pytest.mark.parametrize("counts, h, seed", [
     ((30, 20, 20, 15, 10, 5, 0, 0), 3, 505),
     ((40, 30, 0, 20, 10), 4, 606),

@@ -16,7 +16,7 @@ GOLDEN = {
     "sweep_categorical":
         "3c4d1d1b3b00ffb1d28f6ae636372b92876ac921b22a4d037d9ff8e0bbd7860c",
     "simulate_chain_two_chunks":
-        "a4777720aaefcae735db645c339035ab9e3e4a1920e6b4c308071e9559a51c7d",
+        "ba94987a749d88f9b91214d99ea2ede0d6f36d93b154404740daeba303a23b76",
     "simulate_oracle_level":
         "67f85864282bcb293c70f4762d3419cc0f99e018e12357da2aa348c0502f3075",
     "simulate_top_counts":

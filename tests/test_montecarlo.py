@@ -422,6 +422,12 @@ def test_rare_outsample_rejects_h_not_a_positive_integer(h):
         rare_outsample_audit(cfg, rare_opinion=4, rounds=5, seed=1, h=h)
 
 
+def test_sweep_spec_names_a_listed_h_below_one():
+    # a listed h used to be reported as derived
+    with pytest.raises(SweepSpecError, match="^listed h=0 must be >= 1$"):
+        SweepSpec(ns=(40,), ks=(2,), hs=(0,), bias_multiplier=1.0).cells()
+
+
 @pytest.mark.parametrize("n, message", [(1, "derived h=0 must be"), (0, "n >= 1")])
 def test_check_w1_rejects_h_rule_below_one(n, message):
     # ln(1) = 0 derives h = 0, which used to run and pass W1; ln(0) raised a

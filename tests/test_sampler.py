@@ -29,7 +29,7 @@ from hmajority.sampler import (
     sample_draw_chunks,
 )
 
-from oracles import exact_multinomial_pmf_fraction
+from oracles import exact_binomial_pmf, exact_multinomial_pmf_fraction
 
 
 def test_rng_streams_are_reproducible():
@@ -282,15 +282,21 @@ def test_chain_modes_do_not_depend_on_thread_count(monkeypatch):
 
 
 class CountingGenerator:
-    """A numpy generator that counts the elements of its binomial calls."""
+    """A numpy generator that counts the elements of its binomial and
+    uniform calls."""
 
     def __init__(self, gen):
         self.gen = gen
         self.binomials = 0
+        self.uniforms = 0
 
     def binomial(self, n, p):
         self.binomials += np.size(n)
         return self.gen.binomial(n, p)
+
+    def random(self, size=None):
+        self.uniforms += 1 if size is None else int(np.prod(size))
+        return self.gen.random(size)
 
     def __getattr__(self, name):
         return getattr(self.gen, name)
@@ -309,9 +315,114 @@ def test_chain_modes_rows_out_of_reach_draw_no_further_opinion():
     assert top.min() > 500
 
 
+def test_chain_modes_rows_out_of_reach_draw_no_further_opinion_from_tables():
+    # h = 200 <= _TABLE_MAX_H: the chain steps draw one uniform a row from
+    # the guide tables, no binomial. After the first step a row leads with
+    # about 166 against 34 left, so it draws none of the other 14 steps a
+    # full chain would (15 000 uniforms over 1000 rows)
+    rng = RngHandle(92)
+    rng.gen = CountingGenerator(rng.gen)
+    probs = (0.83,) + (0.17 / 15,) * 15
+    winner, top, ties, first_is_top = _chain_modes(200, probs, rng, 1000)
+    assert rng.gen.binomials == 0
+    assert 1000 <= rng.gen.uniforms < 1100
+    assert np.all(winner == 0) and np.all(ties == 1) and np.all(first_is_top)
+    assert top.min() > 100
+
+
+@pytest.mark.parametrize("q", [1e-300, 1 / 16, 0.5, 0.83, 1 - 1e-16])
+def test_binomial_tables_match_exact_pmf(q):
+    # h = 255, the cap: for every r the table's pmf, the differences of its
+    # CDF row, is within 1e-12 of the exact pmf of q's binary value, and
+    # the columns cut from the row hold less than 2^-53. The CDF reaches
+    # exactly 1.0 at x = r and at the last column, so no draw exceeds r
+    h = 255
+    tables = sampler._BinomialTables(h, np.array([q]))
+    (width,), (offset,) = tables.width, tables.offset
+    cdf = tables.cdf[:, offset : offset + width]
+    guide = tables.guide[:, offset : offset + width]
+    for r in range(h + 1):
+        pmf, cut = exact_binomial_pmf(r, q, width)
+        assert np.abs(np.diff(cdf[r], prepend=0.0) - pmf).max() <= 1e-12, r
+        assert cut < 2.0**-53, r
+        assert np.all(np.diff(cdf[r]) >= 0) and np.all(cdf[r, r:] == 1.0)
+        # slot j starts at the first x with floor(F(x) W) >= j
+        slots = np.minimum((cdf[r] * width).astype(int), width - 1)
+        assert guide[r].tolist() == np.searchsorted(slots, np.arange(width)).tolist()
+    assert cdf[:, -1].tolist() == [1.0] * (h + 1)
+
+
+@pytest.mark.parametrize("r, q", [(200, 1 / 16), (37, 1 / 16), (200, 0.83), (9, 0.5)])
+def test_binomial_table_draws_match_binomial_law(r, q):
+    # chi-square of 100 000 table draws at one r against binom.pmf, cells
+    # with fewer than 5 expected draws pooled, alpha 1e-3; the table is
+    # built for h = 200, so rows r < h test the rows below the cut's row
+    draws = 100_000
+    tables = sampler._BinomialTables(200, np.array([0.3, q]))
+    x = tables.draw(1, np.full(draws, r), RngHandle(4343, r).gen)
+    assert x.min() >= 0 and x.max() <= r
+    expect = binom.pmf(np.arange(r + 1), r, q) * draws
+    seen = np.bincount(x, minlength=r + 1).astype(float)
+    small = expect < 5
+    if small.any():
+        expect = np.append(expect[~small], expect[small].sum())
+        seen = np.append(seen[~small], seen[small].sum())
+    stat = ((seen - expect) ** 2 / expect).sum()
+    assert chi2.sf(stat, expect.size - 1) > 1e-3
+
+
+def test_binomial_tables_cover_the_steps_that_fit_their_budget(monkeypatch):
+    # k = 40 opinions of geometric weight at h = 255 would need 39 wide
+    # tables; the first steps keep the table while its cells fit
+    # _TABLE_CELLS and the others draw from numpy, with the same law
+    weights = 0.7 ** np.arange(40)
+    probs = tuple(weights / weights.sum())
+    ranked = np.array(probs)
+    step_p = ranked[:-1] / np.cumsum(ranked[::-1])[::-1][:-1]
+    tables = sampler._BinomialTables(255, step_p)
+    assert 0 < tables.steps < step_p.size
+    assert tables.cdf.size <= sampler._TABLE_CELLS
+    assert tables.cdf.shape == (256, int((tables.width + 1).sum()))
+    first = 256 * int(tables.width[0] + 1)  # cells of the first step's table
+    monkeypatch.setattr(sampler, "_TABLE_CELLS", first)
+    assert sampler._BinomialTables(255, step_p).steps == 1
+    monkeypatch.setattr(sampler, "_TABLE_CELLS", first - 1)
+    assert sampler._BinomialTables(255, step_p).steps == 0
+    # a small budget mixes both draws in one chain: its mode law against
+    # win_distribution, chi-square over one sub-block of rows, alpha 1e-3
+    h, probs, rows = 12, (0.4, 0.3, 0.2, 0.1), SUB_BLOCK_ROWS
+    # the first step's table, 13 rows of 12 columns after its x = -1 column
+    monkeypatch.setattr(sampler, "_TABLE_CELLS", 13 * 14)
+    rng = RngHandle(4545)
+    rng.gen = CountingGenerator(rng.gen)
+    winner = _chain_modes(h, probs, rng, rows)[0]
+    assert rng.gen.binomials > 0 and rng.gen.uniforms >= rows
+    expect = np.array(win_distribution(h, probs).q) * rows
+    stat = ((np.bincount(winner, minlength=4) - expect) ** 2 / expect).sum()
+    assert chi2.sf(stat, 3) > 1e-3
+
+
+def test_binomial_tables_leave_h_above_the_cap_and_h_0_to_numpy():
+    assert sampler._BinomialTables(256, np.array([0.5])).steps == 0
+    assert sampler._BinomialTables(255, np.array([0.5])).steps == 1
+    # at h = 0 the chain draws nothing from the stream
+    rng = RngHandle(93)
+    winner, top, ties, _ = _chain_modes(0, (0.5, 0.3, 0.2), rng, 100)
+    assert np.all(top == 0) and np.all(ties == 3)
+    twin = RngHandle(93).gen
+    twin.integers(0, np.full(100, 3))  # the tie-break of the 100 tied rows
+    assert rng.gen.random() == twin.random()
+
+
 def test_chain_modes_reject_negative_h():
     with pytest.raises(InvalidProbError):
         list(sample_chain_modes(-1, (0.5, 0.5), RngHandle(1), 4))
+
+
+def test_draw_chunks_reject_negative_h():
+    # a negative h used to reach numpy, which refused the (rows, -1) shape
+    with pytest.raises(InvalidProbError, match="h must be >= 0"):
+        next(sample_draw_chunks(-1, np.array([3, 3, 2, 2]), RngHandle(1), 10))
 
 
 def test_chain_column_marginals_match_binomial_laws():
@@ -575,6 +686,8 @@ _H_CALLS = {
     "sample_counts_matrix": lambda h: sample_counts_matrix(
         h, (0.5, 0.5), RngHandle(1), 3),
     "draw_multinomial": lambda h: draw_multinomial(h, (0.5, 0.5), RngHandle(1)),
+    "sample_draw_chunks": lambda h: next(
+        sample_draw_chunks(h, np.array([3, 3, 2, 2]), RngHandle(1), 10)),
     "win_distribution": lambda h: win_distribution(h, (0.5, 0.5)),
     "event_report": lambda h: event_report(h, (0.5, 0.5)),
 }

@@ -131,6 +131,7 @@ def sample_win_events(h: int, p, trials: int, rng: RngHandle) -> WinEventCounts:
     """Count winning events over repeated independent sample vectors."""
     probs = coerce_probs(p)
     require_integer(h, "h", InvalidProbError)
+    require_integer(trials, "trials", InvalidProbError)
     if trials < 0:
         raise InvalidProbError(f"trials must be >= 0, got {trials}")
     k = len(probs)

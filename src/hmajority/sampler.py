@@ -30,10 +30,11 @@ depend on the thread count: a call of at most one sub-block draws from the
 caller's generator; a larger one takes a single 63-bit key from it, and
 sub-block j draws from RngHandle(key, j).
 
-The ids of k > h rounds are the opinions of uniform agents, read from a
-table of the n agents' opinions: exact from the integer counts. Above
-CHUNK_CELLS agents, and for probabilities, an alias table draws them
-(sample_draw_chunks).
+The ids of k > h rounds are the opinions of uniform units of integer
+weight, one random integer each, found by indexed search from a guide
+table over the cumulative weights (sample_draw_chunks): exact for counts,
+and within about k 2^-62 for probabilities. Up to CHUNK_CELLS agents the
+guide is the table of the n agents' opinions and a draw needs no search.
 
 The mode from the ids needs no random draw: among tied maxima the id drawn
 first wins. Rows of at most _PAIRWISE_MAX_H ids compare every pair of
@@ -54,7 +55,8 @@ from .core import HMajorityError, coerce_probs, require_integer
 _MASK64 = (1 << 64) - 1
 
 # Cell budget of one block: rows x k counts or rows x h draw ids. It also
-# caps the agents of a draw-id look-up table (sample_draw_chunks).
+# caps the total weight whose draw-id guide table holds one slot a unit,
+# the table of the agents' opinions (sample_draw_chunks).
 CHUNK_CELLS = 1 << 22
 
 # Rows of one chain sub-block: the unit of the stream rule and of the work
@@ -112,58 +114,6 @@ def draw_multinomial(h: int, p, rng: RngHandle) -> tuple[int, ...]:
     """One exact Multinomial(h, p) draw as a counts tuple: a single row of
     sample_counts_matrix, so its cost is O(k) whatever h is."""
     return tuple(int(c) for c in sample_counts_matrix(h, p, rng, 1)[0])
-
-
-class AliasTable:
-    """Walker alias table: O(k log k) setup, O(1) per categorical draw, two
-    random draws per id.
-
-    weights are non-negative with a positive sum. sample_draw_chunks uses it
-    for probabilities and for integer counts whose sum exceeds CHUNK_CELLS;
-    smaller counts read the agents' look-up table there. The table is built
-    with array operations in the sweep order of the two-list construction:
-    light entries (k w_i below the total W) take their alias from the heavy
-    ones, both in index order, and a heavy entry whose remaining mass falls
-    to W or below becomes light and takes its alias from the next heavy
-    one. With D the running sum of the light deficits and S that of the
-    heavy surpluses, light entry i goes to the first heavy entry j with
-    S_j > D_(i-1), and heavy entry j keeps W + S_j - D_(i_j), where i_j
-    light entries go to heavy entries 1..j.
-    """
-
-    __slots__ = ("k", "accept", "alias")
-
-    def __init__(self, weights):
-        w = np.asarray(weights)
-        k = w.size
-        total = w.sum()
-        scaled = w * k
-        light = np.flatnonzero(scaled < total)
-        heavy = np.flatnonzero(scaled >= total)
-        accept = np.ones(k, dtype=np.float64)
-        alias = np.arange(k, dtype=np.int64)
-        if light.size and heavy.size:
-            deficit = np.cumsum(total - scaled[light])
-            surplus = np.cumsum(scaled[heavy] - total)
-            before = np.concatenate(([0], deficit[:-1]))
-            donor = np.searchsorted(surplus, before, side="right")
-            accept[light] = scaled[light] / total
-            alias[light] = heavy[np.minimum(donor, heavy.size - 1)]
-            served = np.searchsorted(before, surplus, side="left")
-            kept = total + surplus - np.concatenate(([0], deficit))[served]
-            accept[heavy[:-1]] = np.clip(kept[:-1] / total, 0.0, 1.0)
-            alias[heavy[:-1]] = heavy[1:]
-        self.k = k
-        self.accept = accept
-        self.alias = alias
-
-    def draw_ids(self, rng: RngHandle, size) -> np.ndarray:
-        """Array of category ids (0-based) with the table's law."""
-        idx = rng.gen.integers(0, self.k, size=size)
-        u = rng.gen.random(size=size)
-        ids = self.alias[idx]
-        np.copyto(ids, idx, where=u < self.accept[idx])
-        return ids
 
 
 def sample_counts_matrix(h: int, p, rng: RngHandle, rows: int) -> np.ndarray:
@@ -466,34 +416,57 @@ def sample_draw_chunks(h: int, weights, rng: RngHandle, n: int):
     """Yield (rows, h) arrays of opinion indices, h i.i.d. draws in each
     row, whose rows total n.
 
-    Opinion i is drawn with probability weights_i / sum(weights); weights
-    are validated probabilities or non-negative integer counts. A dead
-    opinion (weight 0) is never drawn. Blocks have _block_rows(h, n) rows:
-    at most CHUNK_CELLS ids each, whatever k is.
+    weights are non-negative integer counts, drawn with law exactly
+    counts / sum(counts), or validated probabilities, which become the
+    integer weights floor(p_i 2^62): each within one unit of p_i 2^62, so
+    the law is within about k 2^-62 of p / sum(p). A dead opinion (weight
+    0) is never drawn. Blocks have _block_rows(h, n) rows: at most
+    CHUNK_CELLS ids each, whatever k is.
 
-    Integer counts that sum to at most CHUNK_CELLS take the table look-up:
-    each id is one uniform agent index in [0, sum(counts)) read from
-    lut = repeat(arange(k), counts), so the law is exactly counts / n with
-    one random draw per id. The table holds sum(counts) entries in the
-    narrowest unsigned type that holds k - 1, and the ids arrive in that
-    type. Larger counts and probabilities draw from an AliasTable over the
-    live opinions, whose ids are mapped back to opinion indices. Both run
-    on the caller's generator on one thread.
+    Each id is one uniform unit of weight a in [0, total), total the sum of
+    the weights, and its opinion searchsorted(cum, a, "right"), cum the
+    cumulative weights, found by indexed search (Chen and Asau 1974;
+    Devroye, Non-Uniform Random Variate Generation, III.2.4): slot j of a
+    guide table holds the opinion of weight unit j x stride, and a draw
+    starts at guide[a // stride] and steps forward while cum[x] <= a. A
+    dead opinion has no width, so no draw stops on it. While total <=
+    CHUNK_CELLS the stride is 1: the guide is the table of the n agents'
+    opinions, repeat(arange(k), counts), read as guide[a] with no step.
+    Above it the guide has 2 x 2^ceil(log2 k) slots, so the table takes
+    O(k) memory whatever n is and a draw at most about half a step on
+    average.
+    Ids arrive in the narrowest unsigned type that holds k - 1. One random
+    integer per id, from the caller's generator on one thread.
     """
     require_integer(h, "h", InvalidProbError)
     if h < 0:
         raise InvalidProbError(f"h must be >= 0, got {h}")
     w = np.asarray(weights)
-    if w.dtype.kind in "iu" and w.sum() <= CHUNK_CELLS:
-        lut = np.repeat(np.arange(w.size, dtype=np.min_scalar_type(w.size - 1)), w)
-        for rows in _block_rows(h, n):
-            yield lut[rng.gen.integers(0, lut.size, size=(rows, h))]
-        return
-    live = np.flatnonzero(w > 0)
-    table = AliasTable(w[live])
+    if w.dtype.kind == "f":
+        w = (w * 2.0**62).astype(np.int64)
+    k = w.size
+    total = int(w.sum())
+    if total <= CHUNK_CELLS:
+        stride, slots = 1, w
+    else:
+        cum = np.cumsum(w, dtype=np.int64)
+        stride = -(-total // (2 << (k - 1).bit_length()))
+        # opinion i holds the slots j with cum[i - 1] <= j x stride < cum[i]
+        slots = np.diff(-(-cum // stride), prepend=0)
+    guide = np.repeat(np.arange(k, dtype=np.min_scalar_type(k - 1)), slots)
     for rows in _block_rows(h, n):
-        ids = table.draw_ids(rng, (rows, h))
-        yield ids if live.size == w.size else live[ids]
+        a = rng.gen.integers(0, total, size=(rows, h))
+        if stride == 1:
+            ids = guide[a]
+        else:
+            ids = guide[a // stride]
+            x, a = ids.ravel(), a.ravel()
+            ahead = np.flatnonzero(cum[x] <= a)
+            while ahead.size:
+                x[ahead] += 1
+                ahead = ahead[cum[x[ahead]] <= a[ahead]]
+        del a  # 8 bytes an id, not to be held while the caller reads ids
+        yield ids
 
 
 def mode_of_draws(draws: np.ndarray):

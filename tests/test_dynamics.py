@@ -206,12 +206,13 @@ def test_step_law_matches_win_distribution_when_k_exceeds_h():
     assert chi2.sf(stat, live.sum() - 1) > 1e-3
 
 
-@pytest.mark.parametrize("n, k", [(65_536, 128), (10**5, 10**5)])
+@pytest.mark.parametrize("n, k", [(65_536, 128), (10**5, 10**5), (10**7, 10**5)])
 def test_step_memory_bounded_by_rows_times_h(n, k):
     # with k > h a block holds rows x h draw ids, never a rows x k count
     # matrix: 128 bytes a cell of the largest block, plus 128 bytes an
-    # opinion for the configuration; the agents' look-up table takes at
-    # most 4 bytes an agent
+    # opinion for the configuration and the guide table, which holds one
+    # entry an agent up to CHUNK_CELLS agents (at most 4 bytes each) and
+    # 2 x 2^ceil(log2 k) entries above
     h = 3
     counts = [n // k] * k
     counts[0] += n - sum(counts)

@@ -124,6 +124,19 @@ def test_sample_win_events_rejects_negative_trials():
         sample_win_events(1, (0.5, 0.3, 0.2), -1, RngHandle(1))
 
 
+@pytest.mark.parametrize("trials", [2.5, True])
+@pytest.mark.parametrize("call", [
+    lambda trials: sample_win_events(3, (0.5, 0.5), trials, RngHandle(1)),
+    lambda trials: sample_win_events(1, (0.5, 0.3, 0.2), trials, RngHandle(1)),
+    lambda trials: check_w1_lower_bound(
+        (0.6, 0.4), n=20, c4=324.0, trials=trials, seed=1),
+], ids=["chain", "ids", "check_w1"])
+def test_trials_must_be_an_integer(call, trials):
+    # 2.5 died in numpy with a bare TypeError, and True ran as one trial
+    with pytest.raises(InvalidProbError, match="'trials' must be an integer"):
+        call(trials)
+
+
 def test_estimate_win_probs_deterministic():
     a = win_estimates(3, (0.6, 0.4), trials=10**4, seed=77)
     b = win_estimates(3, (0.6, 0.4), trials=10**4, seed=77)

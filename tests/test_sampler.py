@@ -3,6 +3,7 @@ import itertools
 import math
 from collections import Counter
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from hmajority.oracle import event_report, win_distribution
 from hmajority.sampler import (
     CHUNK_CELLS,
     SUB_BLOCK_ROWS,
-    AliasTable,
     InvalidProbError,
     RngHandle,
     argmax_rows_with_tiebreak,
@@ -603,26 +603,6 @@ def test_mode_of_draws_switches_kernel_at_pairwise_max_h(monkeypatch):
     assert calls == ["pairwise", "pairwise", "sorted"]
 
 
-def test_alias_table_reproduces_weights():
-    # bucket i holds accept[i] of i and 1 - accept[i] of alias[i]; with
-    # integer weights the implied law is exact up to one rounding an entry
-    rng = np.random.default_rng(23)
-    cases = [
-        rng.integers(0, 50, 64), np.array([1, 0, 0, 10**6]),
-        np.array([7]), np.full(100, 3), 2 ** np.arange(40)[::-1],
-        np.r_[1, np.full(999, 1000)], rng.integers(1, 10**4, 10**5),
-    ]
-    cases += [rng.dirichlet(np.ones(k)) for k in (2, 17, 1000)]
-    for weights in cases:
-        table = AliasTable(weights)
-        assert table.accept.min() >= 0.0 and table.accept.max() <= 1.0
-        implied = table.accept.copy()
-        np.add.at(implied, table.alias, 1.0 - table.accept)
-        target = weights * weights.size / weights.sum()
-        assert np.all(implied[weights == 0] == 0.0)
-        assert np.abs(implied - target).max() < 1e-12 * max(1.0, target.max())
-
-
 def test_sample_draw_chunks_live_opinions_only():
     # integer counts: ids come from the agents' look-up table
     rng = RngHandle(29)
@@ -642,9 +622,10 @@ def test_sample_draw_chunks_live_opinions_only():
 ])
 def test_sample_draw_chunks_counts_arrive_in_narrowest_id_type(k, id_type):
     counts = np.ones(k, dtype=np.int64)
-    (ids,) = sample_draw_chunks(3, counts, RngHandle(30), 50)
-    assert ids.dtype == id_type and ids.shape == (50, 3)
-    assert ids.max() < k
+    for weights in (counts, counts / k):
+        (ids,) = sample_draw_chunks(3, weights, RngHandle(30), 50)
+        assert ids.dtype == id_type and ids.shape == (50, 3)
+        assert ids.max() < k
 
 
 def test_sample_draw_chunks_counts_draw_agents_up_to_the_cell_budget():
@@ -659,17 +640,61 @@ def test_sample_draw_chunks_counts_draw_agents_up_to_the_cell_budget():
 
 
 @pytest.mark.parametrize("weights", [
-    # one agent more than the cell budget: no look-up table
+    # one agent more than the cell budget: the guide's stride passes 1
     np.array([CHUNK_CELLS // 2 + 1, 0, CHUNK_CELLS // 4, CHUNK_CELLS // 4, 0]),
     np.array([0.5, 0.0, 0.25, 0.25, 0.0]),
+    np.array([0.1, 0.0, 0.2, 0.7]),
 ])
-def test_sample_draw_chunks_take_the_alias_table_otherwise(weights):
-    # the ids are those of an alias table over the live opinions, drawn
-    # from the same stream and mapped back to opinion indices
+def test_sample_draw_chunks_search_the_integer_weights_otherwise(weights):
+    # each id is the opinion of one uniform unit of integer weight, drawn
+    # from the same stream; a probability p weighs floor(p 2^62)
+    w = weights
+    if w.dtype.kind == "f":
+        w = np.array([math.floor(Fraction(p) * 2**62) for p in w.tolist()])
     (ids,) = sample_draw_chunks(3, weights, RngHandle(32), 6)
-    live = np.flatnonzero(weights)
-    alias = AliasTable(weights[live]).draw_ids(RngHandle(32), (6, 3))
-    assert ids.tolist() == live[alias].tolist()
+    units = RngHandle(32).gen.integers(0, int(w.sum()), size=(6, 3))
+    assert ids.tolist() == np.searchsorted(np.cumsum(w), units, "right").tolist()
+
+
+class AgentIndices:
+    """A stand-in generator whose integers calls return the agent indices
+    0, 1, 2, ... in order, so the draws visit every unit of weight once."""
+
+    def __init__(self):
+        self.done = 0
+
+    def integers(self, low, high, size):
+        a = np.arange(self.done, self.done + math.prod(size)).reshape(size)
+        self.done += a.size
+        assert a.max(initial=0) < high
+        return a
+
+
+def test_sample_draw_chunks_map_every_agent_to_searchsorted(monkeypatch):
+    # with the cell budget lowered every case takes the guide's search:
+    # agent index a maps to searchsorted(cum, a, "right"), so a dead first,
+    # middle or last opinion never draws, at stride 1 and above
+    monkeypatch.setattr(sampler, "CHUNK_CELLS", 4)
+    rng = np.random.default_rng(24)
+    cases = [
+        np.array([7]), np.array([0, 5, 0, 3, 2, 0]), np.array([0, 0, 9]),
+        np.array([1, 0, 0, 1000]), np.array([1000, 0, 0, 1]),
+        np.r_[np.ones(40, int), 0],
+    ]
+    for k in rng.integers(1, 80, 300):
+        cases.append(rng.integers(0, 50, k) * (rng.random(k) < 0.7))
+    agents = 0
+    for counts in cases:
+        if counts.sum() <= 4:
+            continue
+        gen = AgentIndices()
+        blocks = sample_draw_chunks(1, counts, SimpleNamespace(gen=gen), counts.sum())
+        ids = np.concatenate(list(blocks)).ravel()
+        assert gen.done == counts.sum()
+        every = np.searchsorted(np.cumsum(counts), np.arange(counts.sum()), "right")
+        assert ids.tolist() == every.tolist()
+        agents += counts.sum()
+    assert agents > 10_000
 
 
 # every entry point that takes h; at h = 2.5, k = 2 takes the chain path and

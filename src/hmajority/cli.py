@@ -71,10 +71,10 @@ def _cmd_simulate(args) -> int:
         params = RunParams(
             h=integer(get("h"), "h", err),
             max_rounds=integer(get("max_rounds"), "max_rounds", err),
-            stop_rule=get("stop_rule", "consensus"),
+            stop_rule=get("stop_rule", RunParams.stop_rule),
             target_opinion=integer(get("target_opinion"), "target_opinion", err, True),
             seed=seed,
-            step_mode=get("step_mode", "agent_level"),
+            step_mode=get("step_mode", RunParams.step_mode),
         )
         require_target(params.target_opinion, config.k)
     except (ValueError, HMajorityError) as exc:

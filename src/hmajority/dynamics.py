@@ -15,6 +15,18 @@ out of reach, and ties take one uniform draw (sampler.sample_chain_modes).
 For h <= 255 each binomial of the chain is one uniform inverted through a
 guide table of its CDF, exact to about (h + 1) eps with less than 2^-53 of
 tail cut; larger h draws from numpy's binomial.
+
+oracle_step draws the same next configuration from its exact law instead:
+Multinomial(n, q), with q the one-agent adoption law of
+oracle.win_distribution, whose DP cost does not grow with n. run takes one
+path per round by RunParams.step_mode. "agent_level" always calls step and
+"oracle_level" always calls oracle_step. "auto", the default, takes the
+oracle round whenever oracle_is_cheaper finds its DP within DP_CELL_CAP and
+cheaper than sampling the agents: the DP's cells and einsum calls against n
+x min(k, h) draws over the k live opinions. Both paths have the same law,
+so auto changes only the speed and the RNG stream; the rule reads only
+(n, h, k), so the stream is the same on every machine. Set "agent_level"
+or "oracle_level" to pin a path.
 """
 
 from __future__ import annotations
@@ -30,7 +42,7 @@ from .core import (
     is_consensus,
     require_integer,
 )
-from .oracle import WinDistribution, win_distribution
+from .oracle import DP_CELL_CAP, WinDistribution, dp_cells, win_distribution
 from .sampler import (
     RngHandle,
     draw_multinomial,
@@ -52,7 +64,8 @@ STOP_RULES = (STOP_CONSENSUS, STOP_PLURALITY, STOP_MAX_ROUNDS)
 
 STEP_AGENT = "agent_level"
 STEP_ORACLE = "oracle_level"
-STEP_MODES = (STEP_AGENT, STEP_ORACLE)
+STEP_AUTO = "auto"
+STEP_MODES = (STEP_AGENT, STEP_ORACLE, STEP_AUTO)
 
 STATUS_CONSENSUS = "consensus"
 STATUS_PLURALITY_LOST = "plurality_lost"
@@ -66,14 +79,19 @@ TOP_KEEP = 16
 
 @dataclass(frozen=True)
 class RunParams:
-    """Parameters of a single trajectory execution."""
+    """Parameters of a single trajectory execution.
+
+    step_mode picks each round's path: "auto" (the default) by
+    oracle_is_cheaper, or one path pinned by "agent_level" or
+    "oracle_level". All three draw every round from the same law.
+    """
 
     h: int
     max_rounds: int
     stop_rule: str = STOP_CONSENSUS
     target_opinion: int | None = None
     seed: int = 0
-    step_mode: str = STEP_AGENT
+    step_mode: str = STEP_AUTO
 
     def __post_init__(self):
         # target_opinion is checked against k by require_target
@@ -202,6 +220,37 @@ def _renormalized(q) -> tuple[float, ...]:
     return tuple(v / total for v in q)
 
 
+# Costs in DP cells, fitted on a grid of n in 1e3..1e6, h in 3..200 and
+# 2..64 live opinions, on one thread and on two (BENCH_25.json): one einsum
+# call of the adoption-law DP, one agent's draw id (k > h) and one binomial
+# of an agent's chain (k <= h).
+EINSUM_CELLS = 80
+ID_CELLS = 0.15
+BINOMIAL_CELLS = 0.9
+
+
+def oracle_is_cheaper(n: int, h: int, k: int) -> bool:
+    """The auto rule: whether a round over k live opinions among n agents
+    takes the oracle step (win_distribution + oracle_step) rather than step.
+
+    The oracle's cost is its DP: oracle.dp_cells plus EINSUM_CELLS for each
+    of its einsum calls, k + 1 for each winning count t from ceil(h/k) to h.
+    The agents' cost is n x min(k, h) draws: h ids per agent at ID_CELLS
+    each when k > h, else one binomial per opinion at BINOMIAL_CELLS. A DP
+    above DP_CELL_CAP is never taken. Nothing here reads a timing, the
+    thread count or the environment, so the path, and with it the RNG
+    stream, is the same on every machine.
+    """
+    if k < 2:
+        return False  # consensus: step returns it as is
+    agent_cost = (ID_CELLS if k > h else BINOMIAL_CELLS) * n * min(k, h)
+    call_cost = EINSUM_CELLS * (h - (h - 1) // k) * (k + 1)
+    if call_cost >= agent_cost:  # decided without counting the cells
+        return False
+    cells = dp_cells(h, k)
+    return cells <= DP_CELL_CAP and cells + call_cost < agent_cost
+
+
 def require_target(target: int | None, k: int, error=ValueError) -> None:
     """Raise error unless target is None or an integer opinion id in 1..k."""
     require_integer(target, "target_opinion", error, optional=True)
@@ -211,6 +260,9 @@ def require_target(target: int | None, k: int, error=ValueError) -> None:
 
 def run(config0: Configuration, params: RunParams) -> Trajectory:
     """Iterate rounds until the stop rule fires or max_rounds is reached.
+
+    Each round takes step or oracle_step by params.step_mode; under "auto"
+    oracle_is_cheaper decides from n, h and the live opinion count.
 
     Under plurality_consensus_on, reaching consensus on an opinion other
     than the target terminates with status plurality_lost (consensus is
@@ -238,7 +290,12 @@ def run(config0: Configuration, params: RunParams) -> Trajectory:
     while t < params.max_rounds:
         if params.stop_rule != STOP_MAX_ROUNDS and traj.consensus_round is not None:
             break
-        if params.step_mode == STEP_ORACLE:
+        mode = params.step_mode
+        if mode == STEP_AUTO:
+            live = config.k - config.counts.count(0)
+            cheaper = oracle_is_cheaper(config.n, params.h, live)
+            mode = STEP_ORACLE if cheaper else STEP_AGENT
+        if mode == STEP_ORACLE:
             probs = tuple(c / config.n for c in config.counts)
             win = win_distribution(params.h, probs)
             config = oracle_step(config, win, rng)

@@ -32,6 +32,7 @@ from .core import (
     number, require_integer, require_sorted,
 )
 from .dynamics import (
+    STEP_MODES,
     STOP_CONSENSUS,
     STOP_RULES,
     RunParams,
@@ -304,7 +305,8 @@ class SweepSpec:
     h is either an explicit list or derived per cell as
     ceil(h_rule_c4 * ln(n) / p1) from that cell's realized initial
     configuration. The constants are exposed as knobs because the theory
-    only claims "large enough"; sweeps may probe smaller values.
+    only claims "large enough"; sweeps may probe smaller values. step_mode
+    is every trial's dynamics.RunParams.step_mode; no record names it.
     """
 
     ns: tuple[int, ...]
@@ -319,6 +321,7 @@ class SweepSpec:
     stop_rule: str = STOP_CONSENSUS
     max_rounds: int = 1000
     target_opinion: int | None = None
+    step_mode: str = RunParams.step_mode
 
     def __post_init__(self):
         for name in ("ns", "ks", "hs", "custom_counts"):
@@ -333,6 +336,8 @@ class SweepSpec:
             raise SweepSpecError(f"max_rounds must be >= 1, got {self.max_rounds}")
         if self.stop_rule not in STOP_RULES:
             raise SweepSpecError(f"unknown stop rule {self.stop_rule!r}")
+        if self.step_mode not in STEP_MODES:
+            raise SweepSpecError(f"unknown step mode {self.step_mode!r}")
         if not self.hs and self.h_rule_c4 is None:
             raise SweepSpecError("either hs or h_rule_c4 must be given")
         if self.pattern not in (PATTERN_BALANCED_BIAS, PATTERN_CUSTOM):
@@ -359,6 +364,7 @@ class SweepSpec:
             stop_rule=get("stop_rule", STOP_CONSENSUS),
             max_rounds=integer(get("max_rounds", 1000), "max_rounds", err),
             target_opinion=integer(get("target_opinion"), "target_opinion", err, True),
+            step_mode=get("step_mode", RunParams.step_mode),
         )
 
     def cells(self) -> list[SweepCell]:
@@ -498,6 +504,7 @@ def run_trial(
         stop_rule=spec.stop_rule,
         target_opinion=spec.target_opinion,
         seed=seed,
+        step_mode=spec.step_mode,
     )
     start = perf_counter()
     traj = run(config, params)

@@ -1,4 +1,20 @@
 import os
 import sys
 
+import pytest
+
 sys.path.insert(0, os.path.dirname(__file__))
+
+
+@pytest.fixture
+def round_paths(monkeypatch):
+    """A list that logs, in order, each round function dynamics.run calls:
+    "step" or "oracle_step"."""
+    from hmajority import dynamics
+
+    paths = []
+    for name in ("step", "oracle_step"):
+        real = getattr(dynamics, name)
+        monkeypatch.setattr(dynamics, name, lambda *a, _real=real, _name=name:
+                            paths.append(_name) or _real(*a))
+    return paths

@@ -36,6 +36,17 @@ def test_simulate_consensus_start(tmp_path, capsys):
     assert printed == trajectory_summary_line(doc)
 
 
+def test_simulate_defaults_come_from_run_params(tmp_path, capsys, monkeypatch):
+    # the config reader holds no copy of RunParams' defaults
+    monkeypatch.setattr(hmajority.cli.RunParams, "step_mode", "oracle_level")
+    config, out = tmp_path / "config.json", tmp_path / "out"
+    _write_json(config, {"schema_version": 1, "counts": [6, 4], "h": 3,
+                         "max_rounds": 2})
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+    params = json.loads((out / "trajectory.json").read_text())["params"]
+    assert (params["step_mode"], params["stop_rule"]) == ("oracle_level", "consensus")
+
+
 def test_simulate_trajectory_does_not_depend_on_thread_count(
     tmp_path, capsys, monkeypatch
 ):
@@ -43,7 +54,7 @@ def test_simulate_trajectory_does_not_depend_on_thread_count(
     config = tmp_path / "config.json"
     _write_json(config, {
         "schema_version": 1, "counts": [20000, 18000, 17000, 15000], "h": 5,
-        "max_rounds": 3, "seed": 41,
+        "max_rounds": 3, "step_mode": "agent_level", "seed": 41,
     })
     docs = []
     for threads in (1, 2):

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 import tracemalloc
 from dataclasses import asdict
 
@@ -8,22 +9,25 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import chi2
 
+from hmajority import oracle, sampler
 from hmajority.core import Configuration, bias_stats, is_consensus
 from hmajority.dynamics import (
     STATUS_CONSENSUS,
     STATUS_PLURALITY_LOST,
     STATUS_ROUND_CAP,
+    STEP_AUTO,
     STEP_ORACLE,
     STOP_MAX_ROUNDS,
     STOP_PLURALITY,
     DimensionMismatchError,
     RunParams,
+    oracle_is_cheaper,
     oracle_step,
     run,
     step,
     summarize_round,
 )
-from hmajority.montecarlo import balanced_plus_bias_counts
+from hmajority.montecarlo import SweepSpec, balanced_plus_bias_counts, run_sweep
 from hmajority.oracle import win_distribution
 from hmajority.sampler import CHUNK_CELLS, RngHandle
 
@@ -418,3 +422,66 @@ def test_run_bias_trace_matches_counts():
     for summary in traj.rounds:
         cfg = Configuration.from_counts(summary.counts)
         assert bias_stats(cfg).additive_bias == summary.additive_bias
+
+
+def test_auto_is_the_default_step_mode():
+    assert RunParams(h=3, max_rounds=5).step_mode == STEP_AUTO
+    assert SweepSpec(ns=(40,), ks=(2,), hs=(3,)).step_mode == STEP_AUTO
+
+
+@pytest.mark.parametrize("n, h, k, oracle_path", [
+    (10**6, 200, 16, True),     # simulate_large_n at h = 200
+    (10**6, 68_812, 16, False),  # its theorem h: the DP is over its cap
+    (10**4, 3, 64, False),      # sweep_small_h at k = 64
+    (10**4, 3, 8, True),        # sweep_small_h at k = 8
+    (10**6, 3, 1, False),       # consensus
+])
+def test_auto_rule_decision_table(n, h, k, oracle_path):
+    assert oracle_is_cheaper(n, h, k) is oracle_path
+
+
+def test_auto_rule_at_theorem_h_is_fast_and_builds_no_dp(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the rule built the DP")
+
+    monkeypatch.setattr(oracle, "_win_dp", refuse)
+    seconds = []
+    for _ in range(20):
+        start = time.perf_counter()
+        assert not oracle_is_cheaper(10**6, 68_812, 16)
+        seconds.append(time.perf_counter() - start)
+    assert min(seconds) < 1e-3, seconds
+
+
+def test_auto_rule_counts_live_opinions_only(round_paths):
+    # 62 dead opinions: over 64 the agents are cheaper, over the 2 live
+    # ones the oracle is
+    assert not oracle_is_cheaper(10**4, 3, 64)
+    assert oracle_is_cheaper(10**4, 3, 2)
+    run(Configuration.from_counts([5000, 5000] + [0] * 62),
+        RunParams(h=3, max_rounds=1, stop_rule=STOP_MAX_ROUNDS, seed=3))
+    assert round_paths == ["oracle_step"]
+
+
+def test_auto_trajectory_does_not_depend_on_thread_count(monkeypatch, round_paths):
+    # n = 20 000 > SUB_BLOCK_ROWS at k = 3 <= h = 128: the first round is a
+    # chain call of two sub-blocks; once opinion 3 dies the oracle is cheaper
+    docs = []
+    for threads in (1, 2):
+        monkeypatch.setattr(sampler, "MAX_THREADS", threads)
+        traj = run(Configuration.from_counts((9500, 9400, 1100)),
+                   RunParams(h=128, max_rounds=50, seed=7))
+        docs.append(json.dumps(asdict(traj)))
+    assert round_paths == ["step", "oracle_step", "oracle_step"] * 2
+    assert docs[0] == docs[1]
+
+
+def test_auto_sweep_records_do_not_depend_on_worker_count(round_paths):
+    # from a balanced start at h = 3, k = 32 the agents are cheaper until
+    # the live opinions collapse below 17
+    spec = SweepSpec(ns=(10**4,), ks=(32,), hs=(3,), bias_multiplier=0.0,
+                     trials=2, master_seed=8, max_rounds=2000)
+    lines = [r.to_json_line() for r in run_sweep(spec, workers=1)]
+    assert set(round_paths) == {"step", "oracle_step"}
+    assert all('"status":"consensus"' in line for line in lines)
+    assert [r.to_json_line() for r in run_sweep(spec, workers=2)] == lines

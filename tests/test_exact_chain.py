@@ -1,11 +1,12 @@
 """Whole runs against the exact multi-round law.
 
 tests/oracles.consensus_chain solves the absorbing configuration chain for
-the winner law and the law of the consensus round. run_sweep is run in both
-step modes on one instance of each agent-level sampling path: k > h draws
-category ids and breaks ties among them, k <= h takes the binomial chain.
-The winner law is checked with 0.999 Wilson intervals and the consensus
-round with a chi-square test at alpha 1e-3.
+the winner law and the law of the consensus round. run_sweep is run in all
+three step modes on one instance of each agent-level sampling path: k > h
+draws category ids and breaks ties among them, k <= h takes the binomial
+chain. At these n the auto rule keeps every round on the agents, under a
+stream of its own. The winner law is checked with 0.999 Wilson intervals
+and the consensus round with a chi-square test at alpha 1e-3.
 """
 
 import functools
@@ -15,8 +16,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from hmajority import montecarlo
-from hmajority.dynamics import STEP_AGENT, STEP_ORACLE, RunParams
+from hmajority.dynamics import STEP_AGENT, STEP_AUTO, STEP_ORACLE
 from hmajority.montecarlo import SweepSpec, run_sweep, wilson_interval
 
 from oracles import consensus_chain
@@ -30,10 +30,11 @@ CASES = {
     # k = 2 <= h = 3: the binomial-chain path
     "k2-h3": ((105, 95), 3),
 }
-RUNS = {STEP_AGENT: 1000, STEP_ORACLE: 500}
+RUNS = {STEP_AGENT: 1000, STEP_ORACLE: 500, STEP_AUTO: 1000}
 SEEDS = {
     ("k4-h3", STEP_AGENT): 61001, ("k4-h3", STEP_ORACLE): 61002,
     ("k2-h3", STEP_AGENT): 61003, ("k2-h3", STEP_ORACLE): 61004,
+    ("k4-h3", STEP_AUTO): 61005, ("k2-h3", STEP_AUTO): 61006,
 }
 
 
@@ -75,19 +76,16 @@ def test_consensus_chain_reference_is_consistent():
         assert abs((np.arange(pmf.size) * pmf).sum() - expected) < 1e-9
 
 
-@pytest.mark.parametrize("mode", [STEP_AGENT, STEP_ORACLE])
+@pytest.mark.parametrize("mode", [STEP_AGENT, STEP_ORACLE, STEP_AUTO])
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_run_sweep_matches_exact_chain(case, mode, monkeypatch):
+def test_run_sweep_matches_exact_chain(case, mode):
     start, h = CASES[case]
     win, _, pmf = _exact_law(case)
     runs = RUNS[mode]
-    # SweepSpec has no step mode; run_trial builds RunParams by name
-    monkeypatch.setattr(
-        montecarlo, "RunParams", functools.partial(RunParams, step_mode=mode)
-    )
     spec = SweepSpec(
         ns=(), ks=(), hs=(h,), pattern="custom", custom_counts=start,
         trials=runs, master_seed=SEEDS[case, mode], max_rounds=HORIZON,
+        step_mode=mode,
     )
     records = list(run_sweep(spec))
     assert len(records) == runs

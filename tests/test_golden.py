@@ -21,6 +21,8 @@ GOLDEN = {
         "67f85864282bcb293c70f4762d3419cc0f99e018e12357da2aa348c0502f3075",
     "simulate_top_counts":
         "aeb86d9218eb780856e632034a079255872252f690fd01d546692b27e6629c57",
+    "simulate_auto":
+        "ba1e1ef72df91049e96b4c903dfd589fac3a0f70e0cde017a16a2c6bfb44866b",
 }
 
 
@@ -40,7 +42,7 @@ def test_sweep_records_bytes(tmp_path):
     # h = 3 < k: every round takes each agent's mode from its draw ids
     spec = SweepSpec(
         ns=(2000,), ks=(8, 64), hs=(3,), bias_multiplier=2.0,
-        trials=2, master_seed=20260417, max_rounds=300,
+        trials=2, master_seed=20260417, max_rounds=300, step_mode="agent_level",
     )
     # the writer that `hmajority sweep` runs
     assert write_sweep(spec, str(tmp_path)) == (4, 0)
@@ -54,7 +56,7 @@ def test_trajectory_bytes(tmp_path, capsys):
         # leader is out of reach
         "simulate_chain_two_chunks": _simulate(tmp_path, "chain", {
             "counts": [20000, 18000, 17000, 15000], "h": 5, "max_rounds": 6,
-            "seed": 41,
+            "step_mode": "agent_level", "seed": 41,
         }),
         "simulate_oracle_level": _simulate(tmp_path, "oracle", {
             "counts": [150, 130, 120, 100], "h": 3, "max_rounds": 40,
@@ -62,9 +64,22 @@ def test_trajectory_bytes(tmp_path, capsys):
         }),
         # k = 80 > 64: rounds keep only the top counts plus an "other" bucket
         "simulate_top_counts": _simulate(tmp_path, "top", {
-            "counts": [60] + [30] * 79, "h": 3, "max_rounds": 5, "seed": 47,
+            "counts": [60] + [30] * 79, "h": 3, "max_rounds": 5,
+            "step_mode": "agent_level", "seed": 47,
         }),
     }
     capsys.readouterr()
     for name, digest in digests.items():
         assert digest == GOLDEN[name], name
+
+
+def test_auto_trajectory_bytes(tmp_path, capsys, round_paths):
+    # the default step mode from a balanced start at n = 1e4, h = 3, k = 64:
+    # agent rounds while 17 or more opinions live, oracle rounds once the
+    # live opinions collapse
+    digest = _simulate(tmp_path, "auto", {
+        "counts": [157] * 16 + [156] * 48, "h": 3, "max_rounds": 200, "seed": 53,
+    })
+    capsys.readouterr()
+    assert set(round_paths) == {"step", "oracle_step"}
+    assert digest == GOLDEN["simulate_auto"]

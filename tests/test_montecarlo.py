@@ -248,6 +248,21 @@ def test_sweep_spec_rejects_malformed_values(field, value):
         SweepSpec.from_json_dict(data).cells()
 
 
+@pytest.mark.parametrize("mode", ["agent_level", "oracle_level", "auto"])
+def test_sweep_spec_reads_step_mode(mode):
+    data = {"schema_version": 1, "n": [40], "k": [2], "h": [3], "step_mode": mode}
+    assert SweepSpec.from_json_dict(data).step_mode == mode
+
+
+@pytest.mark.parametrize("mode", ["agent", "", None, 1, ["auto"]])
+def test_sweep_spec_rejects_unknown_step_mode(mode):
+    with pytest.raises(SweepSpecError, match="step mode"):
+        SweepSpec(ns=(40,), ks=(2,), hs=(3,), step_mode=mode)
+    with pytest.raises(SweepSpecError, match="step mode"):
+        SweepSpec.from_json_dict({"schema_version": 1, "n": [40], "k": [2],
+                                  "h": [3], "step_mode": mode})
+
+
 def test_sweep_spec_reads_integral_numbers(tmp_path, capsys):
     # 4e1 and 2.0 are integers written as JSON numbers with a fraction part
     spec = SweepSpec.from_json_dict({
@@ -328,7 +343,7 @@ def test_sweep_workers_after_threaded_chain_step(tmp_path, monkeypatch):
     # n = 20 000, k = 2 <= h = 3: every round's chain call spans two sub-blocks
     spec = SweepSpec(
         ns=(20_000,), ks=(2,), hs=(3,), bias_multiplier=4.0,
-        trials=3, master_seed=11, max_rounds=60,
+        trials=3, master_seed=11, max_rounds=60, step_mode="agent_level",
     )
     digests = []
     for workers in (2, 1):

@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -19,6 +20,7 @@ from hmajority.oracle import (
     _log_pmf,
     _outcome_table,
     conditional_sum_binomial_check,
+    dp_cells,
     event_report,
     g_function,
     outcome_count,
@@ -280,6 +282,33 @@ def test_oracle_cli_win_report_large_instance(capsys):
     p = ",".join(repr(v) for v in LARGE_P)
     assert main(["oracle", "--h", str(LARGE_H), "--p", p, "--report", "win"]) == 0
     assert '"q_strict_pair_12"' in capsys.readouterr().out
+
+
+def _plan_cells(h, k):
+    """The DP's cell count summed over its winning counts t one by one."""
+    points = 0
+    for t in range(-(-h // k), h + 1):
+        j = min(k - 1, (h - t) // t)
+        points += 1 if j == 0 else (j + 2) // 2 + 2
+    return points * k * (h + 1)
+
+
+@pytest.mark.parametrize("h", [*range(1, 41), 63, 64, 199, 200, 255, 1001])
+def test_dp_cells_matches_the_plan(h):
+    for k in [*range(1, 41), 64, 255, 1000, 2000]:
+        assert dp_cells(h, k) == _plan_cells(h, k), (h, k)
+
+
+def test_win_distribution_refuses_theorem_h_fast():
+    # the refusal counts the cells in O(k), not over the 64 512 winning counts
+    message = f"h=68812 over 16 live opinions needs {_plan_cells(68812, 16)} cells"
+    seconds = []
+    for _ in range(5):
+        start = time.perf_counter()
+        with pytest.raises(TooLargeError, match=message):
+            win_distribution(68812, (1 / 16,) * 16)
+        seconds.append(time.perf_counter() - start)
+    assert min(seconds) < 5e-3, seconds
 
 
 def test_win_distribution_cap_raises_before_allocating():

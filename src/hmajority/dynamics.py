@@ -22,11 +22,12 @@ oracle.win_distribution, whose DP cost does not grow with n. run takes one
 path per round by RunParams.step_mode. "agent_level" always calls step and
 "oracle_level" always calls oracle_step. "auto", the default, takes the
 oracle round whenever oracle_is_cheaper finds its DP within DP_CELL_CAP and
-cheaper than sampling the agents: the DP's cells and einsum calls against n
-x min(k, h) draws over the k live opinions. Both paths have the same law,
-so auto changes only the speed and the RNG stream; the rule reads only
-(n, h, k), so the stream is the same on every machine. Set "agent_level"
-or "oracle_level" to pin a path.
+cheaper than sampling the agents: the DP's cells and einsum calls over the
+live opinions against the draws of the path step takes, n x h ids when
+k > h or n x (live k) chain binomials otherwise. Both paths have the same
+law, so auto changes only the speed and the RNG stream; the rule reads
+only (n, h, k, live k), so the stream is the same on every machine. Set
+"agent_level" or "oracle_level" to pin a path.
 """
 
 from __future__ import annotations
@@ -221,33 +222,39 @@ def _renormalized(q) -> tuple[float, ...]:
 
 
 # Costs in DP cells, fitted on a grid of n in 1e3..1e6, h in 3..200 and
-# 2..64 live opinions, on one thread and on two (BENCH_25.json): one einsum
-# call of the adoption-law DP, one agent's draw id (k > h) and one binomial
-# of an agent's chain (k <= h).
+# 2..64 live opinions, on one thread and on two, and checked on starts with
+# dead opinions (BENCH_25.json): one einsum call of the adoption-law DP, one
+# agent's draw id (k > h) and one binomial of an agent's chain (k <= h).
 EINSUM_CELLS = 80
 ID_CELLS = 0.15
 BINOMIAL_CELLS = 0.9
 
 
-def oracle_is_cheaper(n: int, h: int, k: int) -> bool:
-    """The auto rule: whether a round over k live opinions among n agents
-    takes the oracle step (win_distribution + oracle_step) rather than step.
+def oracle_is_cheaper(n: int, h: int, k: int, live: int) -> bool:
+    """The auto rule: whether a round of n agents over k opinions, live of
+    them held by an agent, takes the oracle step (win_distribution +
+    oracle_step) rather than step.
 
-    The oracle's cost is its DP: oracle.dp_cells plus EINSUM_CELLS for each
-    of its einsum calls, k + 1 for each winning count t from ceil(h/k) to h.
-    The agents' cost is n x min(k, h) draws: h ids per agent at ID_CELLS
-    each when k > h, else one binomial per opinion at BINOMIAL_CELLS. A DP
-    above DP_CELL_CAP is never taken. Nothing here reads a timing, the
-    thread count or the environment, so the path, and with it the RNG
-    stream, is the same on every machine.
+    The oracle's cost is its DP over the live opinions: oracle.dp_cells
+    plus EINSUM_CELLS for each of its einsum calls, live + 1 for each
+    winning count t from ceil(h/live) to h. The agents' cost is that of the
+    path step takes, which sampler.draws_take_ids picks from all k
+    opinions, dead ones included: n x h ids at ID_CELLS each when k > h,
+    else n x live chain binomials at BINOMIAL_CELLS each. A DP above
+    DP_CELL_CAP is never taken. Nothing here reads a timing, the thread
+    count or the environment, so the path, and with it the RNG stream, is
+    the same on every machine.
     """
-    if k < 2:
+    if live < 2:
         return False  # consensus: step returns it as is
-    agent_cost = (ID_CELLS if k > h else BINOMIAL_CELLS) * n * min(k, h)
-    call_cost = EINSUM_CELLS * (h - (h - 1) // k) * (k + 1)
-    if call_cost >= agent_cost:  # decided without counting the cells
+    if draws_take_ids(k, h):
+        agent_cost = ID_CELLS * n * h
+    else:
+        agent_cost = BINOMIAL_CELLS * n * live
+    call_cost = EINSUM_CELLS * (h - (h - 1) // live) * (live + 1)
+    if call_cost >= agent_cost:  # decided without building the DP's plan
         return False
-    cells = dp_cells(h, k)
+    cells = dp_cells(h, live)
     return cells <= DP_CELL_CAP and cells + call_cost < agent_cost
 
 
@@ -262,7 +269,7 @@ def run(config0: Configuration, params: RunParams) -> Trajectory:
     """Iterate rounds until the stop rule fires or max_rounds is reached.
 
     Each round takes step or oracle_step by params.step_mode; under "auto"
-    oracle_is_cheaper decides from n, h and the live opinion count.
+    oracle_is_cheaper decides from n, h, k and the live opinion count.
 
     Under plurality_consensus_on, reaching consensus on an opinion other
     than the target terminates with status plurality_lost (consensus is
@@ -293,7 +300,7 @@ def run(config0: Configuration, params: RunParams) -> Trajectory:
         mode = params.step_mode
         if mode == STEP_AUTO:
             live = config.k - config.counts.count(0)
-            cheaper = oracle_is_cheaper(config.n, params.h, live)
+            cheaper = oracle_is_cheaper(config.n, params.h, config.k, live)
             mode = STEP_ORACLE if cheaper else STEP_AGENT
         if mode == STEP_ORACLE:
             probs = tuple(c / config.n for c in config.counts)

@@ -32,7 +32,7 @@ from .core import (
     number, require_integer, require_sorted,
 )
 from .dynamics import (
-    STEP_MODES,
+    STEP_AGENT,
     STOP_CONSENSUS,
     STOP_RULES,
     RunParams,
@@ -305,8 +305,7 @@ class SweepSpec:
     h is either an explicit list or derived per cell as
     ceil(h_rule_c4 * ln(n) / p1) from that cell's realized initial
     configuration. The constants are exposed as knobs because the theory
-    only claims "large enough"; sweeps may probe smaller values. step_mode
-    is every trial's dynamics.RunParams.step_mode; no record names it.
+    only claims "large enough"; sweeps may probe smaller values.
     """
 
     ns: tuple[int, ...]
@@ -321,7 +320,6 @@ class SweepSpec:
     stop_rule: str = STOP_CONSENSUS
     max_rounds: int = 1000
     target_opinion: int | None = None
-    step_mode: str = RunParams.step_mode
 
     def __post_init__(self):
         for name in ("ns", "ks", "hs", "custom_counts"):
@@ -336,8 +334,6 @@ class SweepSpec:
             raise SweepSpecError(f"max_rounds must be >= 1, got {self.max_rounds}")
         if self.stop_rule not in STOP_RULES:
             raise SweepSpecError(f"unknown stop rule {self.stop_rule!r}")
-        if self.step_mode not in STEP_MODES:
-            raise SweepSpecError(f"unknown step mode {self.step_mode!r}")
         if not self.hs and self.h_rule_c4 is None:
             raise SweepSpecError("either hs or h_rule_c4 must be given")
         if self.pattern not in (PATTERN_BALANCED_BIAS, PATTERN_CUSTOM):
@@ -364,7 +360,6 @@ class SweepSpec:
             stop_rule=get("stop_rule", STOP_CONSENSUS),
             max_rounds=integer(get("max_rounds", 1000), "max_rounds", err),
             target_opinion=integer(get("target_opinion"), "target_opinion", err, True),
-            step_mode=get("step_mode", RunParams.step_mode),
         )
 
     def cells(self) -> list[SweepCell]:
@@ -504,7 +499,6 @@ def run_trial(
         stop_rule=spec.stop_rule,
         target_opinion=spec.target_opinion,
         seed=seed,
-        step_mode=spec.step_mode,
     )
     start = perf_counter()
     traj = run(config, params)
@@ -590,18 +584,31 @@ def write_sweep(spec: SweepSpec, out_dir: str, workers: int = 1) -> tuple[int, i
     An existing records.jsonl is resumed: a torn last line is cut and the
     (cell_id, trial) pairs it holds under this master seed are skipped.
     Trial seeds depend only on (master seed, cell, trial), so the resumed
-    file is byte-equal to an uninterrupted run. Every line is flushed as it
-    is written, so records survive a mid-sweep crash, and timings.csv keeps
-    one row per record line. Spec errors raise SweepSpecError before
+    file is byte-equal to an uninterrupted run. No record names the step
+    mode, which picks the RNG stream, so sweep_meta.json does, written
+    before the first trial runs; records drawn in another mode (a
+    directory without the key holds agent_level records) raise
+    RecordFileError before anything is written. Every line is flushed as
+    it is written, so records survive a mid-sweep crash, and timings.csv
+    keeps one row per record line. Spec errors raise SweepSpecError before
     out_dir is created. Returns (records written, records already there).
     """
     cells = spec.cells()
     os.makedirs(out_dir, exist_ok=True)
     records_path = os.path.join(out_dir, "records.jsonl")
     timings_path = os.path.join(out_dir, "timings.csv")
+    meta_path = os.path.join(out_dir, "sweep_meta.json")
+    # the mode of run_trial's RunParams, dynamics' default
+    step_mode = RunParams(h=1, max_rounds=1).step_mode
     resume = os.path.exists(records_path)
     done = set()
     if resume:
+        drawn = _stored_step_mode(meta_path)
+        if drawn != step_mode:
+            raise RecordFileError(
+                f"{records_path} holds records drawn in step mode {drawn!r}; "
+                f"a sweep in step mode {step_mode!r} cannot resume it"
+            )
         _drop_torn_line(records_path)
         done = {
             (r["cell_id"], r["trial"])
@@ -611,6 +618,15 @@ def write_sweep(spec: SweepSpec, out_dir: str, workers: int = 1) -> tuple[int, i
     keep_timings = (
         resume and os.path.exists(timings_path) and _drop_torn_line(timings_path) > 0
     )
+    meta = {
+        "schema_version": SCHEMA_VERSION,
+        "master_seed": spec.master_seed,
+        "cells": [c.cell_id for c in cells],
+        "trials": spec.trials,
+        "step_mode": step_mode,
+    }
+    with open(meta_path, "w", encoding="utf-8") as fh:
+        json.dump(meta, fh, indent=2)
     written = 0
     with open(records_path, "a", encoding="utf-8") as fh, open(
         timings_path, "a" if keep_timings else "w", encoding="utf-8"
@@ -623,15 +639,23 @@ def write_sweep(spec: SweepSpec, out_dir: str, workers: int = 1) -> tuple[int, i
             timings.write(f"{record.cell_id},{record.trial},{record.wall_time_ms:.3f}\n")
             timings.flush()
             written += 1
-    meta = {
-        "schema_version": SCHEMA_VERSION,
-        "master_seed": spec.master_seed,
-        "cells": [c.cell_id for c in cells],
-        "trials": spec.trials,
-    }
-    with open(os.path.join(out_dir, "sweep_meta.json"), "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2)
     return written, len(done)
+
+
+def _stored_step_mode(meta_path: str) -> str:
+    """The step mode sweep_meta.json names for the records beside it;
+    agent_level, the only mode before the file named one, when it names
+    none or is missing."""
+    try:
+        with open(meta_path, encoding="utf-8") as fh:
+            meta = json.load(fh)
+    except FileNotFoundError:
+        return STEP_AGENT
+    except ValueError as exc:
+        raise RecordFileError(f"{meta_path} is not JSON: {exc}") from None
+    if not isinstance(meta, dict):
+        raise RecordFileError(f"{meta_path} must hold a JSON object")
+    return meta.get("step_mode", STEP_AGENT)
 
 
 def _read_complete(path: str) -> bytes:

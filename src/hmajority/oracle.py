@@ -79,22 +79,25 @@ def outcome_count(h: int, k: int) -> int:
     return math.comb(h + k - 1, k - 1)
 
 
-def dp_cells(h: int, k: int) -> int:
-    """Cells of win_distribution's DP at h >= 1 over k >= 1 live opinions.
+def _dp_plan(h: int, k: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """The layout of win_distribution's DP at h >= 1 over k >= 1 live
+    opinions: (t, j, cells).
 
-    The DP visits each winning count t from ceil(h/k) to h, where
-    j = min(k - 1, (h - t) // t) other opinions can tie at t. A t with
-    j = 0 takes one point in u, any other t takes (j + 2) // 2 + 2, and each
-    point holds k x (h + 1) cells. As t >= h/k the min never binds:
-    j = h // t - 1, which is 0 exactly when t > h // 2, and (j + 2) // 2
-    counts the odd d with t <= h // d. Summed over d instead of t, the count
-    takes at most k / 2 terms whatever h is.
+    t runs over the winning counts ceil(h/k)..h; a smaller top count has no
+    mass. j = h // t - 1 (at most k - 1, as t >= h/k) bounds how many other
+    opinions can also draw t: the degree in u of the tie-split integrand.
+    Each t takes the points 0, 1 and (j + 2) // 2 nodes in u, or one point
+    when j = 0, and each point holds k x (h + 1) cells.
     """
-    t0, half = -(-h // k), h // 2
-    d = np.arange(1, min(k, h // t0) + 1, 2)
-    ties = int(np.maximum(np.minimum(half, h // d) - t0 + 1, 0).sum())
-    points = h - max(half, t0 - 1) + 2 * max(half - t0 + 1, 0) + ties
-    return points * k * (h + 1)
+    t = np.arange(-(-h // k), h + 1)
+    j = h // t - 1
+    points = int(np.where(j == 0, 1, (j + 2) // 2 + 2).sum())
+    return t, j, points * k * (h + 1)
+
+
+def dp_cells(h: int, k: int) -> int:
+    """Cells of win_distribution's DP at h >= 1 over k >= 1 live opinions."""
+    return _dp_plan(h, k)[2]
 
 
 def _log_pmf(x: np.ndarray, probs) -> np.ndarray:
@@ -239,16 +242,12 @@ def _win_dp(h: int, probs: np.ndarray) -> np.ndarray:
     """(3, k) array of q, q_strict, q_ties for h >= 1 and k >= 2 positive
     probabilities; see win_distribution."""
     k = probs.size
-    cells = dp_cells(h, k)
+    plan_t, plan_j, cells = _dp_plan(h, k)
     if cells > DP_CELL_CAP:
         raise TooLargeError(
             f"adoption-law DP at h={h} over {k} live opinions needs {cells} "
             f"cells, above the cap {DP_CELL_CAP}"
         )
-    # j bounds how many other opinions can also draw t, the degree in u of
-    # the tie-split integrand; a winning count below ceil(h/k) has no mass.
-    # Each t takes 0, 1 and (j + 2) // 2 nodes in u, or one point when j = 0.
-    plan = [(t, min(k - 1, (h - t) // t)) for t in range(-(-h // k), h + 1)]
     s = np.arange(h + 1)
     log_s_fact = np.array([math.lgamma(v + 1) for v in range(h + 1)])
     lam = h * probs
@@ -257,7 +256,7 @@ def _win_dp(h: int, probs: np.ndarray) -> np.ndarray:
     pois_h = math.exp(h * math.log(h) - h - log_s_fact[h])
 
     out = np.zeros((3, k))
-    for t, j in plan:
+    for t, j in zip(plan_t.tolist(), plan_j.tolist()):
         deg = h - t
         width = min(t, deg) + 1  # factor coefficients of degree 0..width-1
         if j == 0:

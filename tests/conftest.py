@@ -1,3 +1,4 @@
+import functools
 import os
 import sys
 
@@ -18,3 +19,18 @@ def round_paths(monkeypatch):
         monkeypatch.setattr(dynamics, name, lambda *a, _real=real, _name=name:
                             paths.append(_name) or _real(*a))
     return paths
+
+
+@pytest.fixture
+def pin_sweep_step_mode(monkeypatch):
+    """pin(mode) runs every later sweep trial in that step mode. run_trial
+    builds RunParams by name and takes its default step mode, so a partial
+    that fixes the mode stands in for it; worker processes see it only when
+    they are forked."""
+    from hmajority import montecarlo
+    from hmajority.dynamics import RunParams
+
+    def pin(mode):
+        monkeypatch.setattr(montecarlo, "RunParams",
+                            functools.partial(RunParams, step_mode=mode))
+    return pin

@@ -426,18 +426,24 @@ def test_run_bias_trace_matches_counts():
 
 def test_auto_is_the_default_step_mode():
     assert RunParams(h=3, max_rounds=5).step_mode == STEP_AUTO
-    assert SweepSpec(ns=(40,), ks=(2,), hs=(3,)).step_mode == STEP_AUTO
 
 
-@pytest.mark.parametrize("n, h, k, oracle_path", [
-    (10**6, 200, 16, True),     # simulate_large_n at h = 200
-    (10**6, 68_812, 16, False),  # its theorem h: the DP is over its cap
-    (10**4, 3, 64, False),      # sweep_small_h at k = 64
-    (10**4, 3, 8, True),        # sweep_small_h at k = 8
-    (10**6, 3, 1, False),       # consensus
+@pytest.mark.parametrize("n, h, k, live, oracle_path", [
+    (10**6, 200, 16, 16, True),      # simulate_large_n at h = 200
+    (10**6, 68_812, 16, 16, False),  # its theorem h: the DP is over its cap
+    (10**4, 3, 64, 64, False),       # sweep_small_h at k = 64
+    (10**4, 3, 8, 8, True),          # sweep_small_h at k = 8
+    (10**6, 3, 1, 1, False),         # consensus
+    (10**6, 3, 64, 1, False),        # consensus among dead opinions
+    # dead opinions (BENCH_25.json grid_dead): with k > h step still draws
+    # h ids an agent, so the agents cost n x h whatever the live count is
+    (5000, 24, 64, 10, False),       # 1.3 ms against the oracle's 1.7
+    (1000, 8, 64, 4, False),         # 0.15 ms against 0.43
+    (10**4, 24, 64, 8, True),        # 2.3 ms against the oracle's 1.5
+    (10**6, 200, 16, 8, True),       # the chain over 8 live opinions
 ])
-def test_auto_rule_decision_table(n, h, k, oracle_path):
-    assert oracle_is_cheaper(n, h, k) is oracle_path
+def test_auto_rule_decision_table(n, h, k, live, oracle_path):
+    assert oracle_is_cheaper(n, h, k, live) is oracle_path
 
 
 def test_auto_rule_at_theorem_h_is_fast_and_builds_no_dp(monkeypatch):
@@ -448,16 +454,16 @@ def test_auto_rule_at_theorem_h_is_fast_and_builds_no_dp(monkeypatch):
     seconds = []
     for _ in range(20):
         start = time.perf_counter()
-        assert not oracle_is_cheaper(10**6, 68_812, 16)
+        assert not oracle_is_cheaper(10**6, 68_812, 16, 16)
         seconds.append(time.perf_counter() - start)
     assert min(seconds) < 1e-3, seconds
 
 
 def test_auto_rule_counts_live_opinions_only(round_paths):
-    # 62 dead opinions: over 64 the agents are cheaper, over the 2 live
-    # ones the oracle is
-    assert not oracle_is_cheaper(10**4, 3, 64)
-    assert oracle_is_cheaper(10**4, 3, 2)
+    # 62 dead opinions: the DP over 64 opinions costs more than the agents'
+    # ids, the DP over the 2 live ones less
+    assert not oracle_is_cheaper(10**4, 3, 64, 64)
+    assert oracle_is_cheaper(10**4, 3, 64, 2)
     run(Configuration.from_counts([5000, 5000] + [0] * 62),
         RunParams(h=3, max_rounds=1, stop_rule=STOP_MAX_ROUNDS, seed=3))
     assert round_paths == ["oracle_step"]

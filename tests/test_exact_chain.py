@@ -1,12 +1,13 @@
 """Whole runs against the exact multi-round law.
 
 tests/oracles.consensus_chain solves the absorbing configuration chain for
-the winner law and the law of the consensus round. run_sweep is run in all
-three step modes on one instance of each agent-level sampling path: k > h
+the winner law and the law of the consensus round. run_sweep is run in both
+pinned step modes on one instance of each agent-level sampling path: k > h
 draws category ids and breaks ties among them, k <= h takes the binomial
-chain. At these n the auto rule keeps every round on the agents, under a
-stream of its own. The winner law is checked with 0.999 Wilson intervals
-and the consensus round with a chi-square test at alpha 1e-3.
+chain. At these n the auto rule keeps every round on the agents, so auto
+is checked with a rule that switches paths mid-run. The winner law is
+checked with 0.999 Wilson intervals and the consensus round with a
+chi-square test at alpha 1e-3.
 """
 
 import functools
@@ -16,7 +17,8 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from hmajority.dynamics import STEP_AGENT, STEP_AUTO, STEP_ORACLE
+from hmajority import dynamics
+from hmajority.dynamics import STEP_AGENT, STEP_ORACLE
 from hmajority.montecarlo import SweepSpec, run_sweep, wilson_interval
 
 from oracles import consensus_chain
@@ -30,11 +32,10 @@ CASES = {
     # k = 2 <= h = 3: the binomial-chain path
     "k2-h3": ((105, 95), 3),
 }
-RUNS = {STEP_AGENT: 1000, STEP_ORACLE: 500, STEP_AUTO: 1000}
+RUNS = {STEP_AGENT: 1000, STEP_ORACLE: 500}
 SEEDS = {
     ("k4-h3", STEP_AGENT): 61001, ("k4-h3", STEP_ORACLE): 61002,
     ("k2-h3", STEP_AGENT): 61003, ("k2-h3", STEP_ORACLE): 61004,
-    ("k4-h3", STEP_AUTO): 61005, ("k2-h3", STEP_AUTO): 61006,
 }
 
 
@@ -76,16 +77,28 @@ def test_consensus_chain_reference_is_consistent():
         assert abs((np.arange(pmf.size) * pmf).sum() - expected) < 1e-9
 
 
-@pytest.mark.parametrize("mode", [STEP_AGENT, STEP_ORACLE, STEP_AUTO])
+@pytest.mark.parametrize("mode", [STEP_AGENT, STEP_ORACLE])
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_run_sweep_matches_exact_chain(case, mode):
+def test_run_sweep_matches_exact_chain(case, mode, pin_sweep_step_mode):
+    pin_sweep_step_mode(mode)
+    _check_sweep(case, mode, RUNS[mode], SEEDS[case, mode])
+
+
+def test_auto_matches_exact_chain_across_a_switch(monkeypatch, round_paths):
+    # the default step mode with a rule that leaves the agents once an
+    # opinion dies: runs start on step's draw ids and end on oracle_step
+    monkeypatch.setattr(dynamics, "oracle_is_cheaper",
+                        lambda n, h, k, live: live < k)
+    _check_sweep("k4-h3", "auto", 500, 61005)
+    assert set(round_paths) == {"step", "oracle_step"}
+
+
+def _check_sweep(case, mode, runs, seed):
     start, h = CASES[case]
     win, _, pmf = _exact_law(case)
-    runs = RUNS[mode]
     spec = SweepSpec(
         ns=(), ks=(), hs=(h,), pattern="custom", custom_counts=start,
-        trials=runs, master_seed=SEEDS[case, mode], max_rounds=HORIZON,
-        step_mode=mode,
+        trials=runs, master_seed=seed, max_rounds=HORIZON,
     )
     records = list(run_sweep(spec))
     assert len(records) == runs

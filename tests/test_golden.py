@@ -38,11 +38,12 @@ def _simulate(tmp_path, name, config) -> str:
     return _sha256(out / "trajectory.json")
 
 
-def test_sweep_records_bytes(tmp_path):
+def test_sweep_records_bytes(tmp_path, pin_sweep_step_mode):
     # h = 3 < k: every round takes each agent's mode from its draw ids
+    pin_sweep_step_mode("agent_level")
     spec = SweepSpec(
         ns=(2000,), ks=(8, 64), hs=(3,), bias_multiplier=2.0,
-        trials=2, master_seed=20260417, max_rounds=300, step_mode="agent_level",
+        trials=2, master_seed=20260417, max_rounds=300,
     )
     # the writer that `hmajority sweep` runs
     assert write_sweep(spec, str(tmp_path)) == (4, 0)

@@ -15,6 +15,7 @@ from hmajority.core import Configuration, NotSortedError
 from hmajority.dynamics import step
 from hmajority.montecarlo import (
     Estimate,
+    RecordFileError,
     SweepSpec,
     SweepSpecError,
     balanced_plus_bias_counts,
@@ -248,21 +249,6 @@ def test_sweep_spec_rejects_malformed_values(field, value):
         SweepSpec.from_json_dict(data).cells()
 
 
-@pytest.mark.parametrize("mode", ["agent_level", "oracle_level", "auto"])
-def test_sweep_spec_reads_step_mode(mode):
-    data = {"schema_version": 1, "n": [40], "k": [2], "h": [3], "step_mode": mode}
-    assert SweepSpec.from_json_dict(data).step_mode == mode
-
-
-@pytest.mark.parametrize("mode", ["agent", "", None, 1, ["auto"]])
-def test_sweep_spec_rejects_unknown_step_mode(mode):
-    with pytest.raises(SweepSpecError, match="step mode"):
-        SweepSpec(ns=(40,), ks=(2,), hs=(3,), step_mode=mode)
-    with pytest.raises(SweepSpecError, match="step mode"):
-        SweepSpec.from_json_dict({"schema_version": 1, "n": [40], "k": [2],
-                                  "h": [3], "step_mode": mode})
-
-
 def test_sweep_spec_reads_integral_numbers(tmp_path, capsys):
     # 4e1 and 2.0 are integers written as JSON numbers with a fraction part
     spec = SweepSpec.from_json_dict({
@@ -333,17 +319,23 @@ def test_sweep_deterministic_and_worker_invariant():
     assert lines_a == lines_c
 
 
-def test_sweep_workers_after_threaded_chain_step(tmp_path, monkeypatch):
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the pinned step mode reaches workers only by fork")
+def test_sweep_workers_after_threaded_chain_step(
+    tmp_path, monkeypatch, pin_sweep_step_mode
+):
     # a step whose chain call ran on a thread pool, then worker processes
     # forked from this process: the sweep finishes and the worker count
-    # does not change its records
+    # does not change its records. The default step mode would take the
+    # oracle at this n, so the trials pin the agents.
+    pin_sweep_step_mode("agent_level")
     monkeypatch.setattr(sampler, "MAX_THREADS", 2)
     cfg = Configuration.from_counts((30_000, 20_000))
     assert sum(step(cfg, 3, RngHandle(3)).counts) == cfg.n
     # n = 20 000, k = 2 <= h = 3: every round's chain call spans two sub-blocks
     spec = SweepSpec(
         ns=(20_000,), ks=(2,), hs=(3,), bias_multiplier=4.0,
-        trials=3, master_seed=11, max_rounds=60, step_mode="agent_level",
+        trials=3, master_seed=11, max_rounds=60,
     )
     digests = []
     for workers in (2, 1):
@@ -398,6 +390,36 @@ def test_record_jsonl_roundtrip(tmp_path):
     # a second call resumes: nothing is left to write
     assert write_sweep(spec, str(tmp_path)) == (0, 2)
     assert read_records_jsonl(str(tmp_path / "records.jsonl")) == loaded
+
+
+def test_sweep_meta_names_the_step_mode_and_resume_keeps_it(
+    tmp_path, pin_sweep_step_mode
+):
+    # the records do not name the step mode, which picks their RNG stream
+    grid = dict(ns=(40,), ks=(2,), hs=(3,), bias_multiplier=2.0, master_seed=1)
+    spec = SweepSpec(trials=2, **grid)
+    auto, legacy = tmp_path / "auto", tmp_path / "legacy"
+    assert write_sweep(spec, str(auto)) == (2, 0)
+    meta = json.loads((auto / "sweep_meta.json").read_text())
+    assert meta["step_mode"] == "auto"
+    # a directory written before the meta named a mode holds agent_level
+    pin_sweep_step_mode("agent_level")
+    assert write_sweep(spec, str(legacy)) == (2, 0)
+    meta = json.loads((legacy / "sweep_meta.json").read_text())
+    del meta["step_mode"]
+    (legacy / "sweep_meta.json").write_text(json.dumps(meta))
+    assert write_sweep(spec, str(legacy)) == (0, 2)
+    for out, mode in ((auto, "agent_level"), (legacy, "auto")):
+        pin_sweep_step_mode(mode)
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        with pytest.raises(RecordFileError, match="cannot resume"):
+            write_sweep(SweepSpec(trials=4, **grid), str(out))
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    # and so does one without sweep_meta.json: the file used to be written
+    # last, so a sweep interrupted then left none
+    (legacy / "sweep_meta.json").unlink()
+    with pytest.raises(RecordFileError, match="step mode 'agent_level'"):
+        write_sweep(spec, str(legacy))
 
 
 def test_bias_growth_audit_zero_trace():

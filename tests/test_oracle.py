@@ -284,24 +284,21 @@ def test_oracle_cli_win_report_large_instance(capsys):
     assert '"q_strict_pair_12"' in capsys.readouterr().out
 
 
-def _plan_cells(h, k):
-    """The DP's cell count summed over its winning counts t one by one."""
-    points = 0
-    for t in range(-(-h // k), h + 1):
-        j = min(k - 1, (h - t) // t)
-        points += 1 if j == 0 else (j + 2) // 2 + 2
-    return points * k * (h + 1)
-
-
-@pytest.mark.parametrize("h", [*range(1, 41), 63, 64, 199, 200, 255, 1001])
-def test_dp_cells_matches_the_plan(h):
-    for k in [*range(1, 41), 64, 255, 1000, 2000]:
-        assert dp_cells(h, k) == _plan_cells(h, k), (h, k)
+@pytest.mark.parametrize("h, k, cells", [
+    (1, 2, 4),      # t = 1 alone, j = 0: one point of 2 x 2 cells
+    (3, 2, 16),     # t = 2 and 3, both j = 0: two points of 2 x 4 cells
+    (3, 4, 96),     # t = 1 takes j = 2, four points; t = 2 and 3 one each
+    (24, 10, 12750),
+    (200, 16, 1550112),
+    (68812, 16, 181592552464),
+])
+def test_dp_cells(h, k, cells):
+    assert dp_cells(h, k) == cells
 
 
 def test_win_distribution_refuses_theorem_h_fast():
-    # the refusal counts the cells in O(k), not over the 64 512 winning counts
-    message = f"h=68812 over 16 live opinions needs {_plan_cells(68812, 16)} cells"
+    # the refusal counts the cells of its 64 512 winning counts in numpy
+    message = "h=68812 over 16 live opinions needs 181592552464 cells"
     seconds = []
     for _ in range(5):
         start = time.perf_counter()

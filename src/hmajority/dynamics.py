@@ -22,12 +22,16 @@ oracle.win_distribution, whose DP cost does not grow with n. run takes one
 path per round by RunParams.step_mode. "agent_level" always calls step and
 "oracle_level" always calls oracle_step. "auto", the default, takes the
 oracle round whenever oracle_is_cheaper finds its DP within DP_CELL_CAP and
-cheaper than sampling the agents: the DP's cells and einsum calls over the
-live opinions against the draws of the path step takes, n x h ids when
-k > h or n x (live k) chain binomials otherwise. Both paths have the same
-law, so auto changes only the speed and the RNG stream; the rule reads
-only (n, h, k, live k), so the stream is the same on every machine. Set
-"agent_level" or "oracle_level" to pin a path.
+cheaper than sampling the agents: the cells and einsum calls of the DP's
+plan over the live opinions against the draws of the path step takes,
+n x h ids when k > h or n x (live k) chain binomials otherwise. The plan
+is oracle.dp_plan: certified Poisson windows of the round's counts leave
+out the winning counts whose mass is below 2^-60 / ((h + 1) k) and give
+those that at most one opinion reaches in closed form, so a near-consensus
+round costs O(sqrt(h)) at any h and its DP plan is cheap. Both paths have
+the same law (the DP to within 2^-59), so auto changes only the speed and
+the RNG stream; the rule reads only h and the counts, so the stream is the
+same on every machine. Set "agent_level" or "oracle_level" to pin a path.
 """
 
 from __future__ import annotations
@@ -43,7 +47,13 @@ from .core import (
     is_consensus,
     require_integer,
 )
-from .oracle import DP_CELL_CAP, WinDistribution, dp_cells, win_distribution
+from .oracle import (
+    DP_CELL_CAP,
+    WinDistribution,
+    cuts_nothing,
+    dp_plan,
+    win_distribution,
+)
 from .sampler import (
     RngHandle,
     draw_multinomial,
@@ -230,32 +240,42 @@ ID_CELLS = 0.15
 BINOMIAL_CELLS = 0.9
 
 
-def oracle_is_cheaper(n: int, h: int, k: int, live: int) -> bool:
-    """The auto rule: whether a round of n agents over k opinions, live of
-    them held by an agent, takes the oracle step (win_distribution +
-    oracle_step) rather than step.
+def oracle_is_cheaper(counts, h: int) -> bool:
+    """The auto rule: whether a round from the configuration with these
+    opinion counts takes the oracle step (win_distribution + oracle_step)
+    rather than step.
 
-    The oracle's cost is its DP over the live opinions: oracle.dp_cells
-    plus EINSUM_CELLS for each of its einsum calls, live + 1 for each
-    winning count t from ceil(h/live) to h. The agents' cost is that of the
-    path step takes, which sampler.draws_take_ids picks from all k
-    opinions, dead ones included: n x h ids at ID_CELLS each when k > h,
-    else n x live chain binomials at BINOMIAL_CELLS each. A DP above
-    DP_CELL_CAP is never taken. Nothing here reads a timing, the thread
-    count or the environment, so the path, and with it the RNG stream, is
-    the same on every machine.
+    The oracle's cost is its DP over the live opinions, laid out by
+    oracle.dp_plan over the certified windows of the counts: the plan's
+    cells plus EINSUM_CELLS for each of its einsum calls, live + 1 for
+    each winning count the prefix/suffix DP runs on. The agents' cost is
+    that of the path step takes, which sampler.draws_take_ids picks from
+    all k opinions, dead ones included: n x h ids at ID_CELLS each when
+    k > h, else n x live chain binomials at BINOMIAL_CELLS each. A DP above
+    DP_CELL_CAP is never taken. The calls are counted from the windows
+    alone, O(k) work, so a DP whose calls already cost more than the
+    agents is refused before its layout is built; where oracle.cuts_nothing
+    holds they follow from h and the live count, and the refusal takes
+    O(1) after counting the dead opinions. Nothing here reads a
+    timing, the thread count or the environment, so the path, and with it
+    the RNG stream, is the same on every machine.
     """
+    n, live = sum(counts), len(counts) - counts.count(0)
     if live < 2:
         return False  # consensus: step returns it as is
-    if draws_take_ids(k, h):
+    if draws_take_ids(len(counts), h):
         agent_cost = ID_CELLS * n * h
     else:
         agent_cost = BINOMIAL_CELLS * n * live
-    call_cost = EINSUM_CELLS * (h - (h - 1) // live) * (live + 1)
-    if call_cost >= agent_cost:  # decided without building the DP's plan
+    if cuts_nothing(h, live):
+        # every t from ceil(h/live) to h runs in full, whatever the counts
+        if EINSUM_CELLS * (h - (h - 1) // live) * (live + 1) >= agent_cost:
+            return False
+    plan = dp_plan(h, [c / n for c in counts if c > 0])
+    call_cost = EINSUM_CELLS * len(plan.full) * (live + 1)
+    if call_cost >= agent_cost:  # decided without laying out the DP
         return False
-    cells = dp_cells(h, live)
-    return cells <= DP_CELL_CAP and cells + call_cost < agent_cost
+    return plan.cells <= DP_CELL_CAP and plan.cells + call_cost < agent_cost
 
 
 def require_target(target: int | None, k: int, error=ValueError) -> None:
@@ -269,7 +289,7 @@ def run(config0: Configuration, params: RunParams) -> Trajectory:
     """Iterate rounds until the stop rule fires or max_rounds is reached.
 
     Each round takes step or oracle_step by params.step_mode; under "auto"
-    oracle_is_cheaper decides from n, h, k and the live opinion count.
+    oracle_is_cheaper decides from h and the round's counts.
 
     Under plurality_consensus_on, reaching consensus on an opinion other
     than the target terminates with status plurality_lost (consensus is
@@ -299,8 +319,7 @@ def run(config0: Configuration, params: RunParams) -> Trajectory:
             break
         mode = params.step_mode
         if mode == STEP_AUTO:
-            live = config.k - config.counts.count(0)
-            cheaper = oracle_is_cheaper(config.n, params.h, config.k, live)
+            cheaper = oracle_is_cheaper(config.counts, params.h)
             mode = STEP_ORACLE if cheaper else STEP_AGENT
         if mode == STEP_ORACLE:
             probs = tuple(c / config.n for c in config.counts)

@@ -586,11 +586,14 @@ def write_sweep(spec: SweepSpec, out_dir: str, workers: int = 1) -> tuple[int, i
     Trial seeds depend only on (master seed, cell, trial), so the resumed
     file is byte-equal to an uninterrupted run. No record names the step
     mode, which picks the RNG stream, so sweep_meta.json does, written
-    before the first trial runs; records drawn in another mode (a
-    directory without the key holds agent_level records) raise
-    RecordFileError before anything is written. Every line is flushed as
-    it is written, so records survive a mid-sweep crash, and timings.csv
-    keeps one row per record line. Spec errors raise SweepSpecError before
+    before the first trial runs, with a digest of the spec less its trials
+    (spec_digest). Records drawn in another mode (a directory without the
+    key holds agent_level records) or under another spec raise
+    RecordFileError before anything is written; more trials of the same
+    spec extend the records, and a meta file without a digest is resumed
+    on the mode alone. Every line is flushed as it is written, so records
+    survive a mid-sweep crash, and timings.csv keeps one row per record
+    line. Spec errors raise SweepSpecError before
     out_dir is created. Returns (records written, records already there).
     """
     cells = spec.cells()
@@ -600,14 +603,22 @@ def write_sweep(spec: SweepSpec, out_dir: str, workers: int = 1) -> tuple[int, i
     meta_path = os.path.join(out_dir, "sweep_meta.json")
     # the mode of run_trial's RunParams, dynamics' default
     step_mode = RunParams(h=1, max_rounds=1).step_mode
+    digest = _spec_digest(spec)
     resume = os.path.exists(records_path)
     done = set()
     if resume:
-        drawn = _stored_step_mode(meta_path)
+        stored = _stored_meta(meta_path)
+        # agent_level was the only mode before the file named one
+        drawn = stored.get("step_mode", STEP_AGENT)
         if drawn != step_mode:
             raise RecordFileError(
                 f"{records_path} holds records drawn in step mode {drawn!r}; "
                 f"a sweep in step mode {step_mode!r} cannot resume it"
+            )
+        if stored.get("spec_digest", digest) != digest:
+            raise RecordFileError(
+                f"{records_path} holds records of another sweep spec; only the "
+                "same spec, with any number of trials, can resume it"
             )
         _drop_torn_line(records_path)
         done = {
@@ -624,6 +635,7 @@ def write_sweep(spec: SweepSpec, out_dir: str, workers: int = 1) -> tuple[int, i
         "cells": [c.cell_id for c in cells],
         "trials": spec.trials,
         "step_mode": step_mode,
+        "spec_digest": digest,
     }
     with open(meta_path, "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=2)
@@ -642,20 +654,27 @@ def write_sweep(spec: SweepSpec, out_dir: str, workers: int = 1) -> tuple[int, i
     return written, len(done)
 
 
-def _stored_step_mode(meta_path: str) -> str:
-    """The step mode sweep_meta.json names for the records beside it;
-    agent_level, the only mode before the file named one, when it names
-    none or is missing."""
+def _spec_digest(spec: SweepSpec) -> str:
+    """SHA-256 of the spec's fields less trials, as canonical JSON. Trial
+    seeds depend only on (master seed, cell, trial), so more trials of one
+    spec extend its records; any other field changes them."""
+    doc = {f.name: getattr(spec, f.name) for f in fields(spec) if f.name != "trials"}
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _stored_meta(meta_path: str) -> dict:
+    """sweep_meta.json as a dict, empty when the file is missing."""
     try:
         with open(meta_path, encoding="utf-8") as fh:
             meta = json.load(fh)
     except FileNotFoundError:
-        return STEP_AGENT
+        return {}
     except ValueError as exc:
         raise RecordFileError(f"{meta_path} is not JSON: {exc}") from None
     if not isinstance(meta, dict):
         raise RecordFileError(f"{meta_path} must hold a JSON object")
-    return meta.get("step_mode", STEP_AGENT)
+    return meta
 
 
 def _read_complete(path: str) -> bytes:

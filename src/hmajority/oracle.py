@@ -5,8 +5,8 @@
   and tie-inclusive variants Pr(X_i > X_j for all j) and
   Pr(X_i >= X_j for all j). Computed in polynomial time from Levin's
   Poissonised representation of the multinomial by a generating-function
-  DP, so it reaches (h, k) far beyond enumeration; its size is capped by
-  DP_CELL_CAP.
+  DP over a certified window of winning counts (dp_plan), so it reaches
+  (h, k) far beyond enumeration; its size is capped by DP_CELL_CAP.
 * event_report, tie_map_audit and conditional_sum_binomial_check need
   outcome-level events, so they work on one outcome table: every one of
   the C(h+k-1, k-1) unordered outcomes as a row of an (N, k) count array,
@@ -25,9 +25,9 @@
   opinions (the corrected form: the flat branch uses (1 - 1/h), not
   (1 - 1/sqrt(h))).
 
-Pmfs are evaluated in log space with log-gamma and exponentiated at the
-end. event_report and tie_map_audit sum over the table with math.fsum,
-which is exactly rounded; the pair-sum check groups its masses with
+Pmfs are evaluated in log space, in Loader's saddle-point form, and
+exponentiated at the end. event_report and tie_map_audit sum over the
+table with math.fsum, which is exactly rounded; the pair-sum check groups its masses with
 np.bincount. All equalities carry an absolute tolerance of 1e-12.
 """
 
@@ -79,43 +79,237 @@ def outcome_count(h: int, k: int) -> int:
     return math.comb(h + k - 1, k - 1)
 
 
-def _dp_plan(h: int, k: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """The layout of win_distribution's DP at h >= 1 over k >= 1 live
-    opinions: (t, j, cells).
+# Loader's saddle-point form of the Poisson pmf ("Fast and accurate
+# computation of binomial probabilities", 2000): for s >= 1,
+# log Pois(lam)(s) = -stirlerr(s) - bd0(s, lam) - log(2 pi s) / 2, where
+# stirlerr(s) = log s! - log(sqrt(2 pi s) (s/e)^s) and
+# bd0(s, lam) = s log(s/lam) + lam - s. Both terms stay small wherever the
+# pmf is not negligible, so the log carries a few eps of absolute error at
+# any s, where s log(lam) - lam - log s! cancels terms of size s log s.
+# stirlerr(n) at n = 1..15, correctly rounded (n = 0 is never read):
+_STIRLERR_SMALL = np.array([0.0] + [float.fromhex(v) for v in (
+    "0x1.4c071bcda0a5bp-4", "0x1.52a9b923ea649p-5", "0x1.c579a268d80b3p-6",
+    "0x1.54a2662fd78a9p-6", "0x1.10b4e513fcbedp-6", "0x1.c6b167bebdf36p-7",
+    "0x1.85d4d612e4a86p-7", "0x1.552805e7b3076p-7", "0x1.2f4871b12ab64p-7",
+    "0x1.10f9d4c0743a7p-7", "0x1.f0593088014f8p-8", "0x1.c7018733aa9c6p-8",
+    "0x1.a40514700f36cp-8", "0x1.86076c002d4a7p-8", "0x1.6c08f6f194a10p-8",
+)])
+_LOG_2PI = math.log(2.0 * math.pi)
+_TINY = np.finfo(np.float64).tiny
+# rows of one _log_pmf block: its temporaries stay near 100 bytes a cell
+_PMF_ROWS = 1 << 16
 
-    t runs over the winning counts ceil(h/k)..h; a smaller top count has no
-    mass. j = h // t - 1 (at most k - 1, as t >= h/k) bounds how many other
-    opinions can also draw t: the degree in u of the tie-split integrand.
-    Each t takes the points 0, 1 and (j + 2) // 2 nodes in u, or one point
-    when j = 0, and each point holds k x (h + 1) cells.
+
+def _log_poisson(s, lam) -> np.ndarray:
+    """log Pois(lam)(s), elementwise at integers s >= 0 and lam >= 0 with
+    lam > 0 wherever s > 0, in Loader's form; -lam at s = 0.
+
+    stirlerr comes from the table up to 15 and from the Stirling series to
+    s^-9 above it, whose next term is below 2^-52 of the value. bd0 in its
+    direct form errs by about (s + |s - lam|) eps, so above s = 15 and
+    where |v| < 0.1, with v = (s - lam)/(s + lam), Loader's series
+    (s - lam) v + 2 s v sum_j v^2j/(2j + 1) takes over; its terms past
+    j = 8 are below 2^-56 of it.
     """
-    t = np.arange(-(-h // k), h + 1)
-    j = h // t - 1
-    points = int(np.where(j == 0, 1, (j + 2) // 2 + 2).sum())
-    return t, j, points * k * (h + 1)
+    s = np.asarray(s)
+    lam = np.asarray(lam, dtype=np.float64)
+    n = np.maximum(s, 1)
+    x = n.astype(np.float64)
+    rate = np.maximum(lam, _TINY)
+    d = x - rate
+    bd0 = np.asarray(x * np.log(x / rate) - d)
+    stirlerr = _STIRLERR_SMALL[np.minimum(n, 15)]
+    if n.max(initial=1) > 15:
+        large = n > 15
+        w = 1.0 / (x * x)
+        series = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - w / 1188) * w) * w) * w) / x
+        stirlerr = np.where(large, series, stirlerr)
+        v = d / (x + rate)
+        near = large & (np.abs(v) < 0.1)
+        if near.any():
+            d, v, x_near = d[near], v[near], np.broadcast_to(x, near.shape)[near]
+            w = v * v
+            series = 1 / 17
+            for odd in (15, 13, 11, 9, 7, 5, 3):
+                series = 1 / odd + w * series
+            bd0[near] = d * v + 2.0 * x_near * v * w * series
+    return np.where(s > 0, -(stirlerr + bd0 + 0.5 * (_LOG_2PI + np.log(x))), -lam)
 
 
-def dp_cells(h: int, k: int) -> int:
-    """Cells of win_distribution's DP at h >= 1 over k >= 1 live opinions."""
-    return _dp_plan(h, k)[2]
+@functools.lru_cache(maxsize=64)
+def _log_poisson_at_mean(h: int) -> float:
+    """log Pois(h)(h)."""
+    return float(_log_poisson(h, h))
 
 
 def _log_pmf(x: np.ndarray, probs) -> np.ndarray:
     """Row-wise log multinomial pmf of the count vectors x, each row with
-    its own sum h: log h! + sum_i (x_i log p_i - log x_i!), and -inf for a
-    row that draws an opinion with p_i = 0."""
+    its own sum m, and -inf for a row that draws an opinion with p_i = 0.
+
+    By Levin's identity the pmf is prod_i Pois(m p_i)(x_i) divided by
+    Pois(m)(m) e^(m (1 - sum p)), so the terms are one _log_poisson over
+    the live columns and the row sums, _PMF_ROWS rows at a time.
+    """
     p = np.asarray(probs, dtype=np.float64)
     live = p > 0.0
-    sums = x.sum(axis=1)
-    # log-gamma once per distinct count, so the cost follows the size of x
-    # and not the size of its entries
-    values = np.union1d(x, sums)
-    lgam = np.array([math.lgamma(v + 1) for v in values.tolist()])
-    terms = x * np.log(np.where(live, p, 1.0)) - lgam[np.searchsorted(values, x)]
-    out = lgam[np.searchsorted(values, sums)] + terms.sum(axis=1)
-    if not live.all():
+    every = bool(live.all())
+    rates = np.append(p if every else p[live], 1.0)
+    sign = np.append(np.ones(rates.size - 1), -1.0)  # the row sum's term divides
+    excess = math.fsum(p.tolist()) - 1.0
+    out = np.empty(len(x))
+    for start in range(0, len(x), _PMF_ROWS):
+        rows = x[start:start + _PMF_ROWS]
+        sums = rows.sum(axis=1)
+        counts = rows if every else rows[:, live]
+        terms = _log_poisson(np.concatenate((counts, sums[:, None]), axis=1),
+                             sums[:, None] * rates)
+        out[start:start + len(rows)] = terms @ sign + sums * excess
+    if not every:
         out[x[:, ~live].any(axis=1)] = -np.inf
     return out
+
+
+# The DP's cut: each (opinion i, winning count t) may be left out, trimmed
+# or given in closed form when its certified error is below
+# _CUT_MASS / ((h + 1) k), so each q_i moves by at most 2 _CUT_MASS / k.
+_CUT_MASS = 2.0**-60
+
+
+def _tail_windows(lam: np.ndarray, level: float, h: int):
+    """Integer windows [lo, hi] within 0..h outside which Pois(lam) puts at
+    most e^-level on each side. The right tail is sub-gamma with variance
+    lam and scale 1/3 and the left one sub-Gaussian, so
+    P(X >= lam + sqrt(2 lam level) + level/3) <= e^-level and
+    P(X <= lam - sqrt(2 lam level)) <= e^-level; the +-1 absorbs rounding."""
+    root = np.sqrt(2.0 * level * lam)
+    lo = np.maximum(np.ceil(lam - root) - 1, 0).astype(np.int64)
+    hi = np.minimum(np.floor(lam + root + level / 3.0) + 1, h).astype(np.int64)
+    return lo, hi
+
+
+@dataclass(frozen=True, eq=False)
+class DPPlan:
+    """The certified-window plan of win_distribution's DP at h >= 1 over
+    k >= 2 live opinions with Poisson means lam = h p.
+
+    Each opinion keeps the window [lo, hi] outside which its Poisson puts
+    at most tau on either side, tau = cut N / k with the cut
+    2^-60 / ((h + 1) k) and N = Pois(h)(h) e^(h (1 - sum p)) >= its
+    Stirling lower bound; the same bound at sqrt(tau) ends a shallow
+    window at hi_sqrt. The prefix/suffix DP runs on the winning counts in
+    full: ceil(h/k) <= t, every lo <= t (below, some factor holds at most
+    tau), and t within the second-largest hi and the largest hi_sqrt.
+    Above that a t is saturated: at most one opinion's window reaches it,
+    or every tail at t is below sqrt(tau), so for each opinion i whose
+    window holds t the other opinions' mass at or above t costs at most
+    (k - 1) tau. There the coefficient is Binomial(h, p_i)(t).
+    """
+
+    h: int
+    lo: np.ndarray
+    hi: np.ndarray
+    full: range
+    saturated: range
+    cut: bool  # whether any window is narrower than 0..h
+
+    @functools.cached_property
+    def layout(self) -> tuple[np.ndarray, ...]:
+        """(t, j, points, width, length) over the winning counts in full.
+
+        j = h // t - 1 bounds how many other opinions can also draw t: the
+        degree in u of the tie-split integrand, which takes the points 0,
+        1 and (j + 2) // 2 Gauss-Legendre nodes, or one point when j = 0.
+        width bounds the factors' windows, min(t, max hi) - min lo + 1,
+        and length the product's degree axis,
+        min(h - t, sum of min(hi, t) - lo) + 1.
+        """
+        h, k = self.h, self.lo.size
+        t = np.arange(self.full.start, self.full.stop)
+        j = h // t - 1
+        points = np.where(j == 0, 1, (j + 2) // 2 + 2)
+        if not self.cut:
+            return t, j, points, t + 1, h - t + 1
+        top = np.sort(self.hi)
+        below = np.searchsorted(top, t, side="right")
+        reach = np.concatenate(([0], np.cumsum(top)))[below] + t * (k - below)
+        length = np.minimum(h - t, reach - self.lo.sum()) + 1
+        width = np.minimum(t, top[-1]) - self.lo.min() + 1
+        return t, j, points, width, length
+
+    @functools.cached_property
+    def saturated_spans(self) -> tuple[np.ndarray, np.ndarray]:
+        """(first, count): each opinion's saturated t, its window within
+        the saturated range."""
+        first = np.maximum(self.lo, self.saturated.start)
+        last = np.minimum(self.hi, self.saturated.stop - 1)
+        return first, np.maximum(last - first + 1, 0)
+
+    @functools.cached_property
+    def cells(self) -> int:
+        """Points x k x (width + length - 1) over the winning counts in
+        full, plus one cell for each saturated (opinion, t). With nothing
+        cut that is points x k x (h + 1) for each t >= ceil(h/k)."""
+        _, _, points, width, length = self.layout
+        if self.cut:
+            cells = int((points * (width + length - 1)).sum()) * self.lo.size
+        else:
+            cells = int(points.sum()) * self.lo.size * (self.h + 1)
+        if self.saturated:
+            cells += int(self.saturated_spans[1].sum())
+        return cells
+
+
+def dp_plan(h: int, p) -> DPPlan:
+    """The DP plan of win_distribution(h, p) at h >= 1 with at least two
+    positive probabilities; O(k) work, the layout O(len(full)) on use."""
+    probs = tuple(v for v in coerce_probs(p) if v > 0.0)
+    return _plan(int(h), probs)
+
+
+def _tail_level(h: int, k: int, excess: float = 0.0) -> float:
+    """ln(1/tau) for the windows of dp_plan: tau = cut x N / k with the cut
+    2^-60 / ((h + 1) k), through N >= e^(-1/(12h) - excess) / sqrt(2 pi h)
+    where excess = |h (sum p - 1)|."""
+    return (math.log((h + 1) * k * k / _CUT_MASS)
+            + 0.5 * (_LOG_2PI + math.log(h)) + 1.0 / (12 * h) + excess)
+
+
+def cuts_nothing(h: int, k: int) -> bool:
+    """Whether the DP plan at h over k live opinions is the unwindowed one
+    whatever their probabilities: every window holds 0..h and every
+    shallow one ends at h or beyond (its end at lam = 0 is
+    floor(ln(1/tau) / 6) + 1). True up to about h = 8."""
+    return 6 * (h - 1) <= _tail_level(h, k)
+
+
+@functools.lru_cache(maxsize=8)
+def _plan(h: int, probs: tuple[float, ...]) -> DPPlan:
+    k = len(probs)
+    if cuts_nothing(h, k):
+        return _unwindowed_plan(h, k)
+    lam = h * np.array(probs)
+    level = _tail_level(h, k, abs(h * (math.fsum(probs) - 1.0)))
+    lo, hi = _tail_windows(lam, level, h)
+    top2, top1 = np.sort(hi)[-2:].tolist()
+    shallow = int(_tail_windows(lam.max(keepdims=True), level / 2, h)[1][0])
+    start = max(int(lo.max()), -(-h // k))
+    end = min(top2, shallow)
+    return DPPlan(h, lo, hi, range(start, end + 1),
+                  range(max(start, end + 1), top1 + 1),
+                  bool(lo.any() or (hi < h).any()))
+
+
+@functools.lru_cache(maxsize=64)
+def _unwindowed_plan(h: int, k: int) -> DPPlan:
+    """Every window 0..h and every t from ceil(h/k) to h in full."""
+    return DPPlan(h, np.zeros(k, np.int64), np.full(k, h, np.int64),
+                  range(-(-h // k), h + 1), range(0), False)
+
+
+def dp_cells(h: int, p) -> int:
+    """Cells of win_distribution's DP at h >= 1 over at least two positive
+    probabilities: dp_plan(h, p).cells."""
+    return dp_plan(h, p).cells
 
 
 def _outcome_table(h: int, probs) -> tuple[np.ndarray, np.ndarray]:
@@ -188,29 +382,73 @@ class WinDistribution:
         return len(self.q)
 
 
+# leggauss(m) mapped to [0, 1] for m = 1 and 2, bit for bit: the h = 2 and
+# h = 3 DPs need no more, so they never import numpy.polynomial or run its
+# eigenvalue solver
+_GAUSS_LEGENDRE01_SMALL = {
+    1: (np.array([0.5]), np.array([1.0])),
+    2: (np.array([float.fromhex("0x1.b0cb174df99c8p-3"),
+                  float.fromhex("0x1.93cd3a2c8198ep-1")]), np.array([0.5, 0.5])),
+}
+
+
 @functools.lru_cache(maxsize=None)
 def _gauss_legendre01(m: int) -> tuple[np.ndarray, np.ndarray]:
     """m Gauss-Legendre nodes and weights on [0, 1], exact for polynomials
-    of degree < 2m; numpy.polynomial is imported on first use only."""
+    of degree < 2m; numpy.polynomial is imported for m > 2 only."""
+    if m in _GAUSS_LEGENDRE01_SMALL:
+        return _GAUSS_LEGENDRE01_SMALL[m]
     from numpy.polynomial.legendre import leggauss
 
     x, w = leggauss(m)
     return (x + 1.0) / 2.0, w / 2.0
 
 
+@functools.lru_cache(maxsize=None)
+def _tie_split_points(j: int) -> tuple[np.ndarray, np.ndarray]:
+    """(nodes, weights) in u for a winning count that j other opinions can
+    also draw: u = 0 for q_strict, u = 1 for q_ties and (j + 2) // 2
+    Gauss-Legendre nodes for q, whose integrand has degree j; one point
+    when j = 0, where all three agree. weights is (3, points)."""
+    if j == 0:
+        return np.zeros(1), np.ones((3, 1))
+    gl_u, gl_w = _gauss_legendre01((j + 2) // 2)
+    nodes = np.concatenate(([0.0, 1.0], gl_u))
+    weights = np.zeros((3, nodes.size))
+    weights[0, 2:] = gl_w
+    weights[1, 0] = 1.0
+    weights[2, 1] = 1.0
+    return nodes, weights
+
+
 def win_distribution(h: int, p) -> WinDistribution:
     """Exact adoption law through Levin's Poissonised multinomial.
 
-    With a_l(s) = Pois(h p_l)(s), Pr(X = x) = prod_l a_l(x_l) / Pois(h)(h),
-    so the mass of "opinion i draws t and every other opinion draws at most
-    t, j of them exactly t", weighted by u^j, is a_i(t) / Pois(h)(h) times
-    [z^(h-t)] prod_{l != i} (sum_{s<t} a_l(s) z^s + u a_l(t) z^t).
+    With a_l(s) = Pois(h p_l)(s) and N = Pois(h)(h) e^(h (1 - sum p)),
+    Pr(X = x) = prod_l a_l(x_l) / N, so the mass of "opinion i draws t and
+    every other opinion draws at most t, j of them exactly t", weighted by
+    u^j, is a_i(t) / N times
+    [z^(h-t)] prod_{l != i} F_l, F_l = sum_{s<t} a_l(s) z^s + u a_l(t) z^t.
     u = 0 gives q_strict, u = 1 gives q_ties, and the u.a.r. tie split
     1/(j+1) = int_0^1 u^j du gives q, integrated exactly by Gauss-Legendre.
     The products over l != i come from prefix and suffix products over the
     opinions, vectorised over the u nodes. Opinions with p_l = 0 never draw
-    and are dropped. Raises TooLargeError when the DP would exceed
-    DP_CELL_CAP cells.
+    and are dropped.
+
+    The DP runs over the certified window of dp_plan. Each (i, t) is left
+    out when its bound a_i(t) prod_{l != i} Pr(Pois(h p_l) <= t) / N is
+    below the cut 2^-60 / ((h + 1) k): t below some opinion's window or
+    above opinion i's. Each factor keeps only its window, which moves a
+    coefficient by at most 2 (k - 1) tau / N. A saturated t is given in
+    closed form: prod_{l != i} of the untruncated factors is the
+    generating function of Pois(h sum p - h p_i), so the coefficient is
+    a_i(t) Pois(h sum p - h p_i)(h - t) / N = Binomial(h, p_i)(t), off by
+    at most a_i(t) sum_{l != i} Pr(Pois(h p_l) >= t) / N. With tau = cut
+    N / k each (i, t) errs by at most twice the cut, so each of q, q_strict
+    and q_ties errs by at most 2^-59 / k an opinion and 2^-59 in total, on
+    top of rounding. Up to about h = 8 every window is 0..h and nothing is
+    cut (cuts_nothing).
+    Raises TooLargeError when the DP would exceed DP_CELL_CAP cells.
     """
     probs = coerce_probs(p)
     k = len(probs)
@@ -241,53 +479,107 @@ def win_distribution(h: int, p) -> WinDistribution:
 def _win_dp(h: int, probs: np.ndarray) -> np.ndarray:
     """(3, k) array of q, q_strict, q_ties for h >= 1 and k >= 2 positive
     probabilities; see win_distribution."""
-    k = probs.size
-    plan_t, plan_j, cells = _dp_plan(h, k)
-    if cells > DP_CELL_CAP:
+    key = tuple(probs.tolist())
+    plan = _plan(h, key)
+    if plan.cells > DP_CELL_CAP:
         raise TooLargeError(
-            f"adoption-law DP at h={h} over {k} live opinions needs {cells} "
-            f"cells, above the cap {DP_CELL_CAP}"
+            f"adoption-law DP at h={h} over {probs.size} live opinions needs "
+            f"{plan.cells} cells, above the cap {DP_CELL_CAP}"
         )
-    s = np.arange(h + 1)
-    log_s_fact = np.array([math.lgamma(v + 1) for v in range(h + 1)])
+    total = math.fsum(key)
+    # the normaliser Pois(h)(h) e^(h (1 - sum p)): with it the Poisson
+    # factors give the multinomial exactly
+    log_norm = _log_poisson_at_mean(h) - h * (total - 1.0)
     lam = h * probs
-    # a[l, s] = Pois(h p_l)(s), in log space so h! never appears
-    a = np.exp(s * np.log(lam)[:, None] - lam[:, None] - log_s_fact)
-    pois_h = math.exp(h * math.log(h) - h - log_s_fact[h])
+    out = _prefix_suffix_dp(plan, lam) * math.exp(-log_norm)
+    # each saturated (i, t) adds Pois(lam_i)(t) Pois(h sum p - lam_i)(h - t)
+    # over the normaliser, which is Binomial(h, p_i)(t)
+    if plan.saturated:
+        first, count = plan.saturated_spans
+        owner = np.repeat(np.arange(probs.size), count)
+        start = np.repeat(np.cumsum(count) - count, count)  # owner's first index
+        t = first[owner] + np.arange(owner.size) - start
+        rest = h * total - lam
+        log_b = (_log_poisson(t, lam[owner]) + _log_poisson(h - t, rest[owner])
+                 - log_norm)
+        out += np.bincount(owner, weights=np.exp(log_b), minlength=probs.size)
+    return out
 
+
+def _prefix_suffix_dp(plan: DPPlan, lam: np.ndarray) -> np.ndarray:
+    """(3, k) sums over the winning counts in full of a_i(t) times the
+    tie-split integrals of [z^(h-t)] prod_{l != i} F_l, each factor F_l cut
+    to its window, for Poisson means lam; not yet divided by the
+    normaliser."""
+    h, lo, hi = plan.h, plan.lo, plan.hi
+    k = lam.size
     out = np.zeros((3, k))
-    for t, j in zip(plan_t.tolist(), plan_j.tolist()):
+    if not plan.full:
+        return out
+    # a[l, s - lo_l] = Pois(lam_l)(s) over the window lo_l..hi_l, 0 past hi_l
+    span = np.arange(int((hi - lo).max()) + 1)
+    cut = plan.cut
+    if cut:
+        s = lo[:, None] + span
+        a = np.where(s <= hi[:, None],
+                     np.exp(_log_poisson(np.minimum(s, hi[:, None]), lam[:, None])), 0.0)
+    else:
+        a = np.exp(_log_poisson(span, lam[:, None]))
+    t_full, j_full, _, _, length = plan.layout
+    if cut:
+        # per t and l: factor l keeps its degrees low..top, stored from low,
+        # and is one zero when its window starts above min(t, deg)
+        t = t_full[:, None]
         deg = h - t
-        width = min(t, deg) + 1  # factor coefficients of degree 0..width-1
-        if j == 0:
-            nodes = np.zeros(1)
-            weights = np.ones((3, 1))
-        else:
-            gl_u, gl_w = _gauss_legendre01((j + 2) // 2)
-            nodes = np.concatenate(([0.0, 1.0], gl_u))
-            weights = np.zeros((3, nodes.size))
-            weights[0, 2:] = gl_w
-            weights[1, 0] = 1.0
-            weights[2, 1] = 1.0
+        low = np.minimum(lo, np.minimum(t, deg))
+        top = np.minimum(hi, np.minimum(t, deg))
+        width = (top - low).max(axis=1) + 1
+        trim = (top - lo < width[:, None] - 1).any(axis=1)
+        ties = (top == t) & (t <= deg)
+        # before[x] pairs with after's degree deg - sum(low) + low_i - x
+        shift = length[:, None] - 1 - deg + low.sum(axis=1, keepdims=True) - low
+        held = (lo <= t) & (t <= hi)
+        a_t = np.where(held, a[np.arange(k), np.clip(t - lo, 0, span.size - 1)], 0.0)
+    for r, (t, j) in enumerate(zip(t_full.tolist(), j_full.tolist())):
+        n = int(length[r])
+        nodes, weights = _tie_split_points(j)
         g = nodes.size
-        factor = np.broadcast_to(a[:, :width], (g, k, width)).copy()
-        if t <= deg:
-            factor[:, :, t] *= nodes[:, None]
+        if cut:
+            w = int(width[r])
+            factor = a[:, :w]
+            if trim[r]:
+                factor = factor * (span[:w] <= (top[r] - lo)[:, None])
+            factor = np.broadcast_to(factor, (g, k, w)).copy()
+            rows = np.flatnonzero(ties[r])
+            factor[:, rows, t - lo[rows]] *= nodes[:, None]
+            a_at_t = a_t[r]
+        else:
+            # every window is 0..h: the factors are a[:, :min(t, deg) + 1]
+            w = min(t, h - t) + 1
+            factor = np.broadcast_to(a[:, :w], (g, k, w)).copy()
+            if 2 * t <= h:
+                factor[:, :, t] *= nodes[:, None]
+            a_at_t = a[:, t]
         # prefix products in both opinion orders at once: rows 0..g-1 run
         # l = 0..k-1, rows g..2g-1 run l = k-1..0; polynomials sit behind
-        # width-1 zeros so a sliding window is one convolution step
+        # w-1 zeros so a sliding window is one convolution step. A
+        # product's row starts at the sum of its factors' low.
         both = np.concatenate((factor, factor[:, ::-1]))[:, :, ::-1]
-        prod = np.zeros((2 * g, k + 1, width + deg))
-        prod[:, 0, width - 1] = 1.0
-        window = np.lib.stride_tricks.sliding_window_view(prod, width, axis=-1)
-        for l in range(k):
-            np.einsum("gdw,gw->gd", window[:, l], both[:, l],
-                      out=prod[:, l + 1, width - 1:])
-        before = prod[:g, :k, width - 1:]  # opinions < i, by degree
-        after = prod[g:, :k, width - 1:][:, ::-1, ::-1]  # opinions > i, reversed
-        coef = np.einsum("gid,gid->gi", before, after)
-        out += (weights @ coef) * a[:, t]
-    return out / pois_h
+        prod = np.zeros((2 * g, k, w - 1 + n))
+        prod[:, 0, w - 1] = 1.0
+        window = np.lib.stride_tricks.sliding_window_view(prod, w, axis=-1)
+        for l in range(k - 1):
+            np.einsum("gdw,gw->gd", window[:, l], both[:, l], out=prod[:, l + 1, w - 1:])
+        before = prod[:g, :, w - 1:]  # opinions < i, by degree
+        after = prod[g:, ::-1, w - 1:][:, :, ::-1]  # opinions > i, reversed
+        if cut and shift[r].any():
+            pad = np.zeros((g, k, n))
+            after = np.concatenate((pad, after, pad), axis=-1)
+            at = n + np.clip(shift[r], -n, n)[:, None] + np.arange(n)
+            after = np.take_along_axis(after, np.broadcast_to(at, before.shape), axis=-1)
+        coef = np.einsum("gix,gix->gi", before, after)
+        out += (weights @ coef) * a_at_t
+    return out
 
 
 @dataclass(frozen=True)

@@ -5,14 +5,18 @@ the event-report quantities are computed by enumerating all k^h ordered
 sample sequences, pmfs come from
 exact Fraction or integer arithmetic, and the conditional pair differences are summed
 directly from scipy's binomial pmf with indicator events. The multi-round
-law comes from the absorbing Markov chain on whole configurations.
+law comes from the absorbing Markov chain on whole configurations. At
+larger h the adoption law comes from the unwindowed Poissonised DP over
+40-digit decimal Poisson factors, and at k = 2 from scipy's binomial tails.
 """
 
+from decimal import Decimal, localcontext
 from fractions import Fraction
 import itertools
 import math
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 from scipy.stats import binom
 
 
@@ -43,6 +47,74 @@ def naive_win_distribution(h, probs):
             if leaders[0] < 2:
                 pair += prob
     return q, q_strict, q_ties, pair
+
+
+def poisson_pmf_decimal(lam, top):
+    """Pois(lam)(s) for s = 0..top from 40-digit decimal logarithms of the
+    exact binary value of lam, each rounded to a float."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        rate = Decimal(lam)
+        log_rate = rate.ln()
+        log_fact = Decimal(0)
+        out = []
+        for s in range(top + 1):
+            if s:
+                log_fact += Decimal(s).ln()
+            out.append(float((s * log_rate - rate - log_fact).exp()))
+    return np.array(out)
+
+
+def unwindowed_win_distribution(h, probs):
+    """(q, q_strict, q_ties) from Levin's Poissonised multinomial with no
+    cut: every winning count t = ceil(h/k)..h and every factor over its
+    full degree range 0..min(t, h - t), for h >= 1 and k >= 2 positive
+    probabilities.
+
+    q_i sums a_i(t) [z^(h-t)] prod_{l != i} (sum_{s<t} a_l(s) z^s
+    + u a_l(t) z^t) / Pois(h)(h) e^(h (1 - sum p)) over t, with the tie
+    split 1/(j+1) = int_0^1 u^j du from numpy's Gauss-Legendre nodes, each
+    product over l != i from the product of all but i in one pass from each
+    side. The Poisson factors come from poisson_pmf_decimal.
+    """
+    k = len(probs)
+    lam = [h * p for p in probs]
+    a = np.array([poisson_pmf_decimal(v, h) for v in lam])
+    norm = poisson_pmf_decimal(float(h), h)[h] * math.exp(h * (1.0 - math.fsum(probs)))
+    out = np.zeros((3, k))
+    for t in range(-(-h // k), h + 1):
+        deg = h - t
+        m = (h // t + 1) // 2 + 1  # exact for the tie degree, at most h // t - 1
+        x, w = leggauss(m)
+        nodes = np.concatenate(([0.0, 1.0], (x + 1.0) / 2.0))
+        weights = np.zeros((3, nodes.size))
+        weights[0, 2:] = w / 2.0
+        weights[1, 0] = weights[2, 1] = 1.0
+        width = min(t, deg) + 1
+        factors = np.repeat(a[None, :, :width], nodes.size, axis=0)
+        if t <= deg:
+            factors[:, :, t] *= nodes[:, None]
+        for g in range(nodes.size):
+            front = [np.ones(1)]
+            for l in range(k - 1):
+                front.append(np.convolve(front[-1], factors[g, l])[:deg + 1])
+            back = [np.ones(1)]
+            for l in range(k - 1, 0, -1):
+                back.append(np.convolve(back[-1], factors[g, l])[:deg + 1])
+            for i in range(k):
+                prod = np.convolve(front[i], back[k - 1 - i])
+                coef = prod[deg] if deg < prod.size else 0.0
+                out[:, i] += weights[:, g] * coef * a[i, t]
+    return out / norm
+
+
+def binomial_majority(h, p1):
+    """(q_1, q_1 strict, q_1 with ties) of opinion 1 of two at sample
+    size h: Pr(Bin(h, p1) > h/2) + Pr(= h/2) / 2, Pr(> h/2) and Pr(>= h/2),
+    from scipy's binomial survival function and pmf."""
+    above = binom.sf(h // 2, h, p1)
+    tie = binom.pmf(h // 2, h, p1) if h % 2 == 0 else 0.0
+    return above + tie / 2.0, above, above + tie
 
 
 def exact_multinomial_pmf_fraction(x, h, prob_fractions):

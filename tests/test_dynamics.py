@@ -443,27 +443,67 @@ def test_auto_is_the_default_step_mode():
     (10**6, 200, 16, 8, True),       # the chain over 8 live opinions
 ])
 def test_auto_rule_decision_table(n, h, k, live, oracle_path):
-    assert oracle_is_cheaper(n, h, k, live) is oracle_path
+    assert oracle_is_cheaper(_grid_counts(n, k, live), h) is oracle_path
+
+
+def _grid_counts(n, k, live):
+    """The BENCH_25.json grid's start: balanced_plus_bias_counts(n, live,
+    10) followed by k - live zero counts; (n,) alone at live = 1."""
+    held = balanced_plus_bias_counts(n, live, 10.0)[0] if live > 1 else (n,)
+    return held + (0,) * (k - live)
+
+
+# the theorem call of simulate_large_n: h = ceil(324 ln n / p1) at n = 1e6
+THEOREM_H = 68_812
 
 
 def test_auto_rule_at_theorem_h_is_fast_and_builds_no_dp(monkeypatch):
+    # round 0, 16 near-equal opinions: about 2e9 cells, refused from the
+    # O(k) windows and the layout of its 726 full winning counts
     def refuse(*args):
         raise AssertionError("the rule built the DP")
 
     monkeypatch.setattr(oracle, "_win_dp", refuse)
+    counts = _grid_counts(10**6, 16, 16)
     seconds = []
     for _ in range(20):
+        oracle._plan.cache_clear()
         start = time.perf_counter()
-        assert not oracle_is_cheaper(10**6, 68_812, 16, 16)
+        assert not oracle_is_cheaper(counts, THEOREM_H)
         seconds.append(time.perf_counter() - start)
     assert min(seconds) < 1e-3, seconds
+
+
+def test_auto_rule_takes_the_oracle_near_consensus_at_theorem_h(round_paths):
+    # round 1 of the theorem call: opinion 1 holds 83%, so every winning
+    # count in its window is saturated and the DP has no t in full
+    counts = (832_000,) + (11_200,) * 15
+    plan = oracle.dp_plan(THEOREM_H, [c / 10**6 for c in counts])
+    assert not plan.full and len(plan.saturated) > 5000
+    assert oracle_is_cheaper(counts, THEOREM_H)
+    run(Configuration.from_counts(counts),
+        RunParams(h=THEOREM_H, max_rounds=1, stop_rule=STOP_MAX_ROUNDS, seed=9))
+    assert round_paths == ["oracle_step"]
+
+
+def test_auto_rule_does_not_depend_on_thread_count(monkeypatch):
+    points = [(n, h, _grid_counts(n, k, live))
+              for n in (10**4, 10**5, 10**6) for h in (3, 8, 24, 64, 200)
+              for k, live in ((16, 16), (16, 4), (64, 8))]
+    picks = []
+    for threads in (1, 2):
+        monkeypatch.setattr(sampler, "MAX_THREADS", threads)
+        oracle._plan.cache_clear()
+        picks.append([oracle_is_cheaper(counts, h) for n, h, counts in points])
+    assert picks[0] == picks[1]
+    assert any(picks[0]) and not all(picks[0])
 
 
 def test_auto_rule_counts_live_opinions_only(round_paths):
     # 62 dead opinions: the DP over 64 opinions costs more than the agents'
     # ids, the DP over the 2 live ones less
-    assert not oracle_is_cheaper(10**4, 3, 64, 64)
-    assert oracle_is_cheaper(10**4, 3, 64, 2)
+    assert not oracle_is_cheaper(_grid_counts(10**4, 64, 64), 3)
+    assert oracle_is_cheaper(_grid_counts(10**4, 64, 2), 3)
     run(Configuration.from_counts([5000, 5000] + [0] * 62),
         RunParams(h=3, max_rounds=1, stop_rule=STOP_MAX_ROUNDS, seed=3))
     assert round_paths == ["oracle_step"]

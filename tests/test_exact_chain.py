@@ -88,7 +88,7 @@ def test_auto_matches_exact_chain_across_a_switch(monkeypatch, round_paths):
     # the default step mode with a rule that leaves the agents once an
     # opinion dies: runs start on step's draw ids and end on oracle_step
     monkeypatch.setattr(dynamics, "oracle_is_cheaper",
-                        lambda n, h, k, live: live < k)
+                        lambda counts, h: 0 in counts)
     _check_sweep("k4-h3", "auto", 500, 61005)
     assert set(round_paths) == {"step", "oracle_step"}
 

@@ -422,6 +422,39 @@ def test_sweep_meta_names_the_step_mode_and_resume_keeps_it(
         write_sweep(spec, str(legacy))
 
 
+def test_sweep_resumes_only_its_own_spec(tmp_path):
+    # two trials under a 300-round cap, then four under a 2-round cap: the
+    # second call would append trials run under another cap
+    grid = dict(ns=(40,), ks=(2,), hs=(3,), bias_multiplier=2.0, master_seed=1)
+    first = SweepSpec(trials=2, max_rounds=300, **grid)
+    assert write_sweep(first, str(tmp_path)) == (2, 0)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    for other in (dict(max_rounds=2), dict(max_rounds=300, stop_rule="max_rounds_only")):
+        with pytest.raises(RecordFileError, match="another sweep spec"):
+            write_sweep(SweepSpec(trials=4, **other, **grid), str(tmp_path))
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+    # a meta file written before the digest resumes on the step mode alone
+    meta = json.loads((tmp_path / "sweep_meta.json").read_text())
+    del meta["spec_digest"]
+    (tmp_path / "sweep_meta.json").write_text(json.dumps(meta))
+    assert write_sweep(SweepSpec(trials=3, max_rounds=2, **grid), str(tmp_path)) == (1, 2)
+
+
+def test_sweep_extended_by_trials_is_byte_equal_to_one_run(tmp_path):
+    # one cell: records run cell by cell, so a longer run of one cell is
+    # the shorter one followed by the new trials
+    grid = dict(ns=(40,), ks=(3,), hs=(3,), bias_multiplier=2.0, master_seed=4,
+                max_rounds=300)
+    whole, grown = tmp_path / "whole", tmp_path / "grown"
+    assert write_sweep(SweepSpec(trials=5, **grid), str(whole)) == (5, 0)
+    assert write_sweep(SweepSpec(trials=2, **grid), str(grown)) == (2, 0)
+    assert write_sweep(SweepSpec(trials=5, **grid), str(grown)) == (3, 2)
+    records = [(out / "records.jsonl").read_bytes() for out in (whole, grown)]
+    assert records[0] == records[1]
+    metas = [json.loads((out / "sweep_meta.json").read_text()) for out in (whole, grown)]
+    assert metas[0] == metas[1] and metas[1]["trials"] == 5
+
+
 def test_bias_growth_audit_zero_trace():
     record = {
         "n": 100, "h": 1,

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hmajority import oracle
 from hmajority.cli import main
 from hmajority.montecarlo import Estimate, sample_win_events
 from hmajority.oracle import (
@@ -31,10 +32,13 @@ from hmajority.sampler import RngHandle
 from hmajority.theory import lemma9_lower
 
 from oracles import (
+    binomial_majority,
     exact_multinomial_pmf_fraction,
     naive_event_report,
     naive_pair_diffs,
     naive_win_distribution,
+    poisson_pmf_decimal,
+    unwindowed_win_distribution,
 )
 
 
@@ -144,6 +148,25 @@ def test_pmf_sums_to_one():
     for h, probs in [(6, (0.5, 0.3, 0.2)), (4, (0.7, 0.3)), (3, (0.4, 0.3, 0.2, 0.1))]:
         total = sum(multinomial_pmf(x, probs) for x in enumerate_outcomes(h, len(probs)))
         assert abs(total - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("lam", [0.003, 1.7, 12.47, 15.5, 62.8, 764.3, 4300.7])
+def test_log_poisson_matches_decimal_arithmetic(lam):
+    # Loader's form across the table/series switch at 15 and both bd0 forms
+    top = int(lam + 12 * math.sqrt(lam) + 40)
+    s = np.arange(top + 1)
+    exact = poisson_pmf_decimal(lam, top)
+    seen = exact > 1e-300
+    s = s[seen]
+    fast = oracle._log_poisson(s, lam)
+    slow = np.log(exact[seen])
+    # about (s + |s - lam|) eps from the direct form of bd0 (a few eps
+    # where its series runs), plus the rounding of a log of size |slow|
+    eps = np.finfo(np.float64).eps
+    err = np.abs(fast - slow)
+    assert np.all(err <= 2 * eps * (1 + s + np.abs(s - lam) + np.abs(slow)))
+    bulk = np.abs(s - lam) < 0.1 * (s + lam)
+    assert np.all(err[bulk] <= 4 * eps * (1 + np.abs(slow[bulk])))
 
 
 def test_log_pmf_impossible():
@@ -285,27 +308,114 @@ def test_oracle_cli_win_report_large_instance(capsys):
 
 
 @pytest.mark.parametrize("h, k, cells", [
+    # nothing cut: points x k x (h + 1) for each t >= ceil(h/k)
     (1, 2, 4),      # t = 1 alone, j = 0: one point of 2 x 2 cells
     (3, 2, 16),     # t = 2 and 3, both j = 0: two points of 2 x 4 cells
     (3, 4, 96),     # t = 1 takes j = 2, four points; t = 2 and 3 one each
-    (24, 10, 12750),
-    (200, 16, 1550112),
-    (68812, 16, 181592552464),
+    (16, 16, 12512),
+    # t = 24, every draw on one opinion, is saturated: 10 x 25 cells of
+    # the t-loop become one closed-form cell per opinion
+    (24, 10, 12750 - 250 + 10),
+    # the DP runs on t = 13..49 and t = 50..69 are saturated, of the
+    # unwindowed 1 550 112 cells over t = 13..200
+    (200, 16, 682112),
+    # t = 4301..4840 in full, above the cap as before (181 592 552 464)
+    (68812, 16, 1413294656),
 ])
 def test_dp_cells(h, k, cells):
-    assert dp_cells(h, k) == cells
+    assert dp_cells(h, (1 / k,) * k) == cells
 
 
 def test_win_distribution_refuses_theorem_h_fast():
-    # the refusal counts the cells of its 64 512 winning counts in numpy
-    message = "h=68812 over 16 live opinions needs 181592552464 cells"
+    # the refusal lays out the cells of its 540 full winning counts in numpy
+    message = "h=68812 over 16 live opinions needs 1413294656 cells"
     seconds = []
     for _ in range(5):
+        oracle._plan.cache_clear()
         start = time.perf_counter()
         with pytest.raises(TooLargeError, match=message):
             win_distribution(68812, (1 / 16,) * 16)
         seconds.append(time.perf_counter() - start)
     assert min(seconds) < 5e-3, seconds
+
+
+# ---------------------------------------------------------------------------
+# certified windows
+# ---------------------------------------------------------------------------
+
+
+def _near_consensus(k, top):
+    return (top,) + ((1.0 - top) / (k - 1),) * (k - 1)
+
+
+@pytest.mark.parametrize("h, probs", [
+    # the h = 200 rounds of simulate_large_n: 16 near-equal opinions, then
+    # opinion 1 at 31%
+    (200, (0.065051,) + (0.934949 / 15,) * 15),
+    (200, _near_consensus(16, 0.313778)),
+    (200, _near_consensus(16, 0.83)),
+    (500, (0.2, 0.18, 0.17, 0.16, 0.15, 0.14)),
+    (500, _near_consensus(6, 0.7)),
+], ids=["h200-balanced", "h200-p31", "h200-p83", "h500-balanced", "h500-p70"])
+def test_windowed_dp_matches_the_unwindowed_dp(h, probs):
+    plan = oracle.dp_plan(h, probs)
+    assert plan.cut and plan.saturated
+    w = win_distribution(h, probs)
+    reference = unwindowed_win_distribution(h, probs)
+    for fast, slow in zip((w.q, w.q_strict, w.q_ties), reference):
+        assert np.max(np.abs(np.array(fast) - slow)) <= 1e-13
+    assert abs(sum(w.q) - 1.0) <= 1e-13
+
+
+@pytest.mark.parametrize("h, p1", [
+    (3, 0.55), (24, 0.52), (200, 0.5), (201, 0.53), (2001, 0.51),
+    (5000, 0.505), (20000, 0.55), (68812, 0.53), (68812, 0.6), (68812, 0.83),
+])
+def test_two_opinions_match_the_binomial_reference(h, p1):
+    w = win_distribution(h, (p1, 1.0 - p1))
+    q1, strict, ties = binomial_majority(h, p1)
+    assert abs(w.q[0] - q1) <= 1e-12
+    assert abs(w.q_strict[0] - strict) <= 1e-12
+    assert abs(w.q_ties[0] - ties) <= 1e-12
+    assert abs(sum(w.q) - 1.0) <= 1e-12
+
+
+def test_near_consensus_at_theorem_h_is_a_law():
+    # round 1 of simulate_large_n's theorem call: every winning count in
+    # opinion 1's window is saturated, so the DP runs on no t at all
+    counts = (832_096,) + (11_194,) * 14 + (11_188,)
+    probs = tuple(c / 10**6 for c in counts)
+    plan = oracle.dp_plan(68812, probs)
+    assert not plan.full and len(plan.saturated) > 5000
+    assert plan.cells < 10**4
+    w = win_distribution(68812, probs)
+    assert abs(sum(w.q) - 1.0) <= 1e-12
+    assert w.q == w.q_strict == w.q_ties
+    assert w.q[0] > 1.0 - 1e-12
+
+
+def test_windows_cut_nothing_at_small_h():
+    # at h = 3 the plan is the unwindowed one whatever the probabilities
+    for probs in ((0.5, 0.5), (1e-4, 1.0 - 1e-4), (1 / 64,) * 64):
+        plan = oracle.dp_plan(3, probs)
+        assert not plan.cut and not plan.saturated
+        assert plan.full == range(-(-3 // len(probs)), 4)
+
+
+def test_conditional_sum_check_at_the_k2_cap():
+    # h = 2 097 151 fills the outcome table at k = 2; log-gamma
+    # differences of size h log h left 1.65e-12 here
+    assert conditional_sum_binomial_check(2097151, (0.6, 0.4)) <= 1e-12
+
+
+def test_hard_coded_gauss_legendre_nodes_are_leggauss_bits():
+    from numpy.polynomial.legendre import leggauss
+
+    for m in (1, 2):
+        x, w = leggauss(m)
+        nodes, weights = oracle._gauss_legendre01(m)
+        assert ((x + 1.0) / 2.0).tolist() == nodes.tolist()
+        assert (w / 2.0).tolist() == weights.tolist()
 
 
 def test_win_distribution_cap_raises_before_allocating():

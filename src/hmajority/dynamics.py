@@ -50,8 +50,8 @@ from .core import (
 from .oracle import (
     DP_CELL_CAP,
     WinDistribution,
-    cuts_nothing,
-    dp_plan,
+    full_floor,
+    live_plan,
     win_distribution,
 )
 from .sampler import (
@@ -252,13 +252,13 @@ def oracle_is_cheaper(counts, h: int) -> bool:
     that of the path step takes, which sampler.draws_take_ids picks from
     all k opinions, dead ones included: n x h ids at ID_CELLS each when
     k > h, else n x live chain binomials at BINOMIAL_CELLS each. A DP above
-    DP_CELL_CAP is never taken. The calls are counted from the windows
-    alone, O(k) work, so a DP whose calls already cost more than the
-    agents is refused before its layout is built; where oracle.cuts_nothing
-    holds they follow from h and the live count, and the refusal takes
-    O(1) after counting the dead opinions. Nothing here reads a
-    timing, the thread count or the environment, so the path, and with it
-    the RNG stream, is the same on every machine.
+    DP_CELL_CAP is never taken. oracle.full_floor bounds the calls from
+    below from h, the live count and the largest count in O(1), and the
+    windows count them in O(k) numpy work (O(1) up to about h = 8, where
+    oracle.cuts_nothing holds), so a DP whose calls already cost more than
+    the agents is refused before its layout is built. Nothing here
+    reads a timing, the thread count or the environment, so the path, and
+    with it the RNG stream, is the same on every machine.
     """
     n, live = sum(counts), len(counts) - counts.count(0)
     if live < 2:
@@ -267,11 +267,9 @@ def oracle_is_cheaper(counts, h: int) -> bool:
         agent_cost = ID_CELLS * n * h
     else:
         agent_cost = BINOMIAL_CELLS * n * live
-    if cuts_nothing(h, live):
-        # every t from ceil(h/live) to h runs in full, whatever the counts
-        if EINSUM_CELLS * (h - (h - 1) // live) * (live + 1) >= agent_cost:
-            return False
-    plan = dp_plan(h, [c / n for c in counts if c > 0])
+    if EINSUM_CELLS * full_floor(h, live, max(counts) / n) * (live + 1) >= agent_cost:
+        return False  # decided from h, live and the largest count alone
+    plan = live_plan(h, np.asarray(counts, dtype=np.float64) / n)
     call_cost = EINSUM_CELLS * len(plan.full) * (live + 1)
     if call_cost >= agent_cost:  # decided without laying out the DP
         return False

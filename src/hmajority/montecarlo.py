@@ -18,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
@@ -340,6 +341,23 @@ class SweepSpec:
             raise SweepSpecError(f"unknown pattern {self.pattern!r}")
         if self.pattern == PATTERN_CUSTOM and not self.custom_counts:
             raise SweepSpecError("custom pattern requires custom_counts")
+        # hold the fields as from_json_dict reads them, so a spec built with
+        # numpy integers or bias_multiplier=10 writes, hashes and compares
+        # as the same spec read from JSON
+        canonical = {name: tuple(int(v) for v in getattr(self, name))
+                     for name in ("ns", "ks", "hs")}
+        canonical["custom_counts"] = tuple(int(v) for v in self.custom_counts or ()) or None
+        for name in ("trials", "master_seed", "max_rounds"):
+            canonical[name] = int(getattr(self, name))
+        if isinstance(self.target_opinion, numbers.Integral) and not isinstance(
+            self.target_opinion, bool
+        ):
+            canonical["target_opinion"] = int(self.target_opinion)
+        for name in ("h_rule_c4", "bias_multiplier"):
+            if isinstance(getattr(self, name), numbers.Real):
+                canonical[name] = float(getattr(self, name))
+        for name, value in canonical.items():
+            object.__setattr__(self, name, value)
 
     @classmethod
     def from_json_dict(cls, data) -> "SweepSpec":

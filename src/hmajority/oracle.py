@@ -210,7 +210,6 @@ class DPPlan:
     hi: np.ndarray
     full: range
     saturated: range
-    cut: bool  # whether any window is narrower than 0..h
 
     @functools.cached_property
     def layout(self) -> tuple[np.ndarray, ...]:
@@ -227,14 +226,57 @@ class DPPlan:
         t = np.arange(self.full.start, self.full.stop)
         j = h // t - 1
         points = np.where(j == 0, 1, (j + 2) // 2 + 2)
-        if not self.cut:
-            return t, j, points, t + 1, h - t + 1
         top = np.sort(self.hi)
         below = np.searchsorted(top, t, side="right")
         reach = np.concatenate(([0], np.cumsum(top)))[below] + t * (k - below)
         length = np.minimum(h - t, reach - self.lo.sum()) + 1
         width = np.minimum(t, top[-1]) - self.lo.min() + 1
         return t, j, points, width, length
+
+    @functools.cached_property
+    def geometry(self) -> tuple:
+        """The prefix/suffix DP's indices, which depend on the plan only:
+        (degrees, inside, at, held, steps).
+
+        Factor l is Pois(lam_l) at degrees[l] where inside, its window
+        lo_l..hi_l stored from lo_l, and 0 past hi_l; a_l(t) sits at
+        at[r, l] where held[r, l]. For the r-th winning count t in full,
+        with deg = h - t, factor l keeps its degrees low..top,
+        low = min(lo, t, deg) and top = min(hi, t, deg): w = max(top - low)
+        + 1 slots, with keep masking the slots past top where some factor
+        is shorter (None where none is; a factor whose window starts above
+        min(t, deg) is one zero). ties are the (opinions, slots) of the
+        factors that reach degree t, and gather realigns after's degrees to
+        before's, deg - sum(low) + low_i - x (None where no shift is
+        needed). steps holds (j, n, w, keep, ties, gather) per t, with n
+        the product's degree axis from layout.
+        """
+        h, lo, hi = self.h, self.lo, self.hi
+        k = lo.size
+        span = np.arange(int((hi - lo).max()) + 1)
+        s = lo[:, None] + span
+        degrees, inside = np.minimum(s, hi[:, None]), s <= hi[:, None]
+        t_full, j_full, _, _, length = self.layout
+        tc = t_full[:, None]
+        deg = h - tc
+        low = np.minimum(lo, np.minimum(tc, deg))
+        top = np.minimum(hi, np.minimum(tc, deg))
+        width = (top - low).max(axis=1) + 1
+        trim = (top - lo < width[:, None] - 1).any(axis=1)
+        ties = (top == tc) & (tc <= deg)
+        shift = length[:, None] - 1 - deg + low.sum(axis=1, keepdims=True) - low
+        held = (lo <= tc) & (tc <= hi)
+        at = np.clip(tc - lo, 0, span.size - 1)
+        steps = []
+        for r, (t, j, n, w) in enumerate(zip(t_full.tolist(), j_full.tolist(),
+                                             length.tolist(), width.tolist())):
+            keep = span[:w] <= (top[r] - lo)[:, None] if trim[r] else None
+            rows = np.flatnonzero(ties[r])
+            gather = None
+            if shift[r].any():
+                gather = n + np.clip(shift[r], -n, n)[:, None] + np.arange(n)
+            steps.append((j, n, w, keep, (rows, t - lo[rows]), gather))
+        return degrees, inside, at, held, steps
 
     @functools.cached_property
     def saturated_spans(self) -> tuple[np.ndarray, np.ndarray]:
@@ -250,10 +292,7 @@ class DPPlan:
         full, plus one cell for each saturated (opinion, t). With nothing
         cut that is points x k x (h + 1) for each t >= ceil(h/k)."""
         _, _, points, width, length = self.layout
-        if self.cut:
-            cells = int((points * (width + length - 1)).sum()) * self.lo.size
-        else:
-            cells = int(points.sum()) * self.lo.size * (self.h + 1)
+        cells = int((points * (width + length - 1)).sum()) * self.lo.size
         if self.saturated:
             cells += int(self.saturated_spans[1].sum())
         return cells
@@ -261,9 +300,26 @@ class DPPlan:
 
 def dp_plan(h: int, p) -> DPPlan:
     """The DP plan of win_distribution(h, p) at h >= 1 with at least two
-    positive probabilities; O(k) work, the layout O(len(full)) on use."""
-    probs = tuple(v for v in coerce_probs(p) if v > 0.0)
-    return _plan(int(h), probs)
+    positive probabilities; see live_plan."""
+    return live_plan(int(h), np.array(coerce_probs(p)))
+
+
+def live_plan(h: int, probs: np.ndarray) -> DPPlan:
+    """dp_plan(h, probs) for a float array probs, unchecked, with its zeros
+    dropped: O(1) where cuts_nothing holds, else O(k) numpy work; the
+    layout costs O(len(full)) on use."""
+    probs = probs[probs > 0.0]
+    k = probs.size
+    if cuts_nothing(h, k):
+        return _unwindowed_plan(h, k)
+    lam = h * probs
+    level = _tail_level(h, k, abs(h * (math.fsum(probs.tolist()) - 1.0)))
+    lo, hi = _tail_windows(lam, level, h)
+    top2, top1 = np.partition(hi, k - 2)[-2:].tolist()
+    shallow = int(_tail_windows(lam.max(keepdims=True), level / 2, h)[1][0])
+    start = max(int(lo.max()), -(-h // k))
+    end = min(top2, shallow)
+    return DPPlan(h, lo, hi, range(start, end + 1), range(max(start, end + 1), top1 + 1))
 
 
 def _tail_level(h: int, k: int, excess: float = 0.0) -> float:
@@ -282,28 +338,28 @@ def cuts_nothing(h: int, k: int) -> bool:
     return 6 * (h - 1) <= _tail_level(h, k)
 
 
-@functools.lru_cache(maxsize=8)
-def _plan(h: int, probs: tuple[float, ...]) -> DPPlan:
-    k = len(probs)
-    if cuts_nothing(h, k):
-        return _unwindowed_plan(h, k)
-    lam = h * np.array(probs)
-    level = _tail_level(h, k, abs(h * (math.fsum(probs) - 1.0)))
-    lo, hi = _tail_windows(lam, level, h)
-    top2, top1 = np.sort(hi)[-2:].tolist()
-    shallow = int(_tail_windows(lam.max(keepdims=True), level / 2, h)[1][0])
-    start = max(int(lo.max()), -(-h // k))
-    end = min(top2, shallow)
-    return DPPlan(h, lo, hi, range(start, end + 1),
-                  range(max(start, end + 1), top1 + 1),
-                  bool(lo.any() or (hi < h).any()))
+def full_floor(h: int, k: int, p_max: float) -> int:
+    """A lower bound on len(live_plan(h, probs).full) over k live opinions
+    whose largest probability is p_max, in O(1). Windows start at 0 up to
+    lam = 2 ln(1/tau) and rise with lam above, so none starts after the
+    largest opinion's; the second-largest ends no lower than the window of
+    lam = 0; the shallow window is the largest opinion's; and ln(1/tau)
+    without the sum's excess gives windows within the plan's. The bounds
+    of _tail_windows are taken in the same IEEE operations on floats, and
+    one t of slack absorbs rounding."""
+    level = _tail_level(h, k)
+    lam = h * p_max
+    lo = max(math.ceil(lam - math.sqrt(2.0 * level * lam)) - 1, 0)
+    hi_empty = min(math.floor(level / 3.0) + 1, h)
+    shallow = min(math.floor(lam + math.sqrt(level * lam) + level / 6.0) + 1, h)
+    return max(min(hi_empty, shallow) - max(lo, -(-h // k)), 0)
 
 
 @functools.lru_cache(maxsize=64)
 def _unwindowed_plan(h: int, k: int) -> DPPlan:
     """Every window 0..h and every t from ceil(h/k) to h in full."""
     return DPPlan(h, np.zeros(k, np.int64), np.full(k, h, np.int64),
-                  range(-(-h // k), h + 1), range(0), False)
+                  range(-(-h // k), h + 1), range(0))
 
 
 def dp_cells(h: int, p) -> int:
@@ -479,14 +535,13 @@ def win_distribution(h: int, p) -> WinDistribution:
 def _win_dp(h: int, probs: np.ndarray) -> np.ndarray:
     """(3, k) array of q, q_strict, q_ties for h >= 1 and k >= 2 positive
     probabilities; see win_distribution."""
-    key = tuple(probs.tolist())
-    plan = _plan(h, key)
+    plan = live_plan(h, probs)
     if plan.cells > DP_CELL_CAP:
         raise TooLargeError(
             f"adoption-law DP at h={h} over {probs.size} live opinions needs "
             f"{plan.cells} cells, above the cap {DP_CELL_CAP}"
         )
-    total = math.fsum(key)
+    total = math.fsum(probs.tolist())
     # the normaliser Pois(h)(h) e^(h (1 - sum p)): with it the Poisson
     # factors give the multinomial exactly
     log_norm = _log_poisson_at_mean(h) - h * (total - 1.0)
@@ -511,55 +566,19 @@ def _prefix_suffix_dp(plan: DPPlan, lam: np.ndarray) -> np.ndarray:
     tie-split integrals of [z^(h-t)] prod_{l != i} F_l, each factor F_l cut
     to its window, for Poisson means lam; not yet divided by the
     normaliser."""
-    h, lo, hi = plan.h, plan.lo, plan.hi
     k = lam.size
     out = np.zeros((3, k))
     if not plan.full:
         return out
-    # a[l, s - lo_l] = Pois(lam_l)(s) over the window lo_l..hi_l, 0 past hi_l
-    span = np.arange(int((hi - lo).max()) + 1)
-    cut = plan.cut
-    if cut:
-        s = lo[:, None] + span
-        a = np.where(s <= hi[:, None],
-                     np.exp(_log_poisson(np.minimum(s, hi[:, None]), lam[:, None])), 0.0)
-    else:
-        a = np.exp(_log_poisson(span, lam[:, None]))
-    t_full, j_full, _, _, length = plan.layout
-    if cut:
-        # per t and l: factor l keeps its degrees low..top, stored from low,
-        # and is one zero when its window starts above min(t, deg)
-        t = t_full[:, None]
-        deg = h - t
-        low = np.minimum(lo, np.minimum(t, deg))
-        top = np.minimum(hi, np.minimum(t, deg))
-        width = (top - low).max(axis=1) + 1
-        trim = (top - lo < width[:, None] - 1).any(axis=1)
-        ties = (top == t) & (t <= deg)
-        # before[x] pairs with after's degree deg - sum(low) + low_i - x
-        shift = length[:, None] - 1 - deg + low.sum(axis=1, keepdims=True) - low
-        held = (lo <= t) & (t <= hi)
-        a_t = np.where(held, a[np.arange(k), np.clip(t - lo, 0, span.size - 1)], 0.0)
-    for r, (t, j) in enumerate(zip(t_full.tolist(), j_full.tolist())):
-        n = int(length[r])
+    degrees, inside, at, held, steps = plan.geometry
+    a = np.where(inside, np.exp(_log_poisson(degrees, lam[:, None])), 0.0)
+    a_t = np.where(held, a[np.arange(k), at], 0.0)
+    for r, (j, n, w, keep, ties, gather) in enumerate(steps):
         nodes, weights = _tie_split_points(j)
         g = nodes.size
-        if cut:
-            w = int(width[r])
-            factor = a[:, :w]
-            if trim[r]:
-                factor = factor * (span[:w] <= (top[r] - lo)[:, None])
-            factor = np.broadcast_to(factor, (g, k, w)).copy()
-            rows = np.flatnonzero(ties[r])
-            factor[:, rows, t - lo[rows]] *= nodes[:, None]
-            a_at_t = a_t[r]
-        else:
-            # every window is 0..h: the factors are a[:, :min(t, deg) + 1]
-            w = min(t, h - t) + 1
-            factor = np.broadcast_to(a[:, :w], (g, k, w)).copy()
-            if 2 * t <= h:
-                factor[:, :, t] *= nodes[:, None]
-            a_at_t = a[:, t]
+        factor = a[:, :w] if keep is None else a[:, :w] * keep
+        factor = np.broadcast_to(factor, (g, k, w)).copy()
+        factor[:, ties[0], ties[1]] *= nodes[:, None]
         # prefix products in both opinion orders at once: rows 0..g-1 run
         # l = 0..k-1, rows g..2g-1 run l = k-1..0; polynomials sit behind
         # w-1 zeros so a sliding window is one convolution step. A
@@ -572,13 +591,12 @@ def _prefix_suffix_dp(plan: DPPlan, lam: np.ndarray) -> np.ndarray:
             np.einsum("gdw,gw->gd", window[:, l], both[:, l], out=prod[:, l + 1, w - 1:])
         before = prod[:g, :, w - 1:]  # opinions < i, by degree
         after = prod[g:, ::-1, w - 1:][:, :, ::-1]  # opinions > i, reversed
-        if cut and shift[r].any():
+        if gather is not None:
             pad = np.zeros((g, k, n))
             after = np.concatenate((pad, after, pad), axis=-1)
-            at = n + np.clip(shift[r], -n, n)[:, None] + np.arange(n)
-            after = np.take_along_axis(after, np.broadcast_to(at, before.shape), axis=-1)
+            after = np.take_along_axis(after, np.broadcast_to(gather, before.shape), axis=-1)
         coef = np.einsum("gix,gix->gi", before, after)
-        out += (weights @ coef) * a_at_t
+        out += (weights @ coef) * a_t[r]
     return out
 
 

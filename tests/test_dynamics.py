@@ -467,11 +467,23 @@ def test_auto_rule_at_theorem_h_is_fast_and_builds_no_dp(monkeypatch):
     counts = _grid_counts(10**6, 16, 16)
     seconds = []
     for _ in range(20):
-        oracle._plan.cache_clear()
         start = time.perf_counter()
         assert not oracle_is_cheaper(counts, THEOREM_H)
         seconds.append(time.perf_counter() - start)
     assert min(seconds) < 1e-3, seconds
+
+
+def test_auto_rule_refuses_many_opinions_from_the_largest_count(monkeypatch):
+    # n = k = 1e5 at h = 24: the calls' lower bound from h, the live count
+    # and the largest count alone outweighs the agents, so no window of
+    # the 1e5 opinions is built
+    from hmajority import dynamics
+
+    def refuse(*args):
+        raise AssertionError("the rule built the windows")
+
+    monkeypatch.setattr(dynamics, "live_plan", refuse)
+    assert not oracle_is_cheaper((1,) * 10**5, 24)
 
 
 def test_auto_rule_takes_the_oracle_near_consensus_at_theorem_h(round_paths):
@@ -493,7 +505,6 @@ def test_auto_rule_does_not_depend_on_thread_count(monkeypatch):
     picks = []
     for threads in (1, 2):
         monkeypatch.setattr(sampler, "MAX_THREADS", threads)
-        oracle._plan.cache_clear()
         picks.append([oracle_is_cheaper(counts, h) for n, h, counts in points])
     assert picks[0] == picks[1]
     assert any(picks[0]) and not all(picks[0])

@@ -23,6 +23,8 @@ GOLDEN = {
         "aeb86d9218eb780856e632034a079255872252f690fd01d546692b27e6629c57",
     "simulate_auto":
         "ba1e1ef72df91049e96b4c903dfd589fac3a0f70e0cde017a16a2c6bfb44866b",
+    "sweep_auto_small_h":
+        "0a4be021ff396697d854152f8271b4a16722cf8bf746e607023591592adc6610",
 }
 
 
@@ -84,3 +86,14 @@ def test_auto_trajectory_bytes(tmp_path, capsys, round_paths):
     capsys.readouterr()
     assert set(round_paths) == {"step", "oracle_step"}
     assert digest == GOLDEN["simulate_auto"]
+
+
+def test_auto_sweep_records_bytes(tmp_path, round_paths):
+    # the default step mode at n = 1e4, h = 3, k = 8 from a balanced start:
+    # oracle rounds draw Multinomial(n, q) with q from the Loader-form
+    # Poisson factors, and on these near-symmetric rounds an ulp of q
+    # changes the draw, so trial 4 pins those factors' bits
+    spec = SweepSpec(ns=(10**4,), ks=(8,), hs=(3,), trials=5, master_seed=50)
+    assert write_sweep(spec, str(tmp_path)) == (5, 0)
+    assert "oracle_step" in round_paths
+    assert _sha256(tmp_path / "records.jsonl") == GOLDEN["sweep_auto_small_h"]

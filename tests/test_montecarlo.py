@@ -440,6 +440,24 @@ def test_sweep_resumes_only_its_own_spec(tmp_path):
     assert write_sweep(SweepSpec(trials=3, max_rounds=2, **grid), str(tmp_path)) == (1, 2)
 
 
+def test_sweep_spec_holds_its_fields_as_json_reads_them(tmp_path):
+    # numpy integers and an integer bias multiplier are the spec that JSON
+    # reads back: they write a sweep, and either form resumes it
+    grid = dict(ns=(np.int64(40),), ks=[np.int32(2)], hs=(np.int64(3),),
+                master_seed=np.int64(1), max_rounds=np.int64(100))
+    spec = SweepSpec(trials=2, bias_multiplier=2, **grid)
+    loaded = SweepSpec.from_json_dict({
+        "schema_version": 1, "n": [40], "k": [2], "h": [3], "bias_multiplier": 2,
+        "trials": 2, "master_seed": 1, "max_rounds": 100,
+    })
+    assert spec == loaded and type(spec.bias_multiplier) is float
+    assert all(type(v) is int for v in (*spec.ns, *spec.ks, *spec.hs, spec.master_seed))
+    assert write_sweep(spec, str(tmp_path)) == (2, 0)
+    assert write_sweep(dataclasses.replace(loaded, trials=3), str(tmp_path)) == (1, 2)
+    more = SweepSpec(trials=4, bias_multiplier=np.float64(2.0), **grid)
+    assert write_sweep(more, str(tmp_path)) == (1, 3)
+
+
 def test_sweep_extended_by_trials_is_byte_equal_to_one_run(tmp_path):
     # one cell: records run cell by cell, so a longer run of one cell is
     # the shorter one followed by the new trials

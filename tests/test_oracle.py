@@ -331,7 +331,6 @@ def test_win_distribution_refuses_theorem_h_fast():
     message = "h=68812 over 16 live opinions needs 1413294656 cells"
     seconds = []
     for _ in range(5):
-        oracle._plan.cache_clear()
         start = time.perf_counter()
         with pytest.raises(TooLargeError, match=message):
             win_distribution(68812, (1 / 16,) * 16)
@@ -359,7 +358,7 @@ def _near_consensus(k, top):
 ], ids=["h200-balanced", "h200-p31", "h200-p83", "h500-balanced", "h500-p70"])
 def test_windowed_dp_matches_the_unwindowed_dp(h, probs):
     plan = oracle.dp_plan(h, probs)
-    assert plan.cut and plan.saturated
+    assert plan.saturated and ((plan.lo > 0).any() or (plan.hi < h).any())
     w = win_distribution(h, probs)
     reference = unwindowed_win_distribution(h, probs)
     for fast, slow in zip((w.q, w.q_strict, w.q_ties), reference):
@@ -398,8 +397,27 @@ def test_windows_cut_nothing_at_small_h():
     # at h = 3 the plan is the unwindowed one whatever the probabilities
     for probs in ((0.5, 0.5), (1e-4, 1.0 - 1e-4), (1 / 64,) * 64):
         plan = oracle.dp_plan(3, probs)
-        assert not plan.cut and not plan.saturated
+        assert not plan.lo.any() and (plan.hi == 3).all() and not plan.saturated
         assert plan.full == range(-(-3 // len(probs)), 4)
+
+
+def test_full_floor_bounds_the_planned_winning_counts():
+    # the auto rule refuses on full_floor before it reads every count, so
+    # it must never exceed the plan's count; where nothing is cut it is
+    # that count less its one t of slack
+    rng = np.random.default_rng(26)
+    for h in (2, 3, 8, 9, 12, 24, 64, 200, 1000, 68812):
+        for k in (2, 3, 16, 64):
+            for alpha in (0.05, 1.0, 50.0):
+                probs = rng.dirichlet(np.full(k, alpha))
+                probs = probs[probs > 0.0]
+                if probs.size < 2:
+                    continue
+                full = len(oracle.live_plan(h, probs).full)
+                floor = oracle.full_floor(h, probs.size, float(probs.max()))
+                assert 0 <= floor <= full
+                if oracle.cuts_nothing(h, probs.size):
+                    assert floor == full - 1
 
 
 def test_conditional_sum_check_at_the_k2_cap():

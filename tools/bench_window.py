@@ -12,7 +12,8 @@ JSON document with:
   it gives in closed form, and the largest |q change - q parent|. Where a
   side refuses the DP, the agent step's time is given instead;
 * ``refusal``: the time ``oracle_is_cheaper`` takes to refuse round 0 of
-  the theorem-h call, plan cache cleared before each call;
+  the theorem-h call, and a round at n = k = 1e5, h = 24 beside the
+  agent step it leaves the round to;
 * ``grid``: the auto rule on the ``BENCH_25.json`` grid points whose DP
   plan is cut (h >= 12), with the oracle re-timed on this checkout and the
   agent times read from that file; points with nothing cut keep their
@@ -40,6 +41,8 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 N = 10**6
 THEOREM_H = 68_812
+# a round the rule must refuse from its largest count: n = k = 1e5, h = 24
+LARGE_K, LARGE_K_H = 10**5, 24
 
 
 def simulate_large_n_rounds(dynamics, Configuration, balanced_plus_bias_counts):
@@ -60,7 +63,7 @@ def simulate_large_n_rounds(dynamics, Configuration, balanced_plus_bias_counts):
 
 def probe(src: str) -> dict:
     """Time one side's oracle on the simulate_large_n rounds and its
-    refusal of the theorem-h call's round 0."""
+    refusal of the theorem-h call's round 0 and of a large-k round."""
     sys.path.insert(0, src)
     from hmajority import dynamics, oracle
     from hmajority.core import Configuration
@@ -97,18 +100,20 @@ def probe(src: str) -> dict:
             row["t_saturated"] = 0
         out["rounds"][name] = row
 
-    seconds = []
-    for _ in range(50):
-        if windowed:
-            oracle._plan.cache_clear()
+    for key, h, counts, repeats in (
+            ("refusal_us", THEOREM_H, theorem_round0, 50),
+            ("refusal_large_k_us", LARGE_K_H, (1,) * LARGE_K, 20)):
+        args = (counts, h) if windowed else (sum(counts), h, len(counts), len(counts))
+        seconds = []
+        for _ in range(repeats):
             start = time.perf_counter()
-            assert not dynamics.oracle_is_cheaper(theorem_round0, THEOREM_H)
-        else:
-            start = time.perf_counter()
-            assert not dynamics.oracle_is_cheaper(N, THEOREM_H, 16, 16)
-        seconds.append(time.perf_counter() - start)
-    out["refusal_us"] = {"best": min(seconds) * 1e6,
-                         "median": statistics.median(seconds) * 1e6}
+            assert not dynamics.oracle_is_cheaper(*args)
+            seconds.append(time.perf_counter() - start)
+        out[key] = {"best": min(seconds) * 1e6,
+                    "median": statistics.median(seconds) * 1e6}
+    cfg = Configuration.from_counts((1,) * LARGE_K)
+    out["refusal_large_k_us"]["agent_step_us"] = 1e6 * min(
+        _timed(lambda: dynamics.step(cfg, LARGE_K_H, RngHandle(1))) for _ in range(3))
     return out
 
 
@@ -149,7 +154,7 @@ def grid_check() -> dict:
             probs = tuple(c / n for c in counts)
             plan = oracle.dp_plan(h, probs)
             oracle_ms = row["oracle_ms"]
-            if plan.cut or plan.saturated:
+            if (plan.lo > 0).any() or (plan.hi < h).any() or plan.saturated:
                 cut_points += 1
                 if (n, h, k, live) not in timed:
                     timed[n, h, k, live] = _oracle_ms(oracle, dynamics, Configuration,
@@ -181,7 +186,6 @@ def _oracle_ms(oracle, dynamics, Configuration, RngHandle, h, counts):
     probs = tuple(c / cfg.n for c in counts)
 
     def once():
-        oracle._plan.cache_clear()
         dynamics.oracle_step(cfg, oracle.win_distribution(h, probs), RngHandle(1))
 
     try:
@@ -265,6 +269,8 @@ def main() -> int:
         "rounds": {"parent": before["rounds"], "change": after["rounds"]},
         "refusal_theorem_round0_us": {"parent": before["refusal_us"],
                                       "change": after["refusal_us"]},
+        "refusal_large_k_us": {"parent": before["refusal_large_k_us"],
+                               "change": after["refusal_large_k_us"]},
         "grid": grid_check(),
         "end_to_end": end_to_end(parent, args.pairs) if args.pairs else None,
     }

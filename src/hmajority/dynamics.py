@@ -4,17 +4,10 @@ Each round, every one of the n agents independently samples h neighbors
 uniformly at random with repetition (self-loops included: the sampling law
 is exactly counts/n) and adopts the most frequent sampled opinion, breaking
 ties uniformly at random. Agents are anonymous; a round only needs the
-aggregated outcome counts, so it samples the n agents in blocks of at most
-sampler.CHUNK_CELLS cells. With k > h a block holds each agent's h draw ids
-(rows x h cells, whatever k is), the opinions of h uniform agents (see
-sampler.sample_draw_chunks), and the agent adopts the tied-maximum opinion
-drawn first, which is exactly uniform over the tied set (see
-sampler.mode_of_draws). With k <= h each agent walks the binomial chain
-over the opinions in descending probability and stops once its leader is
-out of reach, and ties take one uniform draw (sampler.sample_chain_modes).
-For h <= 255 each binomial of the chain is one uniform inverted through a
-guide table of its CDF, exact to about (h + 1) eps with less than 2^-53 of
-tail cut; larger h draws from numpy's binomial.
+aggregated outcome counts, so step sums the winners of the blocks of
+sampler.sample_modes. Its path rule is sampler.draws_take_ids: with k > h
+each agent's mode comes from its h draw ids, otherwise from the binomial
+chain over the opinions in descending share.
 
 oracle_step draws the same next configuration from its exact law instead:
 Multinomial(n, q), with q the one-agent adoption law of
@@ -58,9 +51,7 @@ from .sampler import (
     RngHandle,
     draw_multinomial,
     draws_take_ids,
-    mode_of_draws,
-    sample_chain_modes,
-    sample_draw_chunks,
+    sample_modes,
 )
 
 
@@ -179,16 +170,9 @@ def step(config: Configuration, h: int, rng: RngHandle) -> Configuration:
     """One synchronous round at agent level.
 
     Every agent draws h opinions with law counts/n and adopts the mode with
-    u.a.r. tie-breaking; the n outcomes are aggregated into the next
-    configuration. The path follows sampler.draws_take_ids: with k > h the
-    modes come from the draw ids, the opinions of uniform agents
-    (sampler.sample_draw_chunks), otherwise from the binomial chain over the
-    opinions in descending share. There an agent draws no further opinion
-    once its top count exceeds its remaining draws. That is exact: every
-    undrawn count is at most the remaining draws, so none can reach the
-    top, and the set of maxima, ties included, is already fixed.
-    Consensus is absorbing: every sample then consists of the consensus
-    opinion only, so the input is returned as is.
+    u.a.r. tie-breaking: the winners of sampler.sample_modes, aggregated
+    into the next configuration. Consensus is absorbing: every sample then
+    consists of the consensus opinion only, so the input is returned as is.
     """
     require_integer(h, "h", ValueError)
     if h < 1:
@@ -197,14 +181,9 @@ def step(config: Configuration, h: int, rng: RngHandle) -> Configuration:
         return config
     k = config.k
     new_counts = np.zeros(k, dtype=np.int64)
-    if draws_take_ids(k, h):
-        counts = np.asarray(config.counts, dtype=np.int64)
-        for draws in sample_draw_chunks(h, counts, rng, config.n):
-            new_counts += np.bincount(mode_of_draws(draws)[0], minlength=k)
-    else:
-        probs = np.asarray(config.counts, dtype=np.float64) / config.n
-        for winners, _, _, _ in sample_chain_modes(h, probs, rng, config.n):
-            new_counts += np.bincount(winners, minlength=k)
+    counts = np.asarray(config.counts, dtype=np.int64)
+    for winners, _, _, _ in sample_modes(h, counts, rng, config.n):
+        new_counts += np.bincount(winners, minlength=k)
     return Configuration(counts=tuple(new_counts.tolist()), n=config.n)
 
 

@@ -43,11 +43,8 @@ from .dynamics import (
 from .sampler import (
     InvalidProbError,
     RngHandle,
-    draws_take_ids,
-    mode_of_draws,
-    sample_chain_modes,
     sample_counts_chunks,
-    sample_draw_chunks,
+    sample_modes,
 )
 from .theory import (
     DEFAULT_C3,
@@ -130,7 +127,8 @@ class WinEventCounts:
 
 
 def sample_win_events(h: int, p, trials: int, rng: RngHandle) -> WinEventCounts:
-    """Count winning events over repeated independent sample vectors."""
+    """Count winning events over trials independent samples of h opinions,
+    whose modes come from sampler.sample_modes."""
     probs = coerce_probs(p)
     require_integer(h, "h", InvalidProbError)
     require_integer(trials, "trials", InvalidProbError)
@@ -141,11 +139,7 @@ def sample_win_events(h: int, p, trials: int, rng: RngHandle) -> WinEventCounts:
     strict_1 = 0
     ties_1 = 0
     strict_pair = 0
-    if draws_take_ids(k, h):
-        blocks = map(_id_modes, sample_draw_chunks(h, probs, rng, trials))
-    else:
-        blocks = sample_chain_modes(h, probs, rng, trials)
-    for winners, _, ties, first_is_top in blocks:
+    for winners, _, ties, first_is_top in sample_modes(h, probs, rng, trials):
         strict = ties == 1
         ties_1 += int(first_is_top.sum())
         strict_1 += int((strict & (winners == 0)).sum())
@@ -158,13 +152,6 @@ def sample_win_events(h: int, p, trials: int, rng: RngHandle) -> WinEventCounts:
         ties_1=ties_1,
         strict_pair_12=strict_pair,
     )
-
-
-def _id_modes(draws: np.ndarray):
-    """The blocks of sample_chain_modes from a block of draw ids:
-    mode_of_draws and whether opinion 1 holds the top count."""
-    winners, top, ties = mode_of_draws(draws)
-    return winners, top, ties, (draws == 0).sum(axis=1) == top
 
 
 @dataclass(frozen=True)

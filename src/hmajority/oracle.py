@@ -362,12 +362,6 @@ def _unwindowed_plan(h: int, k: int) -> DPPlan:
                   range(-(-h // k), h + 1), range(0))
 
 
-def dp_cells(h: int, p) -> int:
-    """Cells of win_distribution's DP at h >= 1 over at least two positive
-    probabilities: dp_plan(h, p).cells."""
-    return dp_plan(h, p).cells
-
-
 def _outcome_table(h: int, probs) -> tuple[np.ndarray, np.ndarray]:
     """(x, pmf) over the whole outcome space.
 
@@ -688,7 +682,7 @@ def event_report(h: int, p, rare_x: float = 0.25) -> EventReport:
 class BinomialPairReport:
     """Exact comparison probabilities for Y1 ~ Bin(m, q), Y2 = m - Y1.
 
-    diff_unconditional = Pr(Y1 > Y2) - Pr(Y2 > Y1) by direct pmf summation.
+    diff_unconditional = Pr(Y1 > Y2) - Pr(Y2 > Y1) by pmf summation.
     diff_given_max_ge[i] conditions the same difference on
     M = max(Y1, Y2) >= thresholds[i], evaluated through the closed form for
     Pr(Y1 > Y2 | M = j). theory.lemma9_lower(m, 2q - 1) is the paper's
@@ -709,20 +703,24 @@ def binomial_pair_table(m: int, qs) -> tuple[np.ndarray, tuple[int, ...], np.nda
     over an array qs of q values; the caller checks m and q.
 
     Returns (diff, thresholds, table): diff[i] = Pr(Y1 > Y2) - Pr(Y2 > Y1)
-    at qs[i] by direct pmf summation, thresholds = ceil(m/2)..m, and
+    at qs[i] by summing the pmf of Y1 <= Y2, thresholds = ceil(m/2)..m, and
     table[i, t] the same difference conditioned on M = max(Y1, Y2) >=
     thresholds[t], through the closed form
-    Pr(Y1 > Y2 | M = j) = 1 / (1 + exp(-(2j - m) logit(q))).
+    Pr(Y1 > Y2 | M = j) = 1 / (1 + exp(-(2j - m) logit(q))). The pmf is
+    a product of three _log_poisson factors, within a few eps of itself at
+    any m.
     """
     qs = np.asarray(qs, dtype=np.float64)
     j = np.arange(m + 1)
-    lgam = np.array([math.lgamma(i + 1) for i in range(m + 1)])
-    log_c = lgam[m] - lgam - lgam[::-1]
-    pmf = np.exp(
-        log_c + j * np.log(qs)[:, None] + (m - j) * np.log1p(-qs)[:, None]
-    )
-    upper = j[2 * j > m]
-    diff = (pmf[:, upper] - pmf[:, m - upper]).sum(axis=1)
+    # Bin(m, q)(j) = Pois(mq)(j) Pois(m(1 - q))(m - j) / Pois(m)(m)
+    pmf = np.exp(_log_poisson(j, m * qs[:, None])
+                 + _log_poisson(m - j, m * (1.0 - qs)[:, None])
+                 - _log_poisson_at_mean(m))
+    # 1 - 2 Pr(Y1 < Y2) - Pr(Y1 = Y2): at most 1, and the small side keeps
+    # its relative accuracy where the difference nears 1
+    diff = 1.0 - 2.0 * pmf[:, : -(-m // 2)].sum(axis=1)
+    if m % 2 == 0:
+        diff -= pmf[:, m // 2]
 
     # mass and signed comparison mass at each value j of M
     lo = math.ceil(m / 2)

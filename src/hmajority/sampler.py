@@ -1,7 +1,10 @@
 """Bounded-cost random draws: multinomial count vectors from numpy's own
 multinomial kernel, memory-capped blocks of them or of raw category ids,
-and the row-wise mode with uniform tie-break of the rounds' samples, from
-the conditional-binomial chain or straight from the ids.
+and sample_modes, the one agent-mode kernel: the modes, with uniform
+tie-break, of n samples of h opinions, for the rounds of dynamics.step and
+the one-agent events of montecarlo.sample_win_events. Its path rule is
+draws_take_ids: the conditional-binomial chain for k <= h, the draw ids
+for k > h.
 
 All randomness flows through RngHandle, a counter-based Philox stream keyed
 by (master_seed, stream_id): identical keys give byte-identical draw
@@ -39,8 +42,8 @@ guide is the table of the n agents' opinions and a draw needs no search.
 The mode from the ids needs no random draw: among tied maxima the id drawn
 first wins. Rows of at most _PAIRWISE_MAX_H ids compare every pair of
 id columns once and count matches per draw position in bytes; longer rows
-sort each row's (id, position) keys. Both return the same winners, counts
-and tie sizes, in O(rows x h) memory.
+sort each row's (id, position) keys. Both return the same winners, counts,
+tie sizes and first_is_top, in O(rows x h) memory.
 """
 
 from __future__ import annotations
@@ -122,8 +125,8 @@ def sample_counts_matrix(h: int, p, rng: RngHandle, rows: int) -> np.ndarray:
     One Generator.multinomial call on the caller's generator, on one
     thread: numpy's kernel runs the conditional-binomial chain row by row,
     O(k) per row whatever h is. Callers bound rows x k through
-    sample_counts_chunks. Rounds take their modes from sample_chain_modes
-    (k <= h) or from draw ids (k > h) and never build this matrix.
+    sample_counts_chunks. Rounds and one-agent events take their modes from
+    sample_modes and never build this matrix.
     """
     probs = np.asarray(coerce_probs(p), dtype=np.float64)
     require_integer(h, "h", InvalidProbError)
@@ -405,11 +408,35 @@ def sample_counts_chunks(h: int, p, rng: RngHandle, n: int):
 
 
 def draws_take_ids(k: int, h: int) -> bool:
-    """The path rule: with 0 < h < k a row's h category ids are fewer than
-    its k counts, so rounds take each agent's mode from its ids
+    """The path rule of sample_modes: with 0 < h < k a row's h category ids
+    are fewer than its k counts, so each agent's mode comes from its ids
     (sample_draw_chunks + mode_of_draws); otherwise from the binomial chain
     (sample_chain_modes)."""
     return 0 < h < k
+
+
+def sample_modes(h: int, weights, rng: RngHandle, n: int):
+    """Yield (winner, top, ties, first_is_top) blocks of the modes of n
+    agents' samples of h opinions, drawn with law weights / sum(weights):
+    the one agent-mode kernel of rounds and one-agent events.
+
+    weights are non-negative integer counts or validated probabilities.
+    winner is the adopted opinion (0-based), top its count, ties the number
+    of opinions at that count, and first_is_top whether opinion 1 holds it.
+    draws_take_ids(k, h) picks the path. With k > h the modes are those of
+    the draw ids (sample_draw_chunks + mode_of_draws), whose tie rule needs
+    no random draw. Otherwise they come from the binomial chain
+    (sample_chain_modes), integer counts becoming counts / sum(counts) in
+    float64, with one uniform draw per tied row.
+    """
+    w = np.asarray(weights)
+    if draws_take_ids(w.size, h):
+        for draws in sample_draw_chunks(h, w, rng, n):
+            yield mode_of_draws(draws)
+        return
+    if w.dtype.kind != "f":
+        w = w / w.sum()
+    yield from sample_chain_modes(h, w, rng, n)
 
 
 def sample_draw_chunks(h: int, weights, rng: RngHandle, n: int):
@@ -473,8 +500,9 @@ def mode_of_draws(draws: np.ndarray):
     """Per-row mode of a (rows, h) array of non-negative category ids,
     h >= 1.
 
-    Returns (winner, top, ties): the winning id, its count, and the number
-    of ids that share that count. Among tied ids the winner is the one
+    Returns (winner, top, ties, first_is_top): the winning id, its count,
+    the number of ids that share that count, and whether id 0 holds that
+    count. Among tied ids the winner is the one
     whose first draw comes earliest. That is exactly uniform over the tied
     set with no random draw: the draws are i.i.d., so given the counts every
     order of them is equally likely, and swapping two tied labels maps the
@@ -495,7 +523,8 @@ def _mode_pairwise(draws: np.ndarray):
     Each draw position counts the positions holding its id: every pair of
     id columns is compared once and a match adds one to both counts. The
     winner is the id at the first position with the largest count, found
-    as the maximum of count << 8 | (255 - position). O(h^2) per row.
+    as the maximum of count << 8 | (255 - position), and id 0 holds the top
+    count when a position of id 0 does. O(h^2) per row.
     """
     rows, h = draws.shape
     hi = int(draws.max())
@@ -513,8 +542,10 @@ def _mode_pairwise(draws: np.ndarray):
     top = (best >> 8).astype(np.uint8)
     winner = draws[np.arange(rows), 255 - (best & 255)]
     # each tied id holds top positions at the top count
-    ties = (count == top).sum(axis=0) // top
-    return winner, top.astype(np.int64), ties
+    at_top = count == top
+    ties = at_top.sum(axis=0) // top
+    at_top &= cols == 0
+    return winner, top.astype(np.int64), ties, at_top.any(axis=0)
 
 
 def _mode_sorted(draws: np.ndarray):
@@ -522,7 +553,8 @@ def _mode_sorted(draws: np.ndarray):
 
     Each row is sorted by (id, position) keys, id << shift | position, in
     int32 when they fit; its runs of equal ids give every id's count and
-    first position. O(h log h) per row.
+    first position; id 0 holds the top count when it is the row's first run
+    and that run is top long. O(h log h) per row.
     """
     rows, h = draws.shape
     cells = rows * h
@@ -553,7 +585,9 @@ def _mode_sorted(draws: np.ndarray):
     winner = draws.ravel()[row_start + (mask - (best & mask))]
     runs_per_row = np.diff(row_runs, append=runs.size)
     ties = np.add.reduceat(length == np.repeat(top, runs_per_row), row_runs)
-    return winner, top, ties
+    # a row's first run holds its smallest id
+    first_is_top = (ids[row_start] == 0) & (length[row_runs] == top)
+    return winner, top, ties, first_is_top
 
 
 def argmax_rows_with_tiebreak(counts: np.ndarray, rng: RngHandle) -> np.ndarray:

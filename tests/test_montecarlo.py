@@ -118,6 +118,28 @@ def test_sample_win_events_chain_path_matches_win_distribution(h, p, seed):
         assert est.wilson_low <= exact <= est.wilson_high, (events, exact)
 
 
+@pytest.mark.parametrize("h, p, trials, seed, expected", [
+    # k > h, h <= 24: pairwise mode of the draw ids
+    (3, (0.3, 0.25, 0.2, 0.15, 0.1), 100_000, 2801,
+     {"win": (32310, 25566, 19421, 13854, 8849), "strict_1": 21637,
+      "ties_1": 53733, "strict_pair_12": 37200}),
+    # k > h > 24: sorted mode of the draw ids
+    (40, (0.3,) + (0.7 / 40,) * 40, 70_000, 2803,
+     {"win[0]": 69902, "strict_1": 69845, "ties_1": 69963,
+      "strict_pair_12": 69846}),
+    # k <= h: the binomial chain
+    (12, (0.4, 0.3, 0.2, 0.1), 100_000, 2802,
+     {"win": (58844, 29516, 10222, 1418), "strict_1": 52165,
+      "ties_1": 66483, "strict_pair_12": 75608}),
+], ids=["pairwise", "sorted", "chain"])
+def test_sample_win_events_keeps_its_stream_on_every_mode_kernel(
+        h, p, trials, seed, expected):
+    counts = sample_win_events(h, p, trials, RngHandle(seed))
+    seen = {"win": counts.win, "win[0]": counts.win[0], "strict_1": counts.strict_1,
+            "ties_1": counts.ties_1, "strict_pair_12": counts.strict_pair_12}
+    assert {key: seen[key] for key in expected} == expected
+
+
 def test_sample_win_events_rejects_negative_trials():
     with pytest.raises(InvalidProbError):
         sample_win_events(3, (0.5, 0.5), -1, RngHandle(1))

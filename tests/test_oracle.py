@@ -21,7 +21,6 @@ from hmajority.oracle import (
     _log_pmf,
     _outcome_table,
     conditional_sum_binomial_check,
-    dp_cells,
     event_report,
     g_function,
     outcome_count,
@@ -323,7 +322,7 @@ def test_oracle_cli_win_report_large_instance(capsys):
     (68812, 16, 1413294656),
 ])
 def test_dp_cells(h, k, cells):
-    assert dp_cells(h, (1 / k,) * k) == cells
+    assert oracle.dp_plan(h, (1 / k,) * k).cells == cells
 
 
 def test_win_distribution_refuses_theorem_h_fast():
@@ -580,6 +579,18 @@ def test_pair_report_lowest_threshold_is_unconditional():
     for m in (3, 5, 9):
         report = binomial_pair_report(m, 0.7)
         assert abs(report.diff_given_max_ge[0] - report.diff_unconditional) < 1e-12
+
+
+@pytest.mark.parametrize("m, q", [(5000, 0.6), (10000, 0.51)])
+def test_pair_report_matches_scipy_at_large_m(m, q):
+    # a log-gamma binomial coefficient lost about m log m eps here and read
+    # 1.0000000000016678 at (5000, 0.6)
+    from scipy.stats import binom
+
+    diff = binomial_pair_report(m, q).diff_unconditional
+    reference = binom.sf(m // 2, m, q) - binom.cdf((m - 1) // 2, m, q)
+    assert abs(diff - reference) <= 1e-12
+    assert diff <= 1.0
 
 
 def test_lemma9_bound_holds_for_odd_m():

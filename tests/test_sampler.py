@@ -539,9 +539,10 @@ def test_mode_of_draws_tie_rule_exact_over_orderings(multiset):
     best = max(counts.values())
     tied = sorted(label for label, c in counts.items() if c == best)
     for kernel in KERNELS:
-        winner, top, ties = kernel(orders)
+        winner, top, ties, first_is_top = kernel(orders)
         assert np.all(top == best)
         assert np.all(ties == len(tied))
+        assert np.all(first_is_top == (counts[0] == best))
         wins = Counter(winner.tolist())
         assert sorted(wins) == tied
         assert set(wins.values()) == {len(orders) // len(tied)}
@@ -560,12 +561,13 @@ def test_mode_of_draws_matches_count_matrix_mode():
         if kernel is sampler._mode_pairwise and draws.shape[1] > 255:
             continue
         k = int(draws.max()) + 1
-        winner, top, ties = kernel(draws)
+        winner, top, ties, first_is_top = kernel(draws)
         dense = np.zeros((draws.shape[0], k), dtype=np.int64)
         np.add.at(dense, (np.arange(draws.shape[0])[:, None], draws), 1)
         rowmax = dense.max(axis=1)
         assert np.array_equal(top, rowmax)
         assert np.array_equal(ties, (dense == rowmax[:, None]).sum(axis=1))
+        assert np.array_equal(first_is_top, dense[:, 0] == rowmax)
         assert np.array_equal(dense[np.arange(draws.shape[0]), winner], rowmax)
 
 

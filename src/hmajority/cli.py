@@ -127,7 +127,6 @@ def _cmd_oracle(args) -> int:
     except HMajorityError as exc:
         raise ConfigError(str(exc))
     doc = {**asdict(report), "k": report.k, "schema_version": SCHEMA_VERSION}
-    doc.pop("outcomes", None)  # per-outcome tie-map detail stays in the API
     text = json.dumps(doc, indent=2)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -18,7 +18,7 @@ oracle round whenever oracle_is_cheaper finds its DP within DP_CELL_CAP and
 cheaper than sampling the agents: the cells and einsum calls of the DP's
 plan over the live opinions against the draws of the path step takes,
 n x h ids when k > h or n x (live k) chain binomials otherwise. The plan
-is oracle.dp_plan: certified Poisson windows of the round's counts leave
+is oracle.live_plan: certified Poisson windows of the round's counts leave
 out the winning counts whose mass is below 2^-60 / ((h + 1) k) and give
 those that at most one opinion reaches in closed form, so a near-consensus
 round costs O(sqrt(h)) at any h and its DP plan is cheap. Both paths have
@@ -225,7 +225,7 @@ def oracle_is_cheaper(counts, h: int) -> bool:
     rather than step.
 
     The oracle's cost is its DP over the live opinions, laid out by
-    oracle.dp_plan over the certified windows of the counts: the plan's
+    oracle.live_plan over the certified windows of the counts: the plan's
     cells plus EINSUM_CELLS for each of its einsum calls, live + 1 for
     each winning count the prefix/suffix DP runs on. The agents' cost is
     that of the path step takes, which sampler.draws_take_ids picks from

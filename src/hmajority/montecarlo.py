@@ -51,9 +51,6 @@ from .theory import (
     DEFAULT_C4,
     DEFAULT_C6,
     REGIME_SMALL,
-    VERDICT_FAIL,
-    VERDICT_INCONCLUSIVE,
-    VERDICT_PASS,
     bias_regime,
     bias_threshold,
     h_threshold,
@@ -75,13 +72,11 @@ class RecordFileError(HMajorityError, ValueError):
     """A record file holds a line that is not a JSON record."""
 
 
-def wilson_interval(
-    successes: int, trials: int, confidence: float = DEFAULT_CONFIDENCE
-) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """Wilson score interval for a binomial proportion at DEFAULT_CONFIDENCE."""
     if trials < 1:
         raise SweepSpecError(f"trials must be >= 1, got {trials}")
-    z = NormalDist().inv_cdf(1.0 - (1.0 - confidence) / 2.0)
+    z = NormalDist().inv_cdf(1.0 - (1.0 - DEFAULT_CONFIDENCE) / 2.0)
     phat = successes / trials
     denom = 1.0 + z * z / trials
     center = (phat + z * z / (2 * trials)) / denom
@@ -99,19 +94,16 @@ class Estimate:
     trials: int
     wilson_low: float
     wilson_high: float
-    confidence: float = DEFAULT_CONFIDENCE
+    confidence: float = field(default=DEFAULT_CONFIDENCE, init=False)
 
     @classmethod
-    def from_counts(
-        cls, successes: int, trials: int, confidence: float = DEFAULT_CONFIDENCE
-    ) -> "Estimate":
-        low, high = wilson_interval(successes, trials, confidence)
+    def from_counts(cls, successes: int, trials: int) -> "Estimate":
+        low, high = wilson_interval(successes, trials)
         return cls(
             point=successes / trials,
             trials=trials,
             wilson_low=low,
             wilson_high=high,
-            confidence=confidence,
         )
 
 
@@ -204,12 +196,8 @@ def check_w1_lower_bound(
     w1_verdict = verdict_vs_value(w1_bound, w1)
     pair_verdict = verdict_vs_value(pair_bound, pair)
     ratio = strict_vs_ties_lower()
-    if strict_1.wilson_low >= ratio * ties_1.wilson_high:
-        ratio_verdict = VERDICT_PASS
-    elif strict_1.wilson_high < ratio * ties_1.wilson_low:
-        ratio_verdict = VERDICT_FAIL
-    else:
-        ratio_verdict = VERDICT_INCONCLUSIVE
+    ratio_verdict = verdict_vs_value(
+        (ratio * ties_1.wilson_low, ratio * ties_1.wilson_high), strict_1)
 
     return W1BoundReport(
         p=probs,

@@ -5,13 +5,13 @@
   and tie-inclusive variants Pr(X_i > X_j for all j) and
   Pr(X_i >= X_j for all j). Computed in polynomial time from Levin's
   Poissonised representation of the multinomial by a generating-function
-  DP over a certified window of winning counts (dp_plan), so it reaches
+  DP over a certified window of winning counts (live_plan), so it reaches
   (h, k) far beyond enumeration; its size is capped by DP_CELL_CAP.
-* event_report, tie_map_audit and conditional_sum_binomial_check need
-  outcome-level events, so they work on one outcome table: every one of
-  the C(h+k-1, k-1) unordered outcomes as a row of an (N, k) count array,
-  with its multinomial pmf, and each report is masks and sums over that
-  table. Its size is capped at ENUMERATION_GUARD = N * k cells.
+* event_report and tie_map_audit need outcome-level events, so they work
+  on one outcome table: every one of the C(h+k-1, k-1) unordered outcomes
+  as a row of an (N, k) count array, with its multinomial pmf, and each
+  report is masks and sums over that table. Its size is capped at
+  ENUMERATION_GUARD = N * k cells.
   event_report gives the conditional quantities behind the two-opinion
   reduction, all conditioned on the event that opinion 1 or opinion 2 is
   the unique maximum.
@@ -27,8 +27,8 @@
 
 Pmfs are evaluated in log space, in Loader's saddle-point form, and
 exponentiated at the end. event_report and tie_map_audit sum over the
-table with math.fsum, which is exactly rounded; the pair-sum check groups its masses with
-np.bincount. All equalities carry an absolute tolerance of 1e-12.
+table with math.fsum, which is exactly rounded. All equalities carry an
+absolute tolerance of 1e-12.
 """
 
 from __future__ import annotations
@@ -72,11 +72,6 @@ class InvalidQError(HMajorityError, ValueError):
 
 class NegativeHError(HMajorityError, ValueError):
     """A sample size h below 0."""
-
-
-def outcome_count(h: int, k: int) -> int:
-    """Number of non-negative integer vectors of length k summing to h."""
-    return math.comb(h + k - 1, k - 1)
 
 
 # Loader's saddle-point form of the Poisson pmf ("Fast and accurate
@@ -298,14 +293,9 @@ class DPPlan:
         return cells
 
 
-def dp_plan(h: int, p) -> DPPlan:
-    """The DP plan of win_distribution(h, p) at h >= 1 with at least two
-    positive probabilities; see live_plan."""
-    return live_plan(int(h), np.array(coerce_probs(p)))
-
-
 def live_plan(h: int, probs: np.ndarray) -> DPPlan:
-    """dp_plan(h, probs) for a float array probs, unchecked, with its zeros
+    """The DP plan of win_distribution(h, probs) for a float array probs
+    with at least two positive entries at h >= 1, unchecked, with its zeros
     dropped: O(1) where cuts_nothing holds, else O(k) numpy work; the
     layout costs O(len(full)) on use."""
     probs = probs[probs > 0.0]
@@ -323,7 +313,7 @@ def live_plan(h: int, probs: np.ndarray) -> DPPlan:
 
 
 def _tail_level(h: int, k: int, excess: float = 0.0) -> float:
-    """ln(1/tau) for the windows of dp_plan: tau = cut x N / k with the cut
+    """ln(1/tau) for the windows of live_plan: tau = cut x N / k with the cut
     2^-60 / ((h + 1) k), through N >= e^(-1/(12h) - excess) / sqrt(2 pi h)
     where excess = |h (sum p - 1)|."""
     return (math.log((h + 1) * k * k / _CUT_MASS)
@@ -377,7 +367,7 @@ def _outcome_table(h: int, probs) -> tuple[np.ndarray, np.ndarray]:
         raise NegativeHError(f"need h >= 0, got h={h}")
     if k < 1:
         raise ValueError(f"need k >= 1, got k={k}")
-    n = outcome_count(h, k)
+    n = math.comb(h + k - 1, k - 1)
     if n * k > ENUMERATION_GUARD:
         raise TooLargeError(
             f"outcome table at h={h}, k={k} needs {n} x {k} cells, above the "
@@ -485,7 +475,7 @@ def win_distribution(h: int, p) -> WinDistribution:
     opinions, vectorised over the u nodes. Opinions with p_l = 0 never draw
     and are dropped.
 
-    The DP runs over the certified window of dp_plan. Each (i, t) is left
+    The DP runs over the certified window of live_plan. Each (i, t) is left
     out when its bound a_i(t) prod_{l != i} Pr(Pois(h p_l) <= t) / N is
     below the cut 2^-60 / ((h + 1) k): t below some opinion's window or
     above opinion i's. Each factor keeps only its window, which moves a
@@ -777,19 +767,6 @@ def g_function(delta, h: int):
 
 
 @dataclass(frozen=True)
-class TieMapOutcome:
-    """One audited 1-tie outcome and its image under the tie-removal map."""
-
-    x: tuple[int, ...]
-    donor: int  # 1-based id of the decremented opinion, 0 when inapplicable
-    image: tuple[int, ...] | None
-    pmf: float
-    pmf_image: float | None
-    ratio: float | None
-    expected_ratio: float | None
-
-
-@dataclass(frozen=True)
 class TieMapAudit:
     """Audit of the injection from 1-tie outcomes to strict wins.
 
@@ -813,7 +790,6 @@ class TieMapAudit:
     strict_prob: float
     ties_prob: float
     strict_ties_ratio: float
-    outcomes: tuple[TieMapOutcome, ...]
 
     @property
     def k(self) -> int:
@@ -854,69 +830,29 @@ def tie_map_audit(h: int, p) -> TieMapAudit:
     expected = x[rows, donor] / (x[:, 0] + 1) * (p1 / np.asarray(probs)[donor])
     max_err = float(np.abs(ratio - expected)[applicable].max(initial=0.0))
 
-    outcomes = []
-    sources = {}
-    for row, j, img, mass, mass_img, r, e, ok in zip(
-        x.tolist(), donor.tolist(), image.tolist(), pmf.tolist(),
-        pmf_image.tolist(), ratio.tolist(), expected.tolist(), applicable.tolist(),
-    ):
-        row = tuple(row)
-        if ok:
-            img = tuple(img)
-            sources.setdefault(img, []).append(row)
-            outcomes.append(TieMapOutcome(
-                x=row, donor=j + 1, image=img, pmf=mass,
-                pmf_image=mass_img, ratio=r, expected_ratio=e,
-            ))
-        else:
-            outcomes.append(TieMapOutcome(
-                x=row, donor=0, image=None, pmf=mass,
-                pmf_image=None, ratio=None, expected_ratio=None,
-            ))
-
-    collisions = tuple(tuple(src) for src in sources.values() if len(src) > 1)
-    applied = int(applicable.sum())
+    # images shared by more than one source, each group in table order and
+    # the groups in the order of their first source
+    sources = x[applicable]
+    _, first, group, size = np.unique(
+        image[applicable], axis=0,
+        return_index=True, return_inverse=True, return_counts=True,
+    )
+    shared = np.flatnonzero(size > 1)
+    collisions = tuple(
+        tuple(map(tuple, sources[group.ravel() == g].tolist()))
+        for g in shared[np.argsort(first[shared])]
+    )
+    applied = len(sources)
     return TieMapAudit(
         h=int(h),
         p=probs,
-        domain_size=len(outcomes),
+        domain_size=len(x),
         applicable=applied,
-        inapplicable=len(outcomes) - applied,
+        inapplicable=len(x) - applied,
         injective=not collisions,
         collisions=collisions,
         max_ratio_error=max_err,
         strict_prob=strict_prob,
         ties_prob=ties_prob,
         strict_ties_ratio=strict_prob / ties_prob if ties_prob > 0.0 else math.inf,
-        outcomes=tuple(outcomes),
     )
-
-
-def conditional_sum_binomial_check(h: int, p) -> float:
-    """Max abs error of the pair-sum reduction over all (m, a).
-
-    Given X_1 + X_2 = m, the pair (X_1, X_2) is Binomial(m, p1/(p1+p2)) and
-    independent of the remaining coordinates. Compares that closed form
-    against raw enumeration and returns the largest absolute deviation.
-    """
-    probs = coerce_probs(p)
-    if len(probs) < 2:
-        raise NotSortedError("need at least two opinions")
-    x, pmf = _outcome_table(h, probs)
-    p1, p2 = probs[0], probs[1]
-    if p1 + p2 <= 0.0:
-        return 0.0
-    ratio = p1 / (p1 + p2)
-
-    # mass of each pair (a, m - a) = (x_1, x_2) in the table, and of each m;
-    # a pair missing from it needs p1 = 0 or p2 = 0, where the closed form
-    # is 0 as well
-    keys, group = np.unique(x[:, 0] * (h + 1) + x[:, 1], return_inverse=True)
-    joint = np.bincount(group.ravel(), weights=pmf)
-    pairs = np.column_stack(np.divmod(keys, h + 1))
-    m = pairs.sum(axis=1)
-    total = np.bincount(m, weights=joint)[m]
-    closed = np.exp(_log_pmf(pairs, (ratio, 1.0 - ratio)))
-    seen = total > 1e-300
-    err = np.abs(joint[seen] / total[seen] - closed[seen])
-    return float(err.max(initial=0.0))

@@ -122,21 +122,24 @@ def bound_value(bound: str, params: dict) -> float:
     return BOUND_CATALOG[bound](**params)
 
 
-def verdict_vs_value(value: float, measured) -> str:
+def verdict_vs_value(value, measured) -> str:
     """Three-valued comparison of a measurement against a lower bound.
 
-    Exact measurements pass when measured >= value - 1e-12. Interval
-    estimates pass when the whole interval clears the bound, fail when the
-    whole interval is below it, and are inconclusive when it straddles.
+    The bound is a float, or an interval (low, high) that holds it when it
+    is itself estimated; a float is the one-point interval. Exact
+    measurements pass when measured >= high - 1e-12. Interval estimates
+    pass when the whole interval clears the bound's, fail when the whole
+    interval is below it, and are inconclusive otherwise.
     """
-    low = getattr(measured, "wilson_low", None)
-    high = getattr(measured, "wilson_high", None)
-    if low is None or high is None:
+    low, high = value if isinstance(value, tuple) else (value, value)
+    m_low = getattr(measured, "wilson_low", None)
+    m_high = getattr(measured, "wilson_high", None)
+    if m_low is None or m_high is None:
         m = float(measured)
-        return VERDICT_PASS if m >= value - ABS_TOL else VERDICT_FAIL
-    if low >= value:
+        return VERDICT_PASS if m >= high - ABS_TOL else VERDICT_FAIL
+    if m_low >= high:
         return VERDICT_PASS
-    if high < value:
+    if m_high < low:
         return VERDICT_FAIL
     return VERDICT_INCONCLUSIVE
 
@@ -181,14 +184,6 @@ _CLASS_PREDICATES = {
 }
 
 
-def _holds(label: str, before: Configuration, after: Configuration, j: int) -> bool:
-    """Whether 1-based opinion j satisfies the growth-audit class label."""
-    pred = _CLASS_PREDICATES.get(label)
-    return pred is not None and pred(
-        before.counts[0], after.counts[0], before.counts[j - 1], after.counts[j - 1]
-    )
-
-
 def classify_opinions(
     before: Configuration, after: Configuration
 ) -> dict[int, str]:
@@ -207,36 +202,27 @@ def classify_opinions(
         raise UnclassifiedOpinionError("the partition needs at least one rival")
     if before.counts[0] < max(before.counts):
         raise UnclassifiedOpinionError("opinion 1 is not a plurality opinion")
+    c1, c1p = before.counts[0], after.counts[0]
+    rivals = zip(before.counts[1:], after.counts[1:])
     out: dict[int, str] = {}
-    for j in range(2, before.k + 1):
-        holding = [c for c in _CLASS_PREDICATES if _holds(c, before, after, j)]
-        if not holding:
+    for j, (cj, cjp) in enumerate(rivals, start=2):
+        label = next((c for c, pred in _CLASS_PREDICATES.items()
+                      if pred(c1, c1p, cj, cjp)), None)
+        if label is None:
             raise UnclassifiedOpinionError(
-                f"opinion {j} fits no class: before={before.counts[j - 1]}, "
-                f"after={after.counts[j - 1]}"
+                f"opinion {j} fits no class: before={cj}, after={cjp}"
             )
-        out[j] = holding[0]
+        out[j] = label
     return out
 
 
-def p1_growth_audit(
-    before: Configuration,
-    after: Configuration,
-    classification: dict[int, str] | None = None,
-) -> str:
+def p1_growth_audit(before: Configuration, after: Configuration) -> str:
     """Check that the support of opinion 1 strictly grew.
 
-    Requires every opinion j != 1 to fall into one of the three classes;
-    a supplied classification is re-verified arithmetically before use.
+    Requires every opinion j != 1 to fall into one of the three classes.
     Returns "pass" when p'(1) > p(1), "fail" otherwise.
     """
     classify_opinions(before, after)  # raises unless every rival has a class
-    if classification is not None:
-        for j, label in classification.items():
-            if not _holds(label, before, after, j):
-                raise UnclassifiedOpinionError(
-                    f"opinion {j} does not satisfy class {label!r}"
-                )
     p1_before = before.counts[0] / before.n
     p1_after = after.counts[0] / after.n
     return VERDICT_PASS if p1_after > p1_before else VERDICT_FAIL

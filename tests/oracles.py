@@ -185,9 +185,13 @@ def naive_event_report(h, probs):
     Returns a dict with every float field of EventReport
     (cond_diff_majority, cond_diff_comparison, sum_tail_conditional,
     sum_tail_unconditional, sum_threshold, strict_pair_prob,
-    unconditional_diff) and the tie-map fields strict_prob, ties_prob and
-    domain_size. The conditioning event is "opinion 1 or opinion 2 is the
-    unique maximum"; the tie split is 1/m over the m maxima.
+    unconditional_diff) and the tie-map fields strict_prob, ties_prob,
+    domain_size, applicable and collisions (the sorted source groups that
+    share an image, each sorted). The conditioning event is "opinion 1 or
+    opinion 2 is the unique maximum"; the tie split is 1/m over the m
+    maxima. The tie map moves one sample from the donor, the last strong
+    opinion (p_i > p_1/2) with the smallest count, to opinion 1, and applies
+    where the donor is not opinion 1 and holds a sample.
     """
     k = len(probs)
     threshold = h * (probs[0] + probs[1]) / 2.0
@@ -227,6 +231,16 @@ def naive_event_report(h, probs):
                 cmp_21 += prob
             if in_tail:
                 tail_pair += prob
+    strong = [i for i in range(k) if probs[i] > probs[0] / 2.0]
+    sources = {}
+    for counts in one_tie:
+        low = min(counts[i] for i in strong)
+        donor = max(i for i in strong if counts[i] == low)
+        if donor != 0 and counts[donor] > 0:
+            image = list(counts)
+            image[0] += 1
+            image[donor] -= 1
+            sources.setdefault(tuple(image), []).append(counts)
     return {
         "cond_diff_majority": (win_1 - win_2) / pair if pair > 0 else 0.0,
         "cond_diff_comparison": (cmp_12 - cmp_21) / pair if pair > 0 else 0.0,
@@ -238,6 +252,8 @@ def naive_event_report(h, probs):
         "strict_prob": strict_1,
         "ties_prob": ties_1,
         "domain_size": len(one_tie),
+        "applicable": sum(map(len, sources.values())),
+        "collisions": sorted(sorted(s) for s in sources.values() if len(s) > 1),
     }
 
 

@@ -330,6 +330,29 @@ def test_run_plurality_lost_status():
     assert STATUS_CONSENSUS in statuses
 
 
+@pytest.mark.parametrize("seed, winner, status", [
+    (0, 2, STATUS_PLURALITY_LOST),
+    (1, 1, STATUS_CONSENSUS),
+])
+def test_plurality_rule_without_target_keeps_the_initial_plurality(
+        seed, winner, status):
+    # with no target_opinion the target is round 0's plurality, opinion 1
+    params = RunParams(h=3, max_rounds=200, stop_rule=STOP_PLURALITY, seed=seed)
+    traj = run(Configuration.from_counts((4, 3, 3)), params)
+    assert traj.initial_plurality == 1
+    assert (traj.winner, traj.terminal_status) == (winner, status)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_plurality_rule_without_target_from_a_tie_ends_in_consensus(seed):
+    # a tied start has no plurality, so any consensus is not a loss
+    params = RunParams(h=3, max_rounds=200, stop_rule=STOP_PLURALITY, seed=seed)
+    traj = run(Configuration.from_counts((5, 5)), params)
+    assert traj.initial_plurality is None
+    assert traj.winner is not None
+    assert traj.terminal_status == STATUS_CONSENSUS
+
+
 def test_plurality_loss_recorded_but_not_terminal():
     # under the plain consensus stop rule a plurality flip is an observation;
     # the run must continue past it
@@ -490,7 +513,7 @@ def test_auto_rule_takes_the_oracle_near_consensus_at_theorem_h(round_paths):
     # round 1 of the theorem call: opinion 1 holds 83%, so every winning
     # count in its window is saturated and the DP has no t in full
     counts = (832_000,) + (11_200,) * 15
-    plan = oracle.dp_plan(THEOREM_H, [c / 10**6 for c in counts])
+    plan = oracle.live_plan(THEOREM_H, np.array(counts) / 10**6)
     assert not plan.full and len(plan.saturated) > 5000
     assert oracle_is_cheaper(counts, THEOREM_H)
     run(Configuration.from_counts(counts),

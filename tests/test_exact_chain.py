@@ -106,7 +106,7 @@ def _check_sweep(case, mode, runs, seed):
 
     winners = Counter(r.winner for r in records)
     for i, p in enumerate(win):
-        low, high = wilson_interval(winners[i + 1], runs, 0.999)
+        low, high = wilson_interval(winners[i + 1], runs)
         assert low <= p <= high, (case, mode, i + 1, winners[i + 1], p)
 
     observed = np.bincount([r.consensus_round for r in records],

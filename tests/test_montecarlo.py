@@ -180,6 +180,17 @@ def test_check_w1_lower_bound_balanced_pair():
     assert report.strict_pair_verdict == "pass"
 
 
+def test_check_w1_strict_vs_ties_fails_far_below_the_theorem_h():
+    # c4 = 0.4 gives h = ceil(0.4 ln(2) 7) = 2 over seven equal opinions:
+    # Pr(W_strict,1) = 1/49 against Pr(W_ties,1) / 6 = 13/294, so strict_1's
+    # interval lies wholly below 1/6 of ties_1's
+    report = check_w1_lower_bound((1 / 7,) * 7, n=2, c4=0.4, trials=20_000, seed=6)
+    assert report.h == 2
+    assert report.strict_1.wilson_high < report.ties_1.wilson_low / 6
+    assert report.strict_vs_ties_verdict == "fail"
+    assert report.w1_verdict == "pass"
+
+
 def test_check_w1_requires_sorted():
     with pytest.raises(NotSortedError):
         check_w1_lower_bound((0.3, 0.7), n=20, c4=324.0, trials=100, seed=5)
@@ -327,6 +338,21 @@ def test_sweep_single_trial_consensus_start():
     assert records[0].consensus_round == 0
     assert records[0].winner == 1
     assert records[0].rounds_run == 0
+
+
+def test_sweep_lead_trace_reads_the_top_counts_above_full_counts_max_k():
+    # k = 70 > FULL_COUNTS_MAX_K: round summaries keep only the top counts,
+    # and the lead trace's two largest shares come from them
+    counts = [3] * 70
+    counts[10], counts[40] = 9, 7
+    spec = SweepSpec(
+        ns=(), ks=(), hs=(3,), pattern="custom", custom_counts=tuple(counts),
+        trials=1, master_seed=11, max_rounds=2,
+    )
+    (record,) = run_sweep(spec)
+    n = sum(counts)
+    assert record.lead_trace[0] == [0, 9 / n, 7 / n]
+    assert len(record.lead_trace) == record.rounds_run + 1
 
 
 def test_sweep_deterministic_and_worker_invariant():

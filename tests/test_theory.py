@@ -80,6 +80,19 @@ def test_verdict_interval_three_valued():
     assert verdict("w1_lower", {"p1": 0.99}, straddle) == "inconclusive"
 
 
+def test_verdict_against_a_bound_interval():
+    # an estimated bound is an interval; the measurement must clear all of
+    # it to pass and fall below all of it to fail
+    measured = Estimate(point=0.3, trials=100, wilson_low=0.25, wilson_high=0.35)
+    assert theory.verdict_vs_value((0.1, 0.25), measured) == "pass"
+    assert theory.verdict_vs_value((0.36, 0.5), measured) == "fail"
+    assert theory.verdict_vs_value((0.2, 0.3), measured) == "inconclusive"
+    assert theory.verdict_vs_value((0.3, 0.4), measured) == "inconclusive"
+    # a float is the one-point interval
+    assert theory.verdict_vs_value(0.25, measured) == "pass"
+    assert theory.verdict_vs_value((0.25, 0.25), measured) == "pass"
+
+
 def test_verdict_unknown_bound():
     with pytest.raises(UnknownBoundError):
         verdict("not_a_bound", {}, 1.0)
@@ -95,21 +108,13 @@ def test_growth_audit_consensus_after():
     after = Configuration.from_counts((10, 0, 0))
     labels = classify_opinions(before, after)
     assert set(labels) == {2, 3}
-    assert p1_growth_audit(before, after, labels) == "pass"
+    assert p1_growth_audit(before, after) == "pass"
 
 
 def test_growth_audit_identity_unclassified():
     cfg = Configuration.from_counts((5, 3, 2))
     with pytest.raises(UnclassifiedOpinionError):
         classify_opinions(cfg, cfg)
-
-
-def test_growth_audit_rejects_wrong_labels():
-    before = Configuration.from_counts((5, 3, 2))
-    after = Configuration.from_counts((6, 3, 1))
-    with pytest.raises(UnclassifiedOpinionError):
-        # opinion 2 is still supported, so "vanished" is arithmetically false
-        p1_growth_audit(before, after, {2: "vanished", 3: "additive_gap_grew"})
 
 
 def test_growth_audit_requires_leading_first_opinion():
@@ -136,11 +141,11 @@ def test_growth_audit_randomized(k, n, pyrandom):
     before_cfg = Configuration.from_counts(before)
     after_cfg = Configuration.from_counts(after)
     try:
-        labels = classify_opinions(before_cfg, after_cfg)
+        classify_opinions(before_cfg, after_cfg)
     except UnclassifiedOpinionError:
         return
     # whenever the partition exists the leader's share strictly grew
-    assert p1_growth_audit(before_cfg, after_cfg, labels) == "pass"
+    assert p1_growth_audit(before_cfg, after_cfg) == "pass"
 
 
 # ---------------------------------------------------------------------------

@@ -65,12 +65,13 @@ def probe(src: str) -> dict:
     """Time one side's oracle on the simulate_large_n rounds and its
     refusal of the theorem-h call's round 0 and of a large-k round."""
     sys.path.insert(0, src)
+    import numpy as np
     from hmajority import dynamics, oracle
     from hmajority.core import Configuration
     from hmajority.montecarlo import balanced_plus_bias_counts
     from hmajority.sampler import RngHandle
 
-    windowed = hasattr(oracle, "dp_plan")
+    windowed = hasattr(oracle, "live_plan")
     rounds, theorem_round0 = simulate_large_n_rounds(
         dynamics, Configuration, balanced_plus_bias_counts)
     out = {"rounds": {}, "windowed": windowed}
@@ -91,7 +92,7 @@ def probe(src: str) -> dict:
             row["q"], row["q_strict"], row["q_ties"] = w.q, w.q_strict, w.q_ties
             row["sum_q_minus_1"] = math.fsum(w.q) - 1.0
         if windowed:
-            plan = oracle.dp_plan(h, probs)
+            plan = oracle.live_plan(h, np.array(probs))
             row["t_full"] = len(plan.full)
             row["t_saturated"] = len(plan.saturated)
             row["cells"] = plan.cells
@@ -135,6 +136,7 @@ def grid_check() -> dict:
     """The windowed rule on the BENCH_25.json grids, oracle re-timed where
     the DP plan is cut."""
     sys.path.insert(0, os.path.join(ROOT, "src"))
+    import numpy as np
     from hmajority import dynamics, oracle
     from hmajority.core import Configuration
     from hmajority.montecarlo import balanced_plus_bias_counts
@@ -151,8 +153,7 @@ def grid_check() -> dict:
             n, h, k = row["n"], row["h"], row["k"]
             live = row.get("live", k)
             counts = balanced_plus_bias_counts(n, live, 10.0)[0] + (0,) * (k - live)
-            probs = tuple(c / n for c in counts)
-            plan = oracle.dp_plan(h, probs)
+            plan = oracle.live_plan(h, np.array(counts) / n)
             oracle_ms = row["oracle_ms"]
             if (plan.lo > 0).any() or (plan.hi < h).any() or plan.saturated:
                 cut_points += 1

@@ -9,10 +9,11 @@ sampler.sample_modes. Its path rule is sampler.draws_take_ids: with k > h
 each agent's mode comes from its h draw ids, otherwise from the binomial
 chain over the opinions in descending share.
 
-oracle_step draws the same next configuration from its exact law instead:
-Multinomial(n, q), with q the one-agent adoption law of
-oracle.win_distribution, whose DP cost does not grow with n. run takes one
-path per round by RunParams.step_mode. "agent_level" always calls step and
+oracle_step takes the same arguments, (config, h, rng), and draws the same
+next configuration from its exact law instead: Multinomial(n, q), with q
+the one-agent adoption law of oracle.win_distribution, whose DP cost does
+not grow with n. run calls one of the two each round, by
+RunParams.step_mode. "agent_level" always calls step and
 "oracle_level" always calls oracle_step. "auto", the default, takes the
 oracle round whenever oracle_is_cheaper finds its DP within DP_CELL_CAP and
 cheaper than sampling the agents: the cells and einsum calls of the DP's
@@ -35,14 +36,12 @@ import numpy as np
 
 from .core import (
     Configuration,
-    HMajorityError,
     bias_stats,
     is_consensus,
     require_integer,
 )
 from .oracle import (
     DP_CELL_CAP,
-    WinDistribution,
     full_floor,
     live_plan,
     win_distribution,
@@ -53,10 +52,6 @@ from .sampler import (
     draws_take_ids,
     sample_modes,
 )
-
-
-class DimensionMismatchError(HMajorityError, ValueError):
-    """A win distribution built for a different opinion count."""
 
 
 STOP_CONSENSUS = "consensus"
@@ -79,6 +74,13 @@ FULL_COUNTS_MAX_K = 64
 TOP_KEEP = 16
 
 
+def _require_h(h) -> None:
+    """Raise ValueError unless h is an integer >= 1."""
+    require_integer(h, "h", ValueError)
+    if h < 1:
+        raise ValueError(f"h must be >= 1, got {h}")
+
+
 @dataclass(frozen=True)
 class RunParams:
     """Parameters of a single trajectory execution.
@@ -97,10 +99,9 @@ class RunParams:
 
     def __post_init__(self):
         # target_opinion is checked against k by require_target
-        for name in ("h", "max_rounds", "seed"):
+        _require_h(self.h)
+        for name in ("max_rounds", "seed"):
             require_integer(getattr(self, name), name, ValueError)
-        if self.h < 1:
-            raise ValueError(f"h must be >= 1, got {self.h}")
         if self.max_rounds < 1:
             raise ValueError(f"max_rounds must be >= 1, got {self.max_rounds}")
         if self.stop_rule not in STOP_RULES:
@@ -174,9 +175,7 @@ def step(config: Configuration, h: int, rng: RngHandle) -> Configuration:
     into the next configuration. Consensus is absorbing: every sample then
     consists of the consensus opinion only, so the input is returned as is.
     """
-    require_integer(h, "h", ValueError)
-    if h < 1:
-        raise ValueError(f"h must be >= 1, got {h}")
+    _require_h(h)
     if is_consensus(config) is not None:
         return config
     k = config.k
@@ -187,27 +186,19 @@ def step(config: Configuration, h: int, rng: RngHandle) -> Configuration:
     return Configuration(counts=tuple(new_counts.tolist()), n=config.n)
 
 
-def oracle_step(
-    config: Configuration, win: WinDistribution, rng: RngHandle
-) -> Configuration:
-    """One round through the precomputed agent-outcome law.
+def oracle_step(config: Configuration, h: int, rng: RngHandle) -> Configuration:
+    """One synchronous round drawn from its exact law, with step's arguments.
 
     Agent outcomes are i.i.d. given the configuration, so the next
-    configuration is Multinomial(n, q) with q the exact adoption law;
-    distributionally identical to step. win must have been computed for
-    exactly this configuration's (h, counts/n).
+    configuration is Multinomial(n, q), with q the adoption law
+    win_distribution(h, counts/n) renormalised; distributionally identical
+    to step.
     """
-    if win.k != config.k:
-        raise DimensionMismatchError(
-            f"win distribution has k={win.k}, configuration has k={config.k}"
-        )
-    drawn = draw_multinomial(config.n, _renormalized(win.q), rng)
-    return Configuration(counts=drawn, n=config.n)
-
-
-def _renormalized(q) -> tuple[float, ...]:
+    _require_h(h)
+    q = win_distribution(h, tuple(c / config.n for c in config.counts)).q
     total = sum(q)
-    return tuple(v / total for v in q)
+    drawn = draw_multinomial(config.n, tuple(v / total for v in q), rng)
+    return Configuration(counts=drawn, n=config.n)
 
 
 # Costs in DP cells, fitted on a grid of n in 1e3..1e6, h in 3..200 and
@@ -221,8 +212,7 @@ BINOMIAL_CELLS = 0.9
 
 def oracle_is_cheaper(counts, h: int) -> bool:
     """The auto rule: whether a round from the configuration with these
-    opinion counts takes the oracle step (win_distribution + oracle_step)
-    rather than step.
+    opinion counts takes oracle_step rather than step.
 
     The oracle's cost is its DP over the live opinions, laid out by
     oracle.live_plan over the certified windows of the counts: the plan's
@@ -265,7 +255,8 @@ def require_target(target: int | None, k: int, error=ValueError) -> None:
 def run(config0: Configuration, params: RunParams) -> Trajectory:
     """Iterate rounds until the stop rule fires or max_rounds is reached.
 
-    Each round takes step or oracle_step by params.step_mode; under "auto"
+    Round 0 is config0; every later round calls step or oracle_step, both
+    as (config, h, rng), by params.step_mode; under "auto"
     oracle_is_cheaper decides from h and the round's counts.
 
     Under plurality_consensus_on, reaching consensus on an opinion other
@@ -277,37 +268,19 @@ def run(config0: Configuration, params: RunParams) -> Trajectory:
     require_target(params.target_opinion, config0.k)
     rng = RngHandle(params.seed, stream_id=0)
     traj = Trajectory()
-    summary0 = summarize_round(0, config0)
-    traj.rounds.append(summary0)
-    traj.initial_plurality = summary0.plurality
-    target = params.target_opinion
-    if params.stop_rule == STOP_PLURALITY and target is None:
-        target = summary0.plurality
-
-    winner0 = is_consensus(config0)
-    if winner0 is not None:
-        traj.consensus_round = 0
-        traj.winner = winner0
-
     config = config0
-    t = 0
-    while t < params.max_rounds:
-        if params.stop_rule != STOP_MAX_ROUNDS and traj.consensus_round is not None:
-            break
-        mode = params.step_mode
-        if mode == STEP_AUTO:
-            cheaper = oracle_is_cheaper(config.counts, params.h)
-            mode = STEP_ORACLE if cheaper else STEP_AGENT
-        if mode == STEP_ORACLE:
-            probs = tuple(c / config.n for c in config.counts)
-            win = win_distribution(params.h, probs)
-            config = oracle_step(config, win, rng)
-        else:
-            config = step(config, params.h, rng)
-        t += 1
+    for t in range(params.max_rounds + 1):
+        if t:
+            oracle = params.step_mode == STEP_ORACLE or (
+                params.step_mode == STEP_AUTO
+                and oracle_is_cheaper(config.counts, params.h)
+            )
+            config = (oracle_step if oracle else step)(config, params.h, rng)
         summary = summarize_round(t, config)
         traj.rounds.append(summary)
-        if (
+        if not t:
+            traj.initial_plurality = summary.plurality
+        elif (
             traj.plurality_lost_round is None
             and summary.plurality != traj.initial_plurality
         ):
@@ -316,16 +289,13 @@ def run(config0: Configuration, params: RunParams) -> Trajectory:
         if winner is not None and traj.consensus_round is None:
             traj.consensus_round = t
             traj.winner = winner
+        if params.stop_rule != STOP_MAX_ROUNDS and traj.consensus_round is not None:
+            break
 
+    target = params.target_opinion or traj.initial_plurality
     if traj.consensus_round is not None:
-        if (
-            params.stop_rule == STOP_PLURALITY
-            and target is not None
-            and traj.winner != target
-        ):
+        if params.stop_rule == STOP_PLURALITY and target not in (None, traj.winner):
             traj.terminal_status = STATUS_PLURALITY_LOST
         else:
             traj.terminal_status = STATUS_CONSENSUS
-    else:
-        traj.terminal_status = STATUS_ROUND_CAP
     return traj

@@ -702,10 +702,12 @@ def binomial_pair_table(m: int, qs) -> tuple[np.ndarray, tuple[int, ...], np.nda
     """
     qs = np.asarray(qs, dtype=np.float64)
     j = np.arange(m + 1)
-    # Bin(m, q)(j) = Pois(mq)(j) Pois(m(1 - q))(m - j) / Pois(m)(m)
-    pmf = np.exp(_log_poisson(j, m * qs[:, None])
-                 + _log_poisson(m - j, m * (1.0 - qs)[:, None])
-                 - _log_poisson_at_mean(m))
+    # Bin(m, q)(j) = Pois(mq)(j) Pois(m(1 - q))(m - j) / Pois(m)(m); one
+    # _log_poisson call over the columns (j, m - j), as per-call overhead
+    # dominates at m <= 200
+    rates = np.repeat(np.stack((m * qs, m * (1.0 - qs)), axis=1), m + 1, axis=1)
+    both = _log_poisson(np.concatenate((j, m - j)), rates)
+    pmf = np.exp(both[:, :m + 1] + both[:, m + 1:] - _log_poisson_at_mean(m))
     # 1 - 2 Pr(Y1 < Y2) - Pr(Y1 = Y2): at most 1, and the small side keeps
     # its relative accuracy where the difference nears 1
     diff = 1.0 - 2.0 * pmf[:, : -(-m // 2)].sum(axis=1)

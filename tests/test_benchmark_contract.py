@@ -9,7 +9,6 @@ import hmajority
 from hmajority import dynamics, sampler, verify
 from hmajority.core import Configuration
 from hmajority.montecarlo import SweepSpec, write_sweep
-from hmajority.oracle import win_distribution
 from hmajority.sampler import RngHandle
 
 SPANS = Path(__file__).resolve().parent.parent / "benchmark" / "spans.py"
@@ -43,7 +42,7 @@ def test_tracer_resolves_every_target_and_restores_the_package():
         cfg = Configuration.from_counts((40, 30, 30))
         sampler.sample_counts_matrix(4, (0.4, 0.3, 0.3), rng, 100)
         dynamics.step(cfg, 4, rng)
-        dynamics.oracle_step(cfg, win_distribution(3, (0.4, 0.3, 0.3)), rng)
+        dynamics.oracle_step(cfg, 3, rng)
         assert tracer.counts["sampler.chain_rows"] == 101
         assert tracer.counts["sampler.cells"] == 303
         assert {"dynamics.step", "sampler.sample_counts_matrix",

@@ -184,6 +184,16 @@ def test_oracle_tiemap_report(capsys):
 
 
 @pytest.mark.parametrize("report", ["win", "event", "tiemap"])
+def test_oracle_out_writes_the_printed_json(tmp_path, capsys, report):
+    path = tmp_path / "report.json"
+    argv = ["oracle", "--h", "4", "--p", "0.5,0.3,0.2", "--report", report]
+    assert main([*argv, "--out", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert out == path.read_text() + "\n"
+    assert json.loads(out)["h"] == 4
+
+
+@pytest.mark.parametrize("report", ["win", "event", "tiemap"])
 def test_oracle_negative_h_is_config_error(report, capsys):
     code = main(["oracle", "--h", "-1", "--p", "0.6,0.4", "--report", report])
     captured = capsys.readouterr()
@@ -213,6 +223,19 @@ def test_verify_single_suite(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert out.startswith("PASS monotonicity")
+
+
+def test_verify_out_writes_the_results(tmp_path, capsys):
+    path = tmp_path / "verify.json"
+    argv = ["verify", "--suite", "monotonicity", "--suite", "tiemap"]
+    assert main([*argv, "--out", str(path)]) == 0
+    out = capsys.readouterr().out
+    doc = json.loads(path.read_text())
+    assert doc["schema_version"] == 1
+    assert [r["name"] for r in doc["results"]] == ["monotonicity", "tiemap"]
+    for result in doc["results"]:
+        assert result["passed"] is True and result["failure_count"] == 0
+        assert f"PASS {result['name']}: {result['checks']} checks" in out
 
 
 def test_verify_reports_failing_suite(capsys):
@@ -261,6 +284,28 @@ def test_sweep_report_roundtrip(tmp_path, capsys):
     assert len(lines) == 4  # three cells
     scaling = (report_dir / "scaling.csv").read_text().strip().splitlines()
     assert scaling[0] == "k,n_values,medians,slope,intercept"
+
+
+def test_report_leaves_the_round_columns_empty_without_consensus(tmp_path, capsys):
+    # one round from a near-balanced start at n = 1000 never reaches consensus
+    spec = tmp_path / "spec.json"
+    _write_json(spec, {
+        "schema_version": 1, "n": [1000], "k": [3], "h": [3],
+        "bias_multiplier": 1.0, "trials": 2, "master_seed": 5, "max_rounds": 1,
+    })
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--spec", str(spec), "--out", str(out)]) == 0
+    report_dir = tmp_path / "report"
+    assert main(["report", "--in", str(out), "--out", str(report_dir)]) == 0
+    capsys.readouterr()
+    header, row = (report_dir / "summary.csv").read_text().splitlines()
+    fields = dict(zip(header.split(","), row.split(",")))
+    assert fields["trials"] == "2"
+    assert fields["plurality_success_rate"] == "0.0"
+    assert fields["median_consensus_round"] == fields["p90_consensus_round"] == ""
+    assert float(fields["mean_wall_time_ms"]) > 0.0
+    scaling = (report_dir / "scaling.csv").read_text().splitlines()
+    assert scaling == ["k,n_values,medians,slope,intercept"]
 
 
 def test_sweep_append_resumes_interrupted_sweep(tmp_path, capsys, monkeypatch):

@@ -19,7 +19,6 @@ from hmajority.dynamics import (
     STEP_ORACLE,
     STOP_MAX_ROUNDS,
     STOP_PLURALITY,
-    DimensionMismatchError,
     RunParams,
     oracle_is_cheaper,
     oracle_step,
@@ -84,30 +83,29 @@ def test_step_expected_next_count():
 
 
 def test_oracle_step_point_mass():
+    # a consensus configuration's adoption law is a point mass on its opinion
     rng = RngHandle(5)
-    cfg = Configuration.from_counts((10, 5, 5))
-    win = win_distribution(1, (1.0, 0.0, 0.0))
-    nxt = oracle_step(cfg, win, rng)
-    assert nxt.counts == (20, 0, 0)
+    cfg = Configuration.from_counts((0, 20, 0))
+    for h in (1, 3, 200):
+        assert oracle_step(cfg, h, rng).counts == (0, 20, 0)
 
 
 def test_oracle_step_symmetric():
     rng = RngHandle(6)
     n = 3 * 10**5
     cfg = Configuration.from_counts((n // 3, n // 3, n // 3))
-    win = win_distribution(2, (1 / 3, 1 / 3, 1 / 3))
-    nxt = oracle_step(cfg, win, rng)
+    nxt = oracle_step(cfg, 2, rng)
     sigma = math.sqrt(n * (1 / 3) * (2 / 3))
     for c in nxt.counts:
         assert abs(c - n / 3) < 3 * sigma
 
 
-def test_oracle_step_dimension_mismatch():
-    rng = RngHandle(7)
-    cfg = Configuration.from_counts((5, 5))
-    win = win_distribution(2, (1 / 3, 1 / 3, 1 / 3))
-    with pytest.raises(DimensionMismatchError):
-        oracle_step(cfg, win, rng)
+@pytest.mark.parametrize("round_fn", [step, oracle_step])
+@pytest.mark.parametrize("h", [0, -2, 2.5, True])
+def test_round_functions_reject_h_that_is_not_a_positive_integer(round_fn, h):
+    cfg = Configuration.from_counts((6, 4))
+    with pytest.raises(ValueError, match="'?h'? must be"):
+        round_fn(cfg, h, RngHandle(8))
 
 
 def test_step_and_oracle_step_same_marginal_law():
@@ -120,12 +118,11 @@ def test_step_and_oracle_step_same_marginal_law():
     ]
     for counts, h, seed_a, seed_b in cases:
         cfg = Configuration.from_counts(counts)
-        win = win_distribution(h, tuple(c / cfg.n for c in cfg.counts))
         rng_a = RngHandle(seed_a)
         rng_b = RngHandle(seed_b)
         sample_a = np.array([step(cfg, h, rng_a).counts[0] for _ in range(steps)])
         sample_b = np.array(
-            [oracle_step(cfg, win, rng_b).counts[0] for _ in range(steps)]
+            [oracle_step(cfg, h, rng_b).counts[0] for _ in range(steps)]
         )
         lo = min(sample_a.min(), sample_b.min())
         hi = max(sample_a.max(), sample_b.max())

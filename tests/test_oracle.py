@@ -551,6 +551,18 @@ def test_event_report_point_mass_pair():
     assert (audit.domain_size, audit.applicable, audit.inapplicable) == (0, 0, 0)
 
 
+def test_event_report_without_a_unique_maximum():
+    # h = 0 draws nothing, so every opinion ties at 0: the conditioning
+    # event is empty and its conditional fields read 0
+    probs = (0.5, 0.3, 0.2)
+    _assert_event_reports_match_naive(0, probs)
+    report = event_report(0, probs)
+    assert report.strict_pair_prob == 0.0
+    assert report.cond_diff_majority == report.cond_diff_comparison == 0.0
+    assert report.sum_tail_conditional == 0.0
+    assert report.sum_tail_unconditional == 1.0
+
+
 # ---------------------------------------------------------------------------
 # binomial pair report
 # ---------------------------------------------------------------------------

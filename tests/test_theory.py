@@ -187,6 +187,14 @@ def test_regime_matches_defining_inequalities():
             assert label == REGIME_MID
 
 
+def test_regime_between_the_boundaries_is_mid():
+    # p = (0.5, 0.3), h = 1e4: the small boundary is 0.0126 and the large
+    # one 0.0238, so a gap of 0.02 is mid and the gaps either side are not
+    assert theory.bias_regime(0.02, 0.5, 0.3, 10**4) == REGIME_MID
+    assert theory.bias_regime(0.01, 0.5, 0.3, 10**4) == REGIME_SMALL
+    assert theory.bias_regime(0.03, 0.5, 0.3, 10**4) == REGIME_LARGE
+
+
 def test_regime_monotone_in_gap():
     order = {REGIME_SMALL: 0, REGIME_MID: 1, REGIME_LARGE: 2}
     h = 200

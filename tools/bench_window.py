@@ -66,7 +66,7 @@ def probe(src: str) -> dict:
     refusal of the theorem-h call's round 0 and of a large-k round."""
     sys.path.insert(0, src)
     import numpy as np
-    from hmajority import dynamics, oracle
+    from hmajority import dynamics, oracle, sampler
     from hmajority.core import Configuration
     from hmajority.montecarlo import balanced_plus_bias_counts
     from hmajority.sampler import RngHandle
@@ -137,7 +137,7 @@ def grid_check() -> dict:
     the DP plan is cut."""
     sys.path.insert(0, os.path.join(ROOT, "src"))
     import numpy as np
-    from hmajority import dynamics, oracle
+    from hmajority import dynamics, oracle, sampler
     from hmajority.core import Configuration
     from hmajority.montecarlo import balanced_plus_bias_counts
     from hmajority.sampler import RngHandle
@@ -158,7 +158,7 @@ def grid_check() -> dict:
             if (plan.lo > 0).any() or (plan.hi < h).any() or plan.saturated:
                 cut_points += 1
                 if (n, h, k, live) not in timed:
-                    timed[n, h, k, live] = _oracle_ms(oracle, dynamics, Configuration,
+                    timed[n, h, k, live] = _oracle_ms(oracle, sampler, Configuration,
                                                       RngHandle, h, counts)
                 oracle_ms = timed[n, h, k, live]
             pick = "oracle" if dynamics.oracle_is_cheaper(counts, h) else "agent"
@@ -180,14 +180,16 @@ def grid_check() -> dict:
     return result
 
 
-def _oracle_ms(oracle, dynamics, Configuration, RngHandle, h, counts):
-    """Best of 3 of win_distribution + oracle_step after a warm-up, in ms;
-    None when the DP is over its cap."""
+def _oracle_ms(oracle, sampler, Configuration, RngHandle, h, counts):
+    """Best of 3 of an oracle round, win_distribution + draw_multinomial,
+    after a warm-up, in ms; None when the DP is over its cap. Both calls
+    keep their signatures across checkouts, so this times any side."""
     cfg = Configuration.from_counts(counts)
     probs = tuple(c / cfg.n for c in counts)
 
     def once():
-        dynamics.oracle_step(cfg, oracle.win_distribution(h, probs), RngHandle(1))
+        win = oracle.win_distribution(h, probs)
+        sampler.draw_multinomial(cfg.n, win.q, RngHandle(1))
 
     try:
         once()

@@ -89,14 +89,18 @@ def integer(value, name: str, error=FieldError, optional: bool = False) -> int |
     return None if value is None else int(value)
 
 
-def require_integer(value, name: str, error=FieldError, optional: bool = False) -> None:
+def require_integer(value, name: str, error=FieldError, optional: bool = False,
+                    minimum: int | None = None) -> None:
     """Raise error unless value is a Python or numpy integer: the type check
-    of a dataclass's integer field, which takes no bool, string or float.
-    None passes only when optional."""
+    of a dataclass's integer field and of every size argument, which takes
+    no bool, string or float, and, when minimum is given, is at least
+    minimum. None passes only when optional."""
     if optional and value is None:
         return
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise error(f"'{name}' must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise error(f"{name} must be >= {minimum}, got {value}")
 
 
 def integers(values, name: str, error=FieldError) -> tuple[int, ...]:

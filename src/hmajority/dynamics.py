@@ -74,13 +74,6 @@ FULL_COUNTS_MAX_K = 64
 TOP_KEEP = 16
 
 
-def _require_h(h) -> None:
-    """Raise ValueError unless h is an integer >= 1."""
-    require_integer(h, "h", ValueError)
-    if h < 1:
-        raise ValueError(f"h must be >= 1, got {h}")
-
-
 @dataclass(frozen=True)
 class RunParams:
     """Parameters of a single trajectory execution.
@@ -99,11 +92,9 @@ class RunParams:
 
     def __post_init__(self):
         # target_opinion is checked against k by require_target
-        _require_h(self.h)
-        for name in ("max_rounds", "seed"):
-            require_integer(getattr(self, name), name, ValueError)
-        if self.max_rounds < 1:
-            raise ValueError(f"max_rounds must be >= 1, got {self.max_rounds}")
+        require_integer(self.h, "h", ValueError, minimum=1)
+        require_integer(self.max_rounds, "max_rounds", ValueError, minimum=1)
+        require_integer(self.seed, "seed", ValueError)
         if self.stop_rule not in STOP_RULES:
             raise ValueError(f"unknown stop rule {self.stop_rule!r}")
         if self.step_mode not in STEP_MODES:
@@ -175,7 +166,7 @@ def step(config: Configuration, h: int, rng: RngHandle) -> Configuration:
     into the next configuration. Consensus is absorbing: every sample then
     consists of the consensus opinion only, so the input is returned as is.
     """
-    _require_h(h)
+    require_integer(h, "h", ValueError, minimum=1)
     if is_consensus(config) is not None:
         return config
     k = config.k
@@ -194,7 +185,7 @@ def oracle_step(config: Configuration, h: int, rng: RngHandle) -> Configuration:
     win_distribution(h, counts/n) renormalised; distributionally identical
     to step.
     """
-    _require_h(h)
+    require_integer(h, "h", ValueError, minimum=1)
     q = win_distribution(h, tuple(c / config.n for c in config.counts)).q
     total = sum(q)
     drawn = draw_multinomial(config.n, tuple(v / total for v in q), rng)

@@ -123,9 +123,7 @@ def sample_win_events(h: int, p, trials: int, rng: RngHandle) -> WinEventCounts:
     whose modes come from sampler.sample_modes."""
     probs = coerce_probs(p)
     require_integer(h, "h", InvalidProbError)
-    require_integer(trials, "trials", InvalidProbError)
-    if trials < 0:
-        raise InvalidProbError(f"trials must be >= 0, got {trials}")
+    require_integer(trials, "trials", InvalidProbError, minimum=0)
     k = len(probs)
     win = np.zeros(k, dtype=np.int64)
     strict_1 = 0
@@ -302,12 +300,9 @@ class SweepSpec:
             for value in getattr(self, name) or ():
                 require_integer(value, name, SweepSpecError)
         # target_opinion is checked against each cell's k by require_target
-        for name in ("trials", "master_seed", "max_rounds"):
-            require_integer(getattr(self, name), name, SweepSpecError)
-        if self.trials < 1:
-            raise SweepSpecError(f"trials must be >= 1, got {self.trials}")
-        if self.max_rounds < 1:
-            raise SweepSpecError(f"max_rounds must be >= 1, got {self.max_rounds}")
+        require_integer(self.trials, "trials", SweepSpecError, minimum=1)
+        require_integer(self.master_seed, "master_seed", SweepSpecError)
+        require_integer(self.max_rounds, "max_rounds", SweepSpecError, minimum=1)
         if self.stop_rule not in STOP_RULES:
             raise SweepSpecError(f"unknown stop rule {self.stop_rule!r}")
         if not self.hs and self.h_rule_c4 is None:
@@ -815,11 +810,9 @@ def rare_outsample_audit(
     counts, whatever k is. The comparison bound is 1 - 1/n^(c3 - 2).
     """
     n, counts = config.n, config.counts
-    if rounds < 1:
-        raise SweepSpecError(f"rounds must be >= 1, got {rounds}")
-    require_integer(h, "h", SweepSpecError, optional=True)
-    if h is not None and h < 1:
-        raise SweepSpecError(f"h must be >= 1, got {h}")
+    require_integer(rounds, "rounds", SweepSpecError, minimum=1)
+    require_integer(h, "h", SweepSpecError, optional=True, minimum=1)
+    require_integer(rare_opinion, "rare_opinion", SweepSpecError)
     if not 1 <= rare_opinion <= config.k:
         raise SweepSpecError(
             f"rare_opinion must be in 1..{config.k}, got {rare_opinion}"

@@ -67,7 +67,7 @@ class TooLargeError(HMajorityError):
 
 
 class InvalidQError(HMajorityError, ValueError):
-    """The binomial pair requires 1/2 < q < 1."""
+    """The binomial pair requires 1/2 < q < 1 and an integer m >= 1."""
 
 
 class NegativeHError(HMajorityError, ValueError):
@@ -362,11 +362,7 @@ def _outcome_table(h: int, probs) -> tuple[np.ndarray, np.ndarray]:
     table would exceed ENUMERATION_GUARD cells.
     """
     k = len(probs)
-    require_integer(h, "h", NegativeHError)
-    if h < 0:
-        raise NegativeHError(f"need h >= 0, got h={h}")
-    if k < 1:
-        raise ValueError(f"need k >= 1, got k={k}")
+    require_integer(h, "h", NegativeHError, minimum=0)
     n = math.comb(h + k - 1, k - 1)
     if n * k > ENUMERATION_GUARD:
         raise TooLargeError(
@@ -492,10 +488,8 @@ def win_distribution(h: int, p) -> WinDistribution:
     """
     probs = coerce_probs(p)
     k = len(probs)
-    require_integer(h, "h", NegativeHError)
+    require_integer(h, "h", NegativeHError, minimum=0)
     h = int(h)
-    if h < 0:
-        raise NegativeHError(f"need h >= 0, got h={h}")
     live = [i for i, v in enumerate(probs) if v > 0.0]
     out = np.zeros((3, k))  # rows: q, q_strict, q_ties
     if h == 0 or len(live) == 1:
@@ -733,8 +727,7 @@ def binomial_pair_report(m: int, q: float) -> BinomialPairReport:
     """Exact pair comparison report; requires 1/2 < q < 1 and m <= 1e4."""
     if not (0.5 < q < 1.0):
         raise InvalidQError(f"need 1/2 < q < 1, got q={q}")
-    if m < 1:
-        raise InvalidQError(f"need m >= 1, got m={m}")
+    require_integer(m, "m", InvalidQError, minimum=1)
     if m > MAX_PAIR_M:
         raise TooLargeError(f"m={m} exceeds the direct-summation cap {MAX_PAIR_M}")
     diff, thresholds, table = binomial_pair_table(m, [q])

@@ -28,7 +28,8 @@ whose inversion costs O(r q) steps while r min(q, 1 - q) <= 30.
 
 A chain call splits more than SUB_BLOCK_ROWS rows into sub-blocks of that
 many rows and draws them on a thread pool that lives for the call only
-(_run_sub_blocks), the only threaded path here. The stream rule does not
+(_run_sub_blocks), the only threaded path here. Each sub-block returns
+its own rows, which the block joins in order, and the stream rule does not
 depend on the thread count: a call of at most one sub-block draws from the
 caller's generator; a larger one takes a single 63-bit key from it, and
 sub-block j draws from RngHandle(key, j).
@@ -116,7 +117,7 @@ class RngHandle:
 def draw_multinomial(h: int, p, rng: RngHandle) -> tuple[int, ...]:
     """One exact Multinomial(h, p) draw as a counts tuple: a single row of
     sample_counts_matrix, so its cost is O(k) whatever h is."""
-    return tuple(int(c) for c in sample_counts_matrix(h, p, rng, 1)[0])
+    return tuple(sample_counts_matrix(h, p, rng, 1)[0].tolist())
 
 
 def sample_counts_matrix(h: int, p, rng: RngHandle, rows: int) -> np.ndarray:
@@ -129,45 +130,38 @@ def sample_counts_matrix(h: int, p, rng: RngHandle, rows: int) -> np.ndarray:
     sample_modes and never build this matrix.
     """
     probs = np.asarray(coerce_probs(p), dtype=np.float64)
-    require_integer(h, "h", InvalidProbError)
-    if h < 0:
-        raise InvalidProbError(f"h must be >= 0, got {h}")
-    if rows < 0:
-        raise InvalidProbError(f"rows must be >= 0, got {rows}")
+    require_integer(h, "h", InvalidProbError, minimum=0)
+    require_integer(rows, "rows", InvalidProbError, minimum=0)
     # coerce_probs lets an entry exceed 1 by its sum tolerance; numpy does not
     np.minimum(probs, 1.0, out=probs)
     return rng.gen.multinomial(h, probs, size=rows)
 
 
-def _run_sub_blocks(rows: int, rng: RngHandle, fill) -> None:
-    """Call fill(start, stop, gen) on the sub-blocks that cover rows rows:
-    the stream rule of every sample_chain_modes block.
+def _run_sub_blocks(rows: int, rng: RngHandle, draw) -> list:
+    """[draw(sub_rows, gen)] over the sub-blocks that cover rows rows, in
+    order: the stream rule of every sample_chain_modes block.
 
     At most SUB_BLOCK_ROWS rows are one sub-block drawn from rng itself.
     More rows are split into sub-blocks of SUB_BLOCK_ROWS rows (the last one
     fewer): one 63-bit key is drawn from rng, and sub-block j draws from
     RngHandle(key, j), on up to min(usable cores, sub-blocks) threads of a
-    pool that is shut down before the call returns. Each fill writes only
+    pool that is shut down before the call returns. Each sub-block returns
     its own rows, so the result does not depend on the thread count.
     """
     if rows <= SUB_BLOCK_ROWS:
-        fill(0, rows, rng.gen)
-        return
+        return [draw(rows, rng.gen)]
     key = int(rng.gen.integers(0, 1 << 63))
     sub_blocks = range(-(-rows // SUB_BLOCK_ROWS))
 
-    def run(j: int) -> None:
-        start = j * SUB_BLOCK_ROWS
-        stop = min(rows, start + SUB_BLOCK_ROWS)
-        fill(start, stop, RngHandle(key, stream_id=j).gen)
+    def run(j: int):
+        sub_rows = min(SUB_BLOCK_ROWS, rows - j * SUB_BLOCK_ROWS)
+        return draw(sub_rows, RngHandle(key, stream_id=j).gen)
 
     threads = min(MAX_THREADS or _usable_cores(), len(sub_blocks))
     if threads <= 1:
-        for j in sub_blocks:
-            run(j)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run, sub_blocks))  # re-raises a worker's error
+        return [run(j) for j in sub_blocks]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(run, sub_blocks))  # re-raises a worker's error
 
 
 def sample_chain_modes(h: int, p, rng: RngHandle, n: int):
@@ -189,9 +183,7 @@ def sample_chain_modes(h: int, p, rng: RngHandle, n: int):
     undo a tie. Near consensus most rows leave after the first opinion.
     """
     probs = np.asarray(coerce_probs(p), dtype=np.float64)
-    require_integer(h, "h", InvalidProbError)
-    if h < 0:
-        raise InvalidProbError(f"h must be >= 0, got {h}")
+    require_integer(h, "h", InvalidProbError, minimum=0)
     k = probs.size
     order = np.argsort(-probs, kind="stable")
     ranked = probs[order]
@@ -201,22 +193,17 @@ def sample_chain_modes(h: int, p, rng: RngHandle, n: int):
     step_p = ranked[: live - 1] / tail[: live - 1]
     first = int(np.flatnonzero(order == 0)[0])
     tables = _BinomialTables(h, step_p)
+
+    def draw(rows: int, gen):
+        counts, best = _chain_counts(rows, h, step_p, tables, k, gen)
+        rank, ties = _argmax_tiebreak(counts.T, best, gen)
+        return order[rank], best, ties, counts[first] == best
+
     for rows in _block_rows(k, n):
-        winner = np.empty(rows, dtype=np.int64)
-        top = np.empty(rows, dtype=np.int64)
-        ties = np.empty(rows, dtype=np.int64)
-        first_is_top = np.empty(rows, dtype=bool)
-
-        def fill(start: int, stop: int, gen) -> None:
-            counts, best = _chain_counts(stop - start, h, step_p, tables, k, gen)
-            rank, tied = _argmax_tiebreak(counts.T, best, gen)
-            winner[start:stop] = order[rank]
-            top[start:stop] = best
-            ties[start:stop] = tied
-            first_is_top[start:stop] = counts[first] == best
-
-        _run_sub_blocks(rows, rng, fill)
-        yield winner, top, ties, first_is_top
+        parts = _run_sub_blocks(rows, rng, draw)
+        block = parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
+        del parts  # not to be held while the caller reads the block
+        yield block
 
 
 def _chain_counts(rows: int, h: int, step_p: np.ndarray, tables, k: int, gen):
@@ -465,9 +452,7 @@ def sample_draw_chunks(h: int, weights, rng: RngHandle, n: int):
     Ids arrive in the narrowest unsigned type that holds k - 1. One random
     integer per id, from the caller's generator on one thread.
     """
-    require_integer(h, "h", InvalidProbError)
-    if h < 0:
-        raise InvalidProbError(f"h must be >= 0, got {h}")
+    require_integer(h, "h", InvalidProbError, minimum=0)
     w = np.asarray(weights)
     if w.dtype.kind == "f":
         w = (w * 2.0**62).astype(np.int64)

@@ -85,7 +85,7 @@ def simplex_grid(k: int, denom: int = 20):
         yield tuple(v / denom for v in ints)
 
 
-def suite_lemma9(m_max: int = 200, delta_step: float = 0.01) -> SuiteResult:
+def suite_lemma9(m_max: int = 200) -> SuiteResult:
     """Exact pair difference against the g-kernel lower bound on a full grid.
 
     The stats break violations down by the parity of m: for even m the tie
@@ -94,7 +94,7 @@ def suite_lemma9(m_max: int = 200, delta_step: float = 0.01) -> SuiteResult:
     difference is exactly delta but the bound is ~1.128 delta). Odd m has no
     tie outcome and the full grid holds with margin.
     """
-    deltas = np.arange(delta_step, 1.0 - 1e-12, delta_step)
+    deltas = np.arange(0.01, 1.0 - 1e-12, 0.01)
     qs = (1.0 + deltas) / 2.0
     result = SuiteResult(name="lemma9", passed=True, checks=0)
     min_margin = math.inf
@@ -129,11 +129,9 @@ def suite_lemma9(m_max: int = 200, delta_step: float = 0.01) -> SuiteResult:
     return result
 
 
-def suite_monotonicity(
-    m_min: int = 2, m_max: int = 100, q_step: float = 0.01
-) -> SuiteResult:
+def suite_monotonicity(m_min: int = 2, m_max: int = 100) -> SuiteResult:
     """Conditional comparison diffs must be non-decreasing in the threshold."""
-    qs = np.arange(0.51, 0.995, q_step)
+    qs = np.arange(0.51, 0.995, 0.01)
     result = SuiteResult(name="monotonicity", passed=True, checks=0)
     worst = math.inf
     for m in range(m_min, m_max + 1):
@@ -152,7 +150,7 @@ def suite_monotonicity(
     return result
 
 
-def _event_grid(hs=range(1, 8), ks=(2, 3, 4), denom: int = 20):
+def _event_grid(hs, ks, denom: int):
     for k in ks:
         for p in simplex_grid(k, denom):
             for h in hs:
@@ -160,7 +158,7 @@ def _event_grid(hs=range(1, 8), ks=(2, 3, 4), denom: int = 20):
 
 
 def suite_difference_equality(
-    hs=range(1, 8), ks=(2, 3, 4), denom: int = 20, tol: float = 1e-12
+    hs=range(1, 8), ks=(2, 3, 4), denom: int = 20
 ) -> SuiteResult:
     """Adoption-probability diff equals comparison diff given a strict pair win."""
     result = SuiteResult(name="difference_equality", passed=True, checks=0)
@@ -169,16 +167,14 @@ def suite_difference_equality(
         report = event_report(h, p)
         err = abs(report.cond_diff_majority - report.cond_diff_comparison)
         worst = max(worst, err)
-        if err > tol:
+        if err > ABS_TOL:
             result.add_failure(f"h={h} k={k} p={p}: |maj-cmp|={err:.3e}")
         result.checks += 1
     result.stats["max_error"] = worst
     return result
 
 
-def suite_dominance(
-    hs=range(1, 8), ks=(2, 3, 4), denom: int = 20, tol: float = 1e-12
-) -> SuiteResult:
+def suite_dominance(hs=range(1, 8), ks=(2, 3, 4), denom: int = 20) -> SuiteResult:
     """Conditioning on a strict pair win cannot shrink the pair-sum tail."""
     result = SuiteResult(name="dominance", passed=True, checks=0)
     worst = math.inf
@@ -186,14 +182,14 @@ def suite_dominance(
         report = event_report(h, p)
         margin = report.sum_tail_conditional - report.sum_tail_unconditional
         worst = min(worst, margin)
-        if margin < -tol:
+        if margin < -ABS_TOL:
             result.add_failure(f"h={h} k={k} p={p}: tail margin {margin:.3e}")
         result.checks += 1
     result.stats["min_margin"] = worst
     return result
 
 
-def suite_tiemap(hs=range(2, 7), ks=(2, 3), denom: int = 10) -> SuiteResult:
+def suite_tiemap() -> SuiteResult:
     """Pmf-ratio identity of the tie-removal map; injectivity reported.
 
     The exact gate is the algebraic identity Pr(f(X))/Pr(X) =
@@ -206,7 +202,7 @@ def suite_tiemap(hs=range(2, 7), ks=(2, 3), denom: int = 10) -> SuiteResult:
     injective_all = True
     audited = 0
     applicable_total = 0
-    for h, k, p in _event_grid(hs, ks, denom):
+    for h, k, p in _event_grid(range(2, 7), (2, 3), 10):
         audit = tie_map_audit(h, p)
         audited += 1
         applicable_total += audit.applicable
@@ -226,7 +222,7 @@ def suite_tiemap(hs=range(2, 7), ks=(2, 3), denom: int = 10) -> SuiteResult:
     return result
 
 
-def suite_growth_claim(seed: int = 7, random_instances: int = 300) -> SuiteResult:
+def suite_growth_claim(seed: int = 7) -> SuiteResult:
     """Whenever every rival gap grew, ratio shrank, or rival vanished,
     the leading opinion's share must strictly increase."""
     result = SuiteResult(name="growth_claim", passed=True, checks=0)
@@ -263,7 +259,7 @@ def suite_growth_claim(seed: int = 7, random_instances: int = 300) -> SuiteResul
             check(before_counts, after_counts)
 
     rng = RngHandle(seed, stream_id=1).gen
-    for _ in range(random_instances):
+    for _ in range(300):
         k = int(rng.integers(2, 6))
         n = int(rng.integers(k, 40))
         before_counts = tuple(int(v) for v in rng.multinomial(n, np.full(k, 1.0 / k)))
@@ -284,9 +280,7 @@ def _near_uniform(k: int, tilt: float = 0.02) -> tuple[float, ...]:
     return tuple(probs)
 
 
-def suite_bounds(
-    trials: int = 10**6, seed: int = 20240501, n: int = 20, c4: float = DEFAULT_C4
-) -> SuiteResult:
+def suite_bounds(trials: int = 10**6, seed: int = 20240501) -> SuiteResult:
     """Monte Carlo lower-bound verdicts plus empirical constant searches.
 
     Gates only on outright "fail" verdicts; inconclusive results are listed.
@@ -296,6 +290,7 @@ def suite_bounds(
     once through verdict calls.
     """
     result = SuiteResult(name="bounds", passed=True, checks=0)
+    n, c4 = 20, DEFAULT_C4  # agents and sample-size constant of the w1 cells
     reports = []
     exercised: set[str] = set()
 

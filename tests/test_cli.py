@@ -198,7 +198,7 @@ def test_oracle_negative_h_is_config_error(report, capsys):
     code = main(["oracle", "--h", "-1", "--p", "0.6,0.4", "--report", report])
     captured = capsys.readouterr()
     assert code == 2
-    assert "h >= 0" in captured.err
+    assert "h must be >= 0" in captured.err
     assert "Traceback" not in captured.err
 
 
@@ -514,3 +514,96 @@ def test_sweep_bad_spec(tmp_path, capsys):
     spec = tmp_path / "spec.json"
     _write_json(spec, {"schema_version": 1, "n": [40], "k": [2], "trials": 3})
     assert main(["sweep", "--spec", str(spec), "--out", str(tmp_path / "s")]) == 2
+
+
+def test_runtime_error_exits_1(tmp_path, capsys):
+    # the oracle-level round at n = 1e6, k = 16, h = 68 812 needs a DP of
+    # 2e9 cells, above its cap: a TooLargeError from a valid config
+    config, out = tmp_path / "config.json", tmp_path / "out"
+    _write_json(config, {"schema_version": 1, "counts": [62500] * 16, "h": 68812,
+                         "max_rounds": 5, "step_mode": "oracle_level"})
+    code = main(["simulate", "--config", str(config), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and "cap" in err
+    assert not out.exists()
+
+
+def test_verify_bounds_suite_runs_through_the_cli(capsys):
+    code = main(["verify", "--suite", "bounds", "--trials", "1000"])
+    assert code == 0
+    assert capsys.readouterr().out.startswith("PASS bounds")
+
+
+@pytest.mark.parametrize("text, message", [
+    (None, "config file not found"),
+    ("{", "is not valid JSON"),
+])
+def test_simulate_config_file_missing_or_not_json(tmp_path, capsys, text, message):
+    config = tmp_path / "config.json"
+    if text is not None:
+        config.write_text(text)
+    code = main(["simulate", "--config", str(config), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error:") and message in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["oracle", "--h", "3", "--p", "0.6,x"], "cannot parse probability vector"),
+    (["verify", "--suite", "bogus"], "known suites:"),
+])
+def test_bad_command_line_value_is_config_error(capsys, argv, message):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("config error:") and message in captured.err
+    assert captured.out == ""
+
+
+def test_report_needs_a_record_file(tmp_path, capsys):
+    code = main(["report", "--in", str(tmp_path), "--out", str(tmp_path / "rep")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "no .jsonl record files" in err
+    assert not (tmp_path / "rep").exists()
+
+
+def test_report_rejects_malformed_timings(tmp_path, capsys):
+    out = _small_sweep(tmp_path, capsys)
+    with open(out / "timings.csv", "a", encoding="utf-8") as fh:
+        fh.write("n40-k2-h3,2,fast\n")
+    code = main(["report", "--in", str(out), "--out", str(tmp_path / "rep")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error:") and "timings.csv" in err
+    assert not (tmp_path / "rep").exists()
+
+
+def test_report_names_a_record_field_that_is_missing(tmp_path, capsys):
+    out = _small_sweep(tmp_path, capsys)
+    first = json.loads((out / "records.jsonl").read_bytes().splitlines()[0])
+    del first["trial"]
+    with open(out / "records.jsonl", "a", encoding="utf-8") as fh:
+        fh.write(json.dumps(first) + "\n")
+    code = main(["report", "--in", str(out), "--out", str(tmp_path / "rep")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "missing field 'trial'" in err
+
+
+@pytest.mark.parametrize("meta, message", [
+    ("{", "is not JSON"),
+    ("[1, 2]", "must hold a JSON object"),
+])
+def test_sweep_append_refuses_unreadable_meta(tmp_path, capsys, meta, message):
+    out = _small_sweep(tmp_path, capsys)
+    (out / "sweep_meta.json").write_text(meta)
+    records = (out / "records.jsonl").read_bytes()
+    spec = str(tmp_path / "spec.json")
+    code = main(["sweep", "--spec", spec, "--out", str(out), "--append"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error:") and "sweep_meta.json" in err
+    assert message in err
+    assert (out / "records.jsonl").read_bytes() == records

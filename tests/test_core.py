@@ -12,7 +12,27 @@ from hmajority.core import (
     is_consensus,
     validate,
 )
-from hmajority.dynamics import STOP_MAX_ROUNDS, RunParams, run
+from hmajority.dynamics import STOP_MAX_ROUNDS, RunParams, oracle_step, run, step
+from hmajority.montecarlo import (
+    SweepSpec,
+    SweepSpecError,
+    rare_outsample_audit,
+    sample_win_events,
+)
+from hmajority.oracle import (
+    InvalidQError,
+    NegativeHError,
+    binomial_pair_report,
+    event_report,
+    win_distribution,
+)
+from hmajority.sampler import (
+    InvalidProbError,
+    RngHandle,
+    sample_chain_modes,
+    sample_counts_matrix,
+    sample_draw_chunks,
+)
 
 
 def test_validate_ok():
@@ -155,3 +175,83 @@ def test_consensus_implies_full_count(counts):
     winner = is_consensus(cfg)
     if winner is not None:
         assert cfg.counts[winner - 1] == cfg.n
+
+
+_PAIR = (0.5, 0.5)
+_AUDIT_CONFIG = Configuration.from_counts((48, 20, 20, 12))
+
+# every size argument checked by require_integer(..., minimum=): the call
+# with the argument set to v, the caller's error class and the minimum
+_SIZE_ARGUMENTS = {
+    "RunParams h": (lambda v: RunParams(h=v, max_rounds=5), ValueError, 1),
+    "RunParams max_rounds": (lambda v: RunParams(h=3, max_rounds=v), ValueError, 1),
+    "step h": (
+        lambda v: step(Configuration.from_counts((6, 4)), v, RngHandle(1)),
+        ValueError, 1),
+    "oracle_step h": (
+        lambda v: oracle_step(Configuration.from_counts((6, 4)), v, RngHandle(1)),
+        ValueError, 1),
+    "sample_counts_matrix h": (
+        lambda v: sample_counts_matrix(v, _PAIR, RngHandle(1), 3), InvalidProbError, 0),
+    "sample_counts_matrix rows": (
+        lambda v: sample_counts_matrix(5, _PAIR, RngHandle(1), v), InvalidProbError, 0),
+    "sample_chain_modes h": (
+        lambda v: next(sample_chain_modes(v, _PAIR, RngHandle(1), 4)),
+        InvalidProbError, 0),
+    "sample_draw_chunks h": (
+        lambda v: next(sample_draw_chunks(v, np.array([3, 3, 2, 2]), RngHandle(1), 10)),
+        InvalidProbError, 0),
+    "event_report h": (lambda v: event_report(v, _PAIR), NegativeHError, 0),
+    "win_distribution h": (lambda v: win_distribution(v, _PAIR), NegativeHError, 0),
+    "binomial_pair_report m": (
+        lambda v: binomial_pair_report(v, 0.6), InvalidQError, 1),
+    "sample_win_events trials": (
+        lambda v: sample_win_events(3, _PAIR, v, RngHandle(1)), InvalidProbError, 0),
+    "SweepSpec trials": (
+        lambda v: SweepSpec(ns=(40,), ks=(2,), hs=(3,), trials=v), SweepSpecError, 1),
+    "SweepSpec max_rounds": (
+        lambda v: SweepSpec(ns=(40,), ks=(2,), hs=(3,), max_rounds=v),
+        SweepSpecError, 1),
+    "rare_outsample_audit rounds": (
+        lambda v: rare_outsample_audit(_AUDIT_CONFIG, 3, v, 1, h=5), SweepSpecError, 1),
+    "rare_outsample_audit h": (
+        lambda v: rare_outsample_audit(_AUDIT_CONFIG, 3, 2, 1, h=v), SweepSpecError, 1),
+}
+
+
+@pytest.mark.parametrize("site", list(_SIZE_ARGUMENTS))
+def test_size_argument_below_its_minimum_names_it(site):
+    call, error, minimum = _SIZE_ARGUMENTS[site]
+    name = site.split()[-1]
+    message = f"^{name} must be >= {minimum}, got {minimum - 1}$"
+    with pytest.raises(error, match=message):
+        call(minimum - 1)
+
+
+@pytest.mark.parametrize("site", [
+    "sample_counts_matrix rows",
+    "rare_outsample_audit rounds",
+    "binomial_pair_report m",
+])
+def test_size_argument_must_be_an_integer(site):
+    # 2.5 used to reach range or numpy and fail there with a TypeError, or
+    # with a broadcasting ValueError in binomial_pair_report
+    call, error, _ = _SIZE_ARGUMENTS[site]
+    name = site.split()[-1]
+    with pytest.raises(error, match=f"^'{name}' must be an integer, got 2.5$"):
+        call(2.5)
+
+
+def test_rare_opinion_must_be_an_integer():
+    # 2.5 used to index the counts tuple and fail with a TypeError
+    with pytest.raises(SweepSpecError, match="^'rare_opinion' must be an integer"):
+        rare_outsample_audit(_AUDIT_CONFIG, 2.5, 2, 1, h=5)
+
+
+def test_require_integer_minimum_checks_after_the_type():
+    core.require_integer(0, "x", minimum=0)
+    core.require_integer(None, "x", optional=True, minimum=1)
+    with pytest.raises(FieldError, match="^x must be >= 1, got 0$"):
+        core.require_integer(0, "x", minimum=1)
+    with pytest.raises(FieldError, match="must be an integer"):
+        core.require_integer(True, "x", minimum=0)

@@ -266,6 +266,11 @@ def test_run_params_validation():
         RunParams(h=1, max_rounds=5, stop_rule="bogus")
 
 
+def test_run_params_reject_unknown_step_mode():
+    with pytest.raises(ValueError, match="unknown step mode 'bogus'"):
+        RunParams(h=1, max_rounds=5, step_mode="bogus")
+
+
 @pytest.mark.parametrize("field, value", [
     ("h", 3.7), ("h", 3.0), ("h", True), ("h", "3"), ("max_rounds", 5.0),
     ("max_rounds", False), ("seed", "1"), ("seed", 2.5),

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import asdict, fields
@@ -204,7 +203,7 @@ def _cmd_report(args) -> int:
     with open(scaling_path, "w", encoding="utf-8") as fh:
         fh.write("k,n_values,medians,slope,intercept\n")
         for fit in fits:
-            ns = ";".join(f"{math.exp(x):.0f}" for x, _ in fit["points"])
+            ns = ";".join(str(n) for n, _ in fit["points"])
             meds = ";".join(str(y) for _, y in fit["points"])
             fh.write(f"{fit['k']},{ns},{meds},{fit['slope']},{fit['intercept']}\n")
     print(f"wrote {summary_path} ({len(rows)} cells) and {scaling_path}")

@@ -172,7 +172,7 @@ def step(config: Configuration, h: int, rng: RngHandle) -> Configuration:
     k = config.k
     new_counts = np.zeros(k, dtype=np.int64)
     counts = np.asarray(config.counts, dtype=np.int64)
-    for winners, _, _, _ in sample_modes(h, counts, rng, config.n):
+    for winners, _, _ in sample_modes(h, counts, rng, config.n):
         new_counts += np.bincount(winners, minlength=k)
     return Configuration(counts=tuple(new_counts.tolist()), n=config.n)
 

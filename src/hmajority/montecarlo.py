@@ -129,7 +129,7 @@ def sample_win_events(h: int, p, trials: int, rng: RngHandle) -> WinEventCounts:
     strict_1 = 0
     ties_1 = 0
     strict_pair = 0
-    for winners, _, ties, first_is_top in sample_modes(h, probs, rng, trials):
+    for winners, ties, first_is_top in sample_modes(h, probs, rng, trials):
         strict = ties == 1
         ties_1 += int(first_is_top.sum())
         strict_1 += int((strict & (winners == 0)).sum())
@@ -137,7 +137,7 @@ def sample_win_events(h: int, p, trials: int, rng: RngHandle) -> WinEventCounts:
         win += np.bincount(winners, minlength=k)
     return WinEventCounts(
         trials=trials,
-        win=tuple(int(c) for c in win),
+        win=tuple(win.tolist()),
         strict_1=strict_1,
         ties_1=ties_1,
         strict_pair_12=strict_pair,
@@ -875,17 +875,11 @@ def _percentile(sorted_values, fraction: float):
 def summarize_cells(records, timings: dict | None = None) -> list[dict]:
     """Aggregate record dicts into one summary row per cell."""
     by_cell: dict[str, list[dict]] = {}
-    order = []
     for record in records:
         data = record if isinstance(record, dict) else record.__dict__
-        cid = data["cell_id"]
-        if cid not in by_cell:
-            by_cell[cid] = []
-            order.append(cid)
-        by_cell[cid].append(data)
+        by_cell.setdefault(data["cell_id"], []).append(data)
     rows = []
-    for cid in order:
-        group = by_cell[cid]
+    for cid, group in by_cell.items():
         first = group[0]
         success = sum(
             1
@@ -914,20 +908,21 @@ def summarize_cells(records, timings: dict | None = None) -> list[dict]:
 
 
 def scaling_fit(summary_rows) -> list[dict]:
-    """Least-squares fit of median consensus round against ln(n) per group."""
+    """Least-squares fit of median consensus round against ln(n) per group,
+    with its (n, median) points."""
     groups: dict[tuple, list[dict]] = {}
     for row in summary_rows:
         groups.setdefault((row["k"],), []).append(row)
     out = []
     for key, rows in groups.items():
         pts = [
-            (math.log(r["n"]), r["median_consensus_round"])
+            (r["n"], r["median_consensus_round"])
             for r in rows
             if r["median_consensus_round"] is not None
         ]
         if len(pts) < 2:
             continue
-        xs = np.array([x for x, _ in pts])
+        xs = np.array([math.log(n) for n, _ in pts])
         ys = np.array([y for _, y in pts])
         slope, intercept = np.polyfit(xs, ys, 1)
         out.append(

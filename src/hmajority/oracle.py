@@ -500,7 +500,7 @@ def win_distribution(h: int, p) -> WinDistribution:
         out[2, leaders] = 1.0
     else:
         out[:, live] = _win_dp(h, np.array([probs[i] for i in live]))
-    q, q_strict, q_ties = (tuple(float(v) for v in row) for row in out)
+    q, q_strict, q_ties = map(tuple, out.tolist())
     return WinDistribution(
         q=q,
         q_strict=q_strict,

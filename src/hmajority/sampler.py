@@ -2,7 +2,9 @@
 multinomial kernel, memory-capped blocks of them or of raw category ids,
 and sample_modes, the one agent-mode kernel: the modes, with uniform
 tie-break, of n samples of h opinions, for the rounds of dynamics.step and
-the one-agent events of montecarlo.sample_win_events. Its path rule is
+the one-agent events of montecarlo.sample_win_events. It yields blocks of
+three per-agent arrays, (winner, ties, first_is_top): all that those
+events read, and not the top count itself. Its path rule is
 draws_take_ids: the conditional-binomial chain for k <= h, the draw ids
 for k > h.
 
@@ -29,7 +31,7 @@ whose inversion costs O(r q) steps while r min(q, 1 - q) <= 30.
 A chain call splits more than SUB_BLOCK_ROWS rows into sub-blocks of that
 many rows and draws them on a thread pool that lives for the call only
 (_run_sub_blocks), the only threaded path here. Each sub-block returns
-its own rows, which the block joins in order, and the stream rule does not
+its own rows, which the call yields in order, and the stream rule does not
 depend on the thread count: a call of at most one sub-block draws from the
 caller's generator; a larger one takes a single 63-bit key from it, and
 sub-block j draws from RngHandle(key, j).
@@ -43,8 +45,8 @@ guide is the table of the n agents' opinions and a draw needs no search.
 The mode from the ids needs no random draw: among tied maxima the id drawn
 first wins. Rows of at most _PAIRWISE_MAX_H ids compare every pair of
 id columns once and count matches per draw position in bytes; longer rows
-sort each row's (id, position) keys. Both return the same winners, counts,
-tie sizes and first_is_top, in O(rows x h) memory.
+sort each row's (id, position) keys. Both return the same winners, tie
+sizes and first_is_top, in O(rows x h) memory.
 """
 
 from __future__ import annotations
@@ -165,14 +167,14 @@ def _run_sub_blocks(rows: int, rng: RngHandle, draw) -> list:
 
 
 def sample_chain_modes(h: int, p, rng: RngHandle, n: int):
-    """Yield (winner, top, ties, first_is_top) blocks of n agents' modes
-    of Multinomial(h, p) samples, the rows of k <= h rounds.
+    """Yield (winner, ties, first_is_top) pieces of n agents' modes of
+    Multinomial(h, p) samples, the rows of k <= h rounds.
 
-    winner, top and ties are those of mode_of_draws: the adopted opinion
-    (0-based), its count and the number of opinions at that count, with
-    one uniform draw among tied maxima. first_is_top tells whether opinion
-    1 holds the top count. Blocks have _block_rows(k, n) rows and follow
-    the stream rule of _run_sub_blocks.
+    winner and ties are those of mode_of_draws: the adopted opinion
+    (0-based) and the number of opinions at its count, with one uniform
+    draw among tied maxima. first_is_top tells whether opinion 1 holds the
+    top count. Each block of _block_rows(k, n) rows is drawn by the stream
+    rule of _run_sub_blocks, and its sub-blocks are yielded in order.
 
     Each sub-block walks the conditional-binomial chain over the live
     opinions in descending probability (a stable sort), keeping each row's
@@ -195,15 +197,12 @@ def sample_chain_modes(h: int, p, rng: RngHandle, n: int):
     tables = _BinomialTables(h, step_p)
 
     def draw(rows: int, gen):
-        counts, best = _chain_counts(rows, h, step_p, tables, k, gen)
-        rank, ties = _argmax_tiebreak(counts.T, best, gen)
-        return order[rank], best, ties, counts[first] == best
+        counts, top = _chain_counts(rows, h, step_p, tables, k, gen)
+        rank, ties = _argmax_tiebreak(counts.T, top, gen)
+        return order[rank], ties, counts[first] == top
 
     for rows in _block_rows(k, n):
-        parts = _run_sub_blocks(rows, rng, draw)
-        block = parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
-        del parts  # not to be held while the caller reads the block
-        yield block
+        yield from _run_sub_blocks(rows, rng, draw)
 
 
 def _chain_counts(rows: int, h: int, step_p: np.ndarray, tables, k: int, gen):
@@ -403,13 +402,13 @@ def draws_take_ids(k: int, h: int) -> bool:
 
 
 def sample_modes(h: int, weights, rng: RngHandle, n: int):
-    """Yield (winner, top, ties, first_is_top) blocks of the modes of n
-    agents' samples of h opinions, drawn with law weights / sum(weights):
-    the one agent-mode kernel of rounds and one-agent events.
+    """Yield (winner, ties, first_is_top) blocks of the modes of n agents'
+    samples of h opinions, drawn with law weights / sum(weights): the one
+    agent-mode kernel of rounds and one-agent events.
 
     weights are non-negative integer counts or validated probabilities.
-    winner is the adopted opinion (0-based), top its count, ties the number
-    of opinions at that count, and first_is_top whether opinion 1 holds it.
+    winner is the adopted opinion (0-based), ties the number of opinions at
+    its count, and first_is_top whether opinion 1 holds the top count.
     draws_take_ids(k, h) picks the path. With k > h the modes are those of
     the draw ids (sample_draw_chunks + mode_of_draws), whose tie rule needs
     no random draw. Otherwise they come from the binomial chain
@@ -485,13 +484,13 @@ def mode_of_draws(draws: np.ndarray):
     """Per-row mode of a (rows, h) array of non-negative category ids,
     h >= 1.
 
-    Returns (winner, top, ties, first_is_top): the winning id, its count,
-    the number of ids that share that count, and whether id 0 holds that
-    count. Among tied ids the winner is the one
-    whose first draw comes earliest. That is exactly uniform over the tied
-    set with no random draw: the draws are i.i.d., so given the counts every
-    order of them is equally likely, and swapping two tied labels maps the
-    orders where one wins onto those where the other wins.
+    Returns (winner, ties, first_is_top): the winning id, the number of ids
+    that share its count, and whether id 0 holds that count. Among tied ids
+    the winner is the one whose first draw comes earliest. That is exactly
+    uniform over the tied set with no random draw: the draws are i.i.d., so
+    given the counts every order of them is equally likely, and swapping two
+    tied labels maps the orders where one wins onto those where the other
+    wins.
 
     Rows with h <= _PAIRWISE_MAX_H compare every pair of draws once
     (_mode_pairwise); longer rows are sorted (_mode_sorted). Both give the
@@ -512,9 +511,8 @@ def _mode_pairwise(draws: np.ndarray):
     count when a position of id 0 does. O(h^2) per row.
     """
     rows, h = draws.shape
-    hi = int(draws.max())
-    id_type = np.uint8 if hi <= 0xFF else np.uint16 if hi <= 0xFFFF else draws.dtype
-    cols = np.array(draws.T, dtype=id_type, order="C")
+    # in the id type given: sample_draw_chunks issues the narrowest
+    cols = np.ascontiguousarray(draws.T)
     count = np.ones((h, rows), dtype=np.uint8)
     for i in range(h - 1):
         match = cols[i + 1 :] == cols[i]
@@ -530,7 +528,7 @@ def _mode_pairwise(draws: np.ndarray):
     at_top = count == top
     ties = at_top.sum(axis=0) // top
     at_top &= cols == 0
-    return winner, top.astype(np.int64), ties, at_top.any(axis=0)
+    return winner, ties, at_top.any(axis=0)
 
 
 def _mode_sorted(draws: np.ndarray):
@@ -572,7 +570,7 @@ def _mode_sorted(draws: np.ndarray):
     ties = np.add.reduceat(length == np.repeat(top, runs_per_row), row_runs)
     # a row's first run holds its smallest id
     first_is_top = (ids[row_start] == 0) & (length[row_runs] == top)
-    return winner, top, ties, first_is_top
+    return winner, ties, first_is_top
 
 
 def argmax_rows_with_tiebreak(counts: np.ndarray, rng: RngHandle) -> np.ndarray:

@@ -284,6 +284,8 @@ def test_sweep_report_roundtrip(tmp_path, capsys):
     assert len(lines) == 4  # three cells
     scaling = (report_dir / "scaling.csv").read_text().strip().splitlines()
     assert scaling[0] == "k,n_values,medians,slope,intercept"
+    # one fit over k = 2, its n column the spec's ns as written
+    assert [line.split(",")[:2] for line in scaling[1:]] == [["2", "40;80;160"]]
 
 
 def test_report_leaves_the_round_columns_empty_without_consensus(tmp_path, capsys):

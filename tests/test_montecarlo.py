@@ -637,6 +637,16 @@ def test_summaries_and_scaling():
     assert "slope" in fits[0]
 
 
+def test_scaling_fit_points_keep_n():
+    # the points hold n itself: exp(ln n) printed as an integer read
+    # n = 2^48 as 2^48 - 1; the fit is still on ln(n)
+    rows = [{"k": 2, "n": n, "median_consensus_round": m}
+            for n, m in ((1000, 4), (2**48, 9))]
+    (fit,) = scaling_fit(rows)
+    assert fit["points"] == [(1000, 4), (2**48, 9)]
+    assert fit["slope"] == pytest.approx(5 / (math.log(2**48) - math.log(1000)))
+
+
 def test_trial_record_json_is_versioned():
     spec = SweepSpec(
         ns=(30,), ks=(2,), hs=(3,), bias_multiplier=2.0,

@@ -251,22 +251,24 @@ def test_count_draws_take_every_vector_coerce_probs_accepts():
 
 
 def _chain_modes(h, p, rng, rows):
-    """The (winner, top, ties, first_is_top) arrays of one sample_chain_modes
-    call of at most one block."""
-    (block,) = sample_chain_modes(h, p, rng, rows)
-    return block
+    """The (winner, ties, first_is_top) arrays of one sample_chain_modes
+    call of at most one block, its yielded sub-blocks joined."""
+    return tuple(map(np.concatenate, zip(*sample_chain_modes(h, p, rng, rows))))
 
 
 def test_chain_modes_do_not_depend_on_thread_count(monkeypatch):
-    # four sub-blocks, the last one short; unsorted p, so rows leave the
-    # chain at different opinions
+    # four sub-blocks, the last one short, each yielded as its own piece;
+    # unsorted p, so rows leave the chain at different opinions
+    assert SUB_BLOCK_ROWS == 16384
     rows = 3 * SUB_BLOCK_ROWS + 5
     probs = (0.1, 0.4, 0.2, 0.3)
     results = []
     for threads in (1, 2):
         monkeypatch.setattr(sampler, "MAX_THREADS", threads)
         rng = RngHandle(78, 3)
-        modes = _chain_modes(9, probs, rng, rows)
+        pieces = list(sample_chain_modes(9, probs, rng, rows))
+        assert [len(winner) for winner, _, _ in pieces] == [SUB_BLOCK_ROWS] * 3 + [5]
+        modes = tuple(map(np.concatenate, zip(*pieces)))
         after = rng.gen.integers(0, 2**32, 4).tobytes()
         results.append((b"".join(a.tobytes() for a in modes), after))
     assert results[0] == results[1]
@@ -309,10 +311,9 @@ def test_chain_modes_rows_out_of_reach_draw_no_further_opinion():
     rng = RngHandle(91)
     rng.gen = CountingGenerator(rng.gen)
     probs = (0.83,) + (0.17 / 15,) * 15
-    winner, top, ties, first_is_top = _chain_modes(1000, probs, rng, 1000)
+    winner, ties, first_is_top = _chain_modes(1000, probs, rng, 1000)
     assert rng.gen.binomials < 1100
     assert np.all(winner == 0) and np.all(ties == 1) and np.all(first_is_top)
-    assert top.min() > 500
 
 
 def test_chain_modes_rows_out_of_reach_draw_no_further_opinion_from_tables():
@@ -323,11 +324,10 @@ def test_chain_modes_rows_out_of_reach_draw_no_further_opinion_from_tables():
     rng = RngHandle(92)
     rng.gen = CountingGenerator(rng.gen)
     probs = (0.83,) + (0.17 / 15,) * 15
-    winner, top, ties, first_is_top = _chain_modes(200, probs, rng, 1000)
+    winner, ties, first_is_top = _chain_modes(200, probs, rng, 1000)
     assert rng.gen.binomials == 0
     assert 1000 <= rng.gen.uniforms < 1100
     assert np.all(winner == 0) and np.all(ties == 1) and np.all(first_is_top)
-    assert top.min() > 100
 
 
 @pytest.mark.parametrize("q", [1e-300, 1 / 16, 0.5, 0.83, 1 - 1e-16])
@@ -407,8 +407,8 @@ def test_binomial_tables_leave_h_above_the_cap_and_h_0_to_numpy():
     assert sampler._BinomialTables(255, np.array([0.5])).steps == 1
     # at h = 0 the chain draws nothing from the stream
     rng = RngHandle(93)
-    winner, top, ties, _ = _chain_modes(0, (0.5, 0.3, 0.2), rng, 100)
-    assert np.all(top == 0) and np.all(ties == 3)
+    winner, ties, _ = _chain_modes(0, (0.5, 0.3, 0.2), rng, 100)
+    assert np.all(ties == 3)  # all three at count 0
     twin = RngHandle(93).gen
     twin.integers(0, np.full(100, 3))  # the tie-break of the 100 tied rows
     assert rng.gen.random() == twin.random()
@@ -539,8 +539,8 @@ def test_mode_of_draws_tie_rule_exact_over_orderings(multiset):
     best = max(counts.values())
     tied = sorted(label for label, c in counts.items() if c == best)
     for kernel in KERNELS:
-        winner, top, ties, first_is_top = kernel(orders)
-        assert np.all(top == best)
+        winner, ties, first_is_top = kernel(orders)
+        assert all(counts[w] == best for w in winner.tolist())
         assert np.all(ties == len(tied))
         assert np.all(first_is_top == (counts[0] == best))
         wins = Counter(winner.tolist())
@@ -549,7 +549,8 @@ def test_mode_of_draws_tie_rule_exact_over_orderings(multiset):
 
 
 def test_mode_of_draws_matches_count_matrix_mode():
-    # top, ties and the winner's count agree with a dense count of each row
+    # ties, first_is_top and the winner's count agree with a dense count of
+    # each row
     # the last case has one id drawn about 38 000 times out of 40 000: its
     # count << shift outgrows int32 though the ids do not; the pairwise
     # kernel counts in bytes, so it takes rows of at most 255 draws
@@ -561,21 +562,20 @@ def test_mode_of_draws_matches_count_matrix_mode():
         if kernel is sampler._mode_pairwise and draws.shape[1] > 255:
             continue
         k = int(draws.max()) + 1
-        winner, top, ties, first_is_top = kernel(draws)
+        winner, ties, first_is_top = kernel(draws)
         dense = np.zeros((draws.shape[0], k), dtype=np.int64)
         np.add.at(dense, (np.arange(draws.shape[0])[:, None], draws), 1)
         rowmax = dense.max(axis=1)
-        assert np.array_equal(top, rowmax)
         assert np.array_equal(ties, (dense == rowmax[:, None]).sum(axis=1))
         assert np.array_equal(first_is_top, dense[:, 0] == rowmax)
         assert np.array_equal(dense[np.arange(draws.shape[0]), winner], rowmax)
 
 
 def test_mode_kernels_agree_on_random_arrays():
-    # identical (winner, top, ties) from both kernels, at h = 1, at the
-    # switch point H and at H + 1; ids narrow to uint8, to uint16 or not at
-    # all in the pairwise kernel; rows of all-distinct ids and rows of one
-    # id (top = h) in every case
+    # identical (winner, ties, first_is_top) from both kernels, at h = 1, at
+    # the switch point H and at H + 1; the pairwise kernel gives the same
+    # on int64 ids and on the narrowest id type, which sample_draw_chunks
+    # issues; rows of all-distinct ids and rows of one id in every case
     H = sampler._PAIRWISE_MAX_H
     assert 1 <= H <= 255
     rng = np.random.default_rng(41)
@@ -587,12 +587,14 @@ def test_mode_kernels_agree_on_random_arrays():
             draws = np.concatenate([draws, k - 1 - distinct % k, same])
             pairwise = sampler._mode_pairwise(draws)
             ranked = sampler._mode_sorted(draws)
-            for a, b in zip(pairwise, ranked):
-                assert np.array_equal(a, b), (h, k)
-            assert np.all(pairwise[1][-50:] == h)
+            narrow = sampler._mode_pairwise(draws.astype(np.min_scalar_type(k - 1)))
+            for a, b, c in zip(pairwise, ranked, narrow):
+                assert np.array_equal(a, b) and np.array_equal(a, c), (h, k)
+            assert np.all(pairwise[0][-50:] == same[:, 0])
+            assert np.all(pairwise[1][-50:] == 1)
             if k >= h:
-                assert np.all(pairwise[1][500:550] == 1)
-                assert np.all(pairwise[2][500:550] == h)
+                assert np.all(pairwise[0][500:550] == draws[500:550, 0])
+                assert np.all(pairwise[1][500:550] == h)
 
 
 def test_mode_of_draws_switches_kernel_at_pairwise_max_h(monkeypatch):

@@ -12,7 +12,9 @@ JSON document with:
   suites ``benchmark/workload.py`` runs at seed 2029 and the default trials,
   and the ``trajectory.json`` and stdout of ``hmajority simulate`` on the
   grid of the ``SIMULATE_*`` constants (every step mode and stop rule,
-  k = 2..64, h = 3..200); the SHA-256 of each, and which differ between
+  k = 2..64, h = 3..200), and the ``records.jsonl`` of one ``sweep`` of
+  ``REPORT_SPEC`` with the ``summary.csv`` and ``scaling.csv`` that
+  ``report`` writes from it; the SHA-256 of each, and which differ between
   the sides;
 * ``end_to_end``: ``benchmark/run.py`` on every workload, ``--pairs``
   pairs, the side that runs first alternating, seeds 2611 on (the pair
@@ -51,6 +53,12 @@ SIMULATE_STARTS = ("biased", "tied")
 STEP_MODES = ("agent_level", "oracle_level", "auto")
 STOP_RULES = ("consensus", "plurality_consensus_on", None, "max_rounds_only")
 SIMULATE_SEEDS = (3, 30)
+# a sweep shaped as the benchmark's sweep_small_h (h = 3, k = 8..64, a
+# balanced start), at three n so that scaling.csv holds a fit
+REPORT_SPEC = {"schema_version": 1, "n": [1000, 3000, 10000], "k": [8, 16, 32, 64],
+               "h": [3], "pattern": "balanced_plus_bias", "bias_multiplier": 0,
+               "trials": 3, "master_seed": VERIFY_SEED, "stop_rule": "consensus",
+               "max_rounds": 1000}
 
 
 def _sha(data: bytes) -> str:
@@ -83,7 +91,42 @@ def probe(src: str) -> dict:
         with open(path, "rb") as fh:
             verify = {"argv": argv[:-1] + ["VERIFY_JSON"], "exit": code,
                       "sha256": _sha(fh.read())}
-    return {"oracle": oracle, "verify": verify, "simulate": simulate_probe()}
+    return {"oracle": oracle, "verify": verify, "simulate": simulate_probe(),
+            "report": report_probe()}
+
+
+def report_probe() -> dict:
+    """SHA-256 of records.jsonl from one sweep of REPORT_SPEC on one worker,
+    and of the summary.csv and scaling.csv that report writes from it, with
+    the exit codes and scaling.csv's text. Each timings.csv time is set to
+    the trial index + 0.125 ms first, so the report reads the same input on
+    both sides."""
+    from hmajority.cli import main
+
+    with tempfile.TemporaryDirectory() as tmp:
+        spec = os.path.join(tmp, "spec.json")
+        with open(spec, "w", encoding="utf-8") as fh:
+            json.dump(REPORT_SPEC, fh)
+        sweep, report = os.path.join(tmp, "sweep"), os.path.join(tmp, "report")
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes = [main(["sweep", "--spec", spec, "--out", sweep, "--workers", "1"])]
+            timings = os.path.join(sweep, "timings.csv")
+            with open(timings, encoding="utf-8") as fh:
+                header, *lines = fh.read().splitlines()
+            with open(timings, "w", encoding="utf-8") as fh:
+                fh.write(header + "\n")
+                for line in lines:
+                    cell, trial, _ = line.split(",")
+                    fh.write(f"{cell},{trial},{int(trial) + 0.125:.3f}\n")
+            codes.append(main(["report", "--in", sweep, "--out", report]))
+        out = {"exit": codes}
+        for name, folder in (("records.jsonl", sweep), ("summary.csv", report),
+                             ("scaling.csv", report)):
+            with open(os.path.join(folder, name), "rb") as fh:
+                data = fh.read()
+            out[name] = _sha(data)
+        out["scaling_csv_text"] = data.decode()
+    return out
 
 
 def simulate_probe() -> dict:
@@ -161,8 +204,10 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent")
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--out", default="BENCH_30.json")
-    parser.add_argument("--probe")
+    # one of them: a run without --out must not overwrite a committed file
+    target = parser.add_mutually_exclusive_group(required=True)
+    target.add_argument("--out")
+    target.add_argument("--probe")
     args = parser.parse_args()
     if args.probe:
         print(json.dumps(probe(args.probe)))
@@ -189,6 +234,8 @@ def main() -> int:
             "verify": {"identical": before["verify"] == after["verify"],
                        "parent": before["verify"], "change": after["verify"]},
             "simulate": _compare_simulate(before["simulate"], after["simulate"]),
+            "report": {"identical": before["report"] == after["report"],
+                       "parent": before["report"], "change": after["report"]},
         },
         "end_to_end": end_to_end(parent, args.pairs) if args.pairs else None,
     }

@@ -246,8 +246,10 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent")
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--out", default="BENCH_26.json")
-    parser.add_argument("--probe")
+    # one of them: a run without --out must not overwrite a committed file
+    target = parser.add_mutually_exclusive_group(required=True)
+    target.add_argument("--out")
+    target.add_argument("--probe")
     args = parser.parse_args()
     if args.probe:
         print(json.dumps(probe(args.probe)))
